@@ -55,6 +55,21 @@ def _circle_angles(N):
     return -math.pi + 2.0 * math.pi * np.arange(N) / N
 
 
+def _grid_size(d, N, M) -> int:
+    """Point count of the standard grid on S^d, checking its parameters."""
+    if d == 0:
+        return 2
+    if d == 1:
+        if N is None or N < 2 or N % 2:
+            raise InputError("circle grids need an even N >= 2")
+        return N
+    if d == 2:
+        if N is None or N < 2 or N % 2 or M is None or M < 1:
+            raise InputError("sphere grids need an even N >= 2 and M >= 1")
+        return N * M + 2
+    raise InputError(f"grids exist for d in (0, 1, 2), got {d}")
+
+
 def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> MomentumGrid:
     """Build the standard grid on S^d.
 
@@ -64,55 +79,50 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     t_j = -pi/2 + pi (j+1)/(M+1) from south to north, and the point (i, j)
     has index j N + i, followed by the south then north pole.
     """
+    size = _grid_size(d, N, M)
     if d == 0:
         pts = np.array([[0.0], [math.pi]])
         return MomentumGrid(0, None, None, _frozen(pts),
                             _frozen(np.array([0, 1])), (), (0, 1))
     if d == 1:
-        if N is None or N < 2 or N % 2:
-            raise InputError("circle grids need an even N >= 2")
         ks = _circle_angles(N)
         anti = np.array([(N - i) % N for i in range(N)])
         edges = tuple((i, (i + 1) % N) for i in range(N))
         trims = tuple(i for i in range(N) if anti[i] == i)
         return MomentumGrid(1, N, None, _frozen(ks[:, None]),
                             _frozen(anti), edges, trims)
-    if d == 2:
-        if N is None or N < 2 or N % 2 or M is None or M < 1:
-            raise InputError("sphere grids need an even N >= 2 and M >= 1")
-        ks = _circle_angles(N)
-        ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
-        pts = np.zeros((N * M + 2, 2))
-        for j in range(M):
-            pts[j * N:(j + 1) * N, 0] = ks
-            pts[j * N:(j + 1) * N, 1] = ts[j]
-        south, north = N * M, N * M + 1
-        pts[south] = (0.0, -math.pi / 2)
-        pts[north] = (0.0, math.pi / 2)
-        anti = np.empty(N * M + 2, dtype=int)
-        for j in range(M):
-            for i in range(N):
-                anti[j * N + i] = (M - 1 - j) * N + (N - i) % N
-        anti[south], anti[north] = north, south
-        edges = []
-        for j in range(M):
-            edges.extend(((j * N + i, j * N + (i + 1) % N) for i in range(N)))
-        for j in range(M - 1):
-            edges.extend(((j * N + i, (j + 1) * N + i) for i in range(N)))
-        edges.extend(((south, i) for i in range(N)))
-        edges.extend((((M - 1) * N + i, north) for i in range(N)))
-        trims = tuple(i for i in range(N * M + 2) if anti[i] == i)
-        plaq = []
+    ks = _circle_angles(N)
+    ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
+    pts = np.zeros((size, 2))
+    for j in range(M):
+        pts[j * N:(j + 1) * N, 0] = ks
+        pts[j * N:(j + 1) * N, 1] = ts[j]
+    south, north = N * M, N * M + 1
+    pts[south] = (0.0, -math.pi / 2)
+    pts[north] = (0.0, math.pi / 2)
+    anti = np.empty(size, dtype=int)
+    for j in range(M):
         for i in range(N):
-            ip = (i + 1) % N
-            plaq.append((south, ip, i))
-            for j in range(M - 1):
-                plaq.append((j * N + i, j * N + ip,
-                             (j + 1) * N + ip, (j + 1) * N + i))
-            plaq.append(((M - 1) * N + i, (M - 1) * N + ip, north))
-        return MomentumGrid(2, N, M, _frozen(pts), _frozen(anti),
-                            tuple(edges), trims, tuple(plaq))
-    raise InputError(f"grids exist for d in (0, 1, 2), got {d}")
+            anti[j * N + i] = (M - 1 - j) * N + (N - i) % N
+    anti[south], anti[north] = north, south
+    edges = []
+    for j in range(M):
+        edges.extend(((j * N + i, j * N + (i + 1) % N) for i in range(N)))
+    for j in range(M - 1):
+        edges.extend(((j * N + i, (j + 1) * N + i) for i in range(N)))
+    edges.extend(((south, i) for i in range(N)))
+    edges.extend((((M - 1) * N + i, north) for i in range(N)))
+    trims = tuple(i for i in range(size) if anti[i] == i)
+    plaq = []
+    for i in range(N):
+        ip = (i + 1) % N
+        plaq.append((south, ip, i))
+        for j in range(M - 1):
+            plaq.append((j * N + i, j * N + ip,
+                         (j + 1) * N + ip, (j + 1) * N + i))
+        plaq.append(((M - 1) * N + i, (M - 1) * N + ip, north))
+    return MomentumGrid(2, N, M, _frozen(pts), _frozen(anti),
+                        tuple(edges), trims, tuple(plaq))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +210,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
         perp = [fermi_perp(A) for A in bundle.fibers]
         for p in range(size):
             fermi[p] = plane_distance(bundle.fibers[int(grid.antipode[p])], perp[p])
-        if fermi.max() > max(tol, 1e-8):
+        if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(
                 f"Fermi pairing violated at point {p} (deviation {fermi[p]:.3e})")
@@ -281,7 +291,9 @@ def _need(data, key, path, kind=None):
     if key not in data:
         raise InputError(f"{path + '.' if path else ''}{key}: missing")
     val = data[key]
-    if kind is not None and not isinstance(val, kind):
+    # JSON true/false decode to bool, which isinstance counts as int
+    if kind is not None and (not isinstance(val, kind)
+                             or isinstance(val, bool)):
         raise InputError(
             f"{path + '.' if path else ''}{key}: wrong type {type(val).__name__}")
     return val
@@ -305,13 +317,11 @@ def deserialize_bundle(data: dict) -> Bundle:
 
     gdata = _need(data, "grid", "", dict)
     d = _need(gdata, "d", "grid", int)
-    N = gdata.get("N")
-    M = gdata.get("M")
-    if N is not None and not isinstance(N, int):
-        raise InputError("grid.N: wrong type")
-    if M is not None and not isinstance(M, int):
-        raise InputError("grid.M: wrong type")
-    grid = make_sphere_grid(d, N, M)
+    N, M = gdata.get("N"), gdata.get("M")
+    for key, v in (("N", N), ("M", M)):
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
+            raise InputError(f"grid.{key}: wrong type")
+    size = _grid_size(d, N, M)
 
     cdata = _need(data, "class", "", dict)
     label = cdata.get("label")
@@ -339,9 +349,10 @@ def deserialize_bundle(data: dict) -> Bundle:
             f"{list(cset.signature)}")
 
     fdata = _need(data, "fibers", "", list)
-    if len(fdata) != grid.size:
+    if len(fdata) != size:
         raise InputError(
-            f"fibers: expected {grid.size} entries, got {len(fdata)}")
+            f"fibers: expected {size} entries, got {len(fdata)}")
+    grid = make_sphere_grid(d, N, M)
     fibers = []
     for p, entry in enumerate(fdata):
         path = f"fibers[{p}]"

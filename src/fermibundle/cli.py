@@ -13,6 +13,7 @@ of option values; explicit flags win over the config file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -45,13 +46,30 @@ def _read_json(path):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _write_json(path, data):
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """Open ``path`` for writing; any OS failure becomes an InputError."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path, data):
+    with _writing(path) as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows):
+    """Write CSV rows, floats as repr so they read back exactly."""
+    with _writing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                             for v in row])
 
 
 def _load_bundle(path):
@@ -143,26 +161,6 @@ def _cmd_example(args):
     return 0
 
 
-def _write_validate_csv(path, grid, report):
-    header = ["index", "k", "pseudo_max", "fermi_max"]
-    if grid.d == 2:
-        header.insert(2, "t")
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.rows(grid):
-            index, *rest = row
-            coords, pseudo, fermi = rest[:-2], rest[-2], rest[-1]
-            writer.writerow(
-                [index, *(repr(float(c)) for c in coords),
-                 repr(float(pseudo)),
-                 "" if math.isnan(fermi) else repr(float(fermi))])
-
-
 def _cmd_validate(args):
     _require(args, "input")
     bundle = _load_bundle(args.input)
@@ -176,7 +174,10 @@ def _cmd_validate(args):
     for msg in report.messages:
         print(msg)
     if args.csv is not None:
-        _write_validate_csv(args.csv, bundle.grid, report)
+        coords = ["k", "t"] if bundle.grid.d == 2 else ["k"]
+        _write_csv(args.csv, ["index", *coords, "pseudo_max", "fermi_max"],
+                   ([*row[:-1], "" if math.isnan(row[-1]) else row[-1]]
+                    for row in report.rows(bundle.grid)))
     return 0 if report.ok else 1
 
 
@@ -193,49 +194,12 @@ def _cmd_suspend(args):
     return 0
 
 
-def _generator(bundle, index):
-    gens = bundle.cset.generators
+def _pick(items, index, what):
     index = int(index)
-    if not 0 <= index < len(gens):
+    if not 0 <= index < len(items):
         raise InputError(
-            f"generator index {index} out of range for {len(gens)} "
-            "generators")
-    return gens[index]
-
-
-def _fiber(bundle, index):
-    index = int(index)
-    if not 0 <= index < len(bundle.fibers):
-        raise InputError(f"point index {index} out of range for "
-                         f"{len(bundle.fibers)} points")
-    return bundle.fibers[index]
-
-
-def _write_field_csv(path, grid, field):
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "k", "t", "abs_pf", "arg_pf"])
-        for p in range(grid.size):
-            k, t = grid.points[p]
-            writer.writerow([p, repr(float(k)), repr(float(t)),
-                             repr(float(abs(field[p]))),
-                             repr(float(np.angle(field[p])))])
-
-
-def _write_flux_csv(path, fluxes):
-    try:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plaquette", "flux"])
-        for q, flux in enumerate(fluxes):
-            writer.writerow([q, repr(float(flux))])
+            f"{what} index {index} out of range for {len(items)} {what}s")
+    return items[index]
 
 
 def _cmd_invariant(args):
@@ -243,21 +207,22 @@ def _cmd_invariant(args):
     bundle = _load_bundle(args.input)
     kind = str(args.kind)
     if kind == "parity":
-        result = fermion_parity(bundle.space,
-                                _fiber(bundle, args.point_index))
+        result = fermion_parity(
+            bundle.space, _pick(bundle.fibers, args.point_index, "point"))
     elif kind == "class_d_z2":
         result = class_d_z2(bundle)
     elif kind == "kane_mele_z2":
-        result = kane_mele_z2(bundle,
-                              _generator(bundle, args.generator_index))
+        result = kane_mele_z2(bundle, _pick(
+            bundle.cset.generators, args.generator_index, "generator"))
     elif kind == "chiral_winding":
-        result = chiral_winding(bundle,
-                                _generator(bundle, args.generator_index))
+        result = chiral_winding(bundle, _pick(
+            bundle.cset.generators, args.generator_index, "generator"))
     elif kind == "chern_number":
         result = chern_number(bundle)
     elif kind == "component_index":
         Q = true_symmetries(bundle.space).Q
-        result = component_index_ai(_fiber(bundle, args.point_index), Q)
+        result = component_index_ai(
+            _pick(bundle.fibers, args.point_index, "point"), Q)
     else:
         raise InputError(f"unknown invariant kind {kind!r}")
     print(json.dumps({"kind": result.kind, "value": result.value,
@@ -265,10 +230,13 @@ def _cmd_invariant(args):
                      indent=2, sort_keys=True))
     if args.csv is not None:
         if kind == "kane_mele_z2":
-            _write_field_csv(args.csv, bundle.grid,
-                             result.diagnostics["field"])
+            field = result.diagnostics["field"]
+            _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
+                       ([p, *bundle.grid.points[p], abs(f), np.angle(f)]
+                        for p, f in enumerate(field)))
         elif kind == "chern_number":
-            _write_flux_csv(args.csv, result.diagnostics["fluxes"])
+            _write_csv(args.csv, ["plaquette", "flux"],
+                       enumerate(result.diagnostics["fluxes"]))
         else:
             raise InputError(f"no CSV output is defined for kind {kind!r}")
     return 0

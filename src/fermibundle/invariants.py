@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
-from .nambu import Generator, NambuSpace, _frozen
+from .nambu import Generator, NambuSpace, _frozen, _generator_matrix
 from .planes import (Plane, complement, fermi_check, plane_distance,
                      pseudo_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
@@ -116,12 +116,7 @@ def omega_form(space: NambuSpace, J1) -> OmegaForm:
     being a real generator squaring to -1, so passing an imaginary
     generator fails the skewness check.
     """
-    M = J1.matrix if isinstance(J1, Generator) else np.asarray(J1,
-                                                              dtype=complex)
-    if M.shape != (space.dim, space.dim):
-        raise InputError(
-            f"generator has shape {M.shape}, expected "
-            f"({space.dim}, {space.dim})")
+    M = _generator_matrix(J1, space.dim)
     W = M.T @ space.bracket_matrix
     if np.abs(W + W.T).max() > ALG_TOL:
         raise ValidationError(
@@ -214,6 +209,34 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
                             "momenta": tuple(momenta)})
 
 
+def _link_overlaps(bundle) -> dict:
+    """Frame overlaps det(F_a^H F_b) over every plaquette edge.
+
+    These are the Fukui-Hatsugai-Suzuki link variables.  Each edge is
+    computed once, in the direction of its first traversal, and stored
+    under both orientations, the reverse one conjugated.
+    """
+    fibers = bundle.fibers
+    links = {}
+    for cyc in bundle.grid.plaquettes:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if (a, b) not in links:
+                o = complex(np.linalg.det(
+                    fibers[a].frame.conj().T @ fibers[b].frame))
+                links[(a, b)] = o
+                links[(b, a)] = o.conjugate()
+    return links
+
+
+def _plaquette_links(links, qi, cyc):
+    """Oriented (a, b, overlap) triples around plaquette ``qi``."""
+    out = [(a, b, links[(a, b)]) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
+    if any(abs(o) < _OVERLAP_FLOOR for _, _, o in out):
+        raise NumericError(
+            f"singular frame overlap on plaquette {qi}; refine the grid")
+    return out
+
+
 def _plaquette_zeros(bundle, grid, p):
     """Classify plaquettes as crossing or vortex carriers.
 
@@ -225,7 +248,7 @@ def _plaquette_zeros(bundle, grid, p):
     absp = np.abs(p)
     zero_set = set(np.flatnonzero(
         absp < _ZERO_REL * absp.max()).tolist())
-    fibers = bundle.fibers
+    links = _link_overlaps(bundle)
     crossing = set()
     vortices = {}
     for qi, cyc in enumerate(grid.plaquettes):
@@ -235,13 +258,7 @@ def _plaquette_zeros(bundle, grid, p):
         dsum = 0.0
         oprod = complex(1.0)
         ambiguous = False
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            o = complex(np.linalg.det(
-                fibers[a].frame.conj().T @ fibers[b].frame))
-            if abs(o) < _OVERLAP_FLOOR:
-                raise NumericError(
-                    f"singular frame overlap on plaquette {qi}; "
-                    "refine the grid")
+        for a, b, o in _plaquette_links(links, qi, cyc):
             step = float(np.angle((p[b] / p[a]) * (o.conjugate() / abs(o))))
             if abs(step) > np.pi - _PHASE_MARGIN_ZEROS:
                 ambiguous = True
@@ -285,8 +302,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     n = bundle.space.n
     if bundle.rank != n or n % 2:
         raise InputError("rank-n fibers with n even are required")
-    om = J1 if isinstance(J1, OmegaForm) else omega_form(bundle.space, J1)
-    p = pfaffian_field(bundle, om)
+    p = pfaffian_field(bundle, J1)
     scale = float(np.abs(p).max())
     if scale < 1e-12:
         raise NumericError("Pfaffian field vanishes identically on the grid")
@@ -423,16 +439,9 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
     n = bundle.space.n
     if bundle.rank != n:
         raise InputError("rank-n fibers are required")
-    if isinstance(K1, Generator):
-        if K1.parity != "imaginary":
-            raise InputError("the chiral winding needs an imaginary "
-                             "generator")
-        K = K1.matrix
-    else:
-        K = np.asarray(K1, dtype=complex)
-    if K.shape != (bundle.space.dim, bundle.space.dim):
-        raise InputError(f"generator has shape {K.shape}, expected "
-                         f"({bundle.space.dim}, {bundle.space.dim})")
+    if isinstance(K1, Generator) and K1.parity != "imaginary":
+        raise InputError("the chiral winding needs an imaginary generator")
+    K = _generator_matrix(K1, bundle.space.dim)
     bad = [pt for pt, A in enumerate(bundle.fibers)
            if pseudo_check(K, A) > ALG_TOL]
     if bad:
@@ -483,30 +492,14 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d != 2:
         raise InputError("the Chern number lives on S^2")
-    fibers = bundle.fibers
-    cache = {}
-
-    def overlap(a, b):
-        if (a, b) not in cache:
-            o = complex(np.linalg.det(
-                fibers[a].frame.conj().T @ fibers[b].frame))
-            cache[(a, b)] = o
-            cache[(b, a)] = o.conjugate()
-        return cache[(a, b)]
-
+    links = _link_overlaps(bundle)
     fluxes = []
-    min_overlap = np.inf
     for qi, cyc in enumerate(grid.plaquettes):
         prod = complex(1.0)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            o = overlap(a, b)
-            min_overlap = min(min_overlap, abs(o))
-            if abs(o) < _OVERLAP_FLOOR:
-                raise NumericError(
-                    f"singular frame overlap on plaquette {qi}; "
-                    "refine the grid")
+        for _, _, o in _plaquette_links(links, qi, cyc):
             prod *= o
         fluxes.append(float(np.angle(prod)))
+    min_overlap = min(abs(o) for o in links.values())
     total = float(np.sum(fluxes))
     c = int(round(total / (2.0 * np.pi)))
     residual = abs(total / (2.0 * np.pi) - c)
@@ -528,13 +521,9 @@ def component_index_ai(A: Plane, Q) -> InvariantResult:
     must be preserved by Q; the index is the rank of its projector
     restricted to the creation eigenspace.
     """
-    Qm = Q.matrix if isinstance(Q, Generator) else np.asarray(Q,
-                                                              dtype=complex)
     dim = A.space.dim
     n = A.space.n
-    if Qm.shape != (dim, dim):
-        raise InputError(
-            f"charge operator has shape {Qm.shape}, expected ({dim}, {dim})")
+    Qm = _generator_matrix(Q, dim, "charge operator")
     if np.abs(Qm @ Qm - np.eye(dim)).max() > ALG_TOL:
         raise InputError("charge operator must square to the identity")
     lam = Qm[dim - 1, dim - 1]

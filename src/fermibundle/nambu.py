@@ -10,7 +10,7 @@ followed by the same swap matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -22,6 +22,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # NaN compares False against every tolerance, so residual checks pass it
+    if not np.isfinite(a).all():
+        raise InputError(f"{what} has non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +82,9 @@ class NambuSpace:
         return _frozen(np.vstack([top, bot]) / np.sqrt(2.0))
 
 
+@cache
 def make_nambu(n: int) -> NambuSpace:
-    """Build the canonical ambient space for ``n`` bands."""
+    """Canonical ambient space for ``n`` bands, cached per argument value."""
     return NambuSpace(int(n))
 
 
@@ -147,13 +154,14 @@ class Generator(object):
             raise InputError("generator matrix must be square of even dimension")
         if self.parity not in ("real", "imaginary"):
             raise InputError(f"unknown parity tag {self.parity!r}")
+        _require_finite(M, "generator matrix")
         object.__setattr__(self, "matrix", _frozen(M))
         d = M.shape[0]
         if np.abs(M.conj().T @ M - np.eye(d)).max() > ALG_TOL:
             raise ValidationError("generator matrix is not unitary")
         if np.abs(M @ M + np.eye(d)).max() > ALG_TOL:
             raise ValidationError("generator must square to minus the identity")
-        got = classify_generator(NambuSpace(d // 2), M)
+        got = classify_generator(make_nambu(d // 2), M)
         if got != self.parity:
             raise ValidationError(
                 f"declared parity {self.parity!r} but bracket action is {got!r}")
@@ -161,6 +169,14 @@ class Generator(object):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _generator_matrix(J, d: int, what: str = "generator") -> np.ndarray:
+    """Matrix of a :class:`Generator` or array-like, checked to be d x d."""
+    M = J.matrix if isinstance(J, Generator) else np.asarray(J, dtype=complex)
+    if M.shape != (d, d):
+        raise InputError(f"{what} has shape {M.shape}, expected ({d}, {d})")
+    return M
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import Generator, NambuSpace, _frozen
+from .nambu import NambuSpace, _frozen, _generator_matrix, _require_finite
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -34,6 +34,7 @@ class Plane(object):
         m = F.shape[1]
         if not 1 <= m < d:
             raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
+        _require_finite(F, "frame")
         if np.abs(F.conj().T @ F - np.eye(m)).max() > ORTHO_TOL:
             raise ValidationError("frame columns are not orthonormal")
         object.__setattr__(self, "frame", _frozen(F))
@@ -103,10 +104,8 @@ def pseudo_check(J, A: Plane) -> float:
     only satisfiable when A has half the ambient dimension; for other ranks
     the deviation is reported as-is.
     """
-    M = J.matrix if isinstance(J, Generator) else np.asarray(J, dtype=complex)
     d = A.space.dim
-    if M.shape != (d, d):
-        raise InputError(f"generator has shape {M.shape}, expected ({d}, {d})")
+    M = _generator_matrix(J, d)
     Pi = A.projector
     return float(np.abs(M @ Pi @ M.conj().T - (np.eye(d) - Pi)).max())
 

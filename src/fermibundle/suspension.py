@@ -17,7 +17,7 @@ import numpy as np
 
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
-from .nambu import CliffordSet, Generator, make_nambu
+from .nambu import CliffordSet, Generator, _generator_matrix, make_nambu
 from .planes import Plane, j_of, pseudo_check, vacuum_plane
 from .symmetry import class_info, imaginary_realization, true_symmetries
 from .tolerances import ALG_TOL
@@ -50,7 +50,7 @@ def rotor(K, A: Plane, t: float) -> np.ndarray:
     ValidationError
         If K is not a pseudo-symmetry of A.
     """
-    M = K.matrix if isinstance(K, Generator) else np.asarray(K, dtype=complex)
+    M = _generator_matrix(K, A.space.dim)
     dev = pseudo_check(M, A)
     if dev > ALG_TOL:
         raise ValidationError(
@@ -183,20 +183,12 @@ def suspend(inp: SuspensionInput, points: int = 64,
         if N is None or N < 2 or N % 2:
             raise InputError("suspension to a circle needs an even point count")
         grid = make_sphere_grid(1, N)
-        A_east, A_west = b.fibers
-        fibers = []
-        for k in grid.points[:, 0]:
-            if abs(k) <= math.pi / 2 + 1e-12:
-                t, seed = k, A_east
-            else:
-                t, seed = math.copysign(math.pi - abs(k), k), A_west
-            if t == 0.0:
-                fibers.append(seed)
-            else:
-                fibers.append(Plane(space, rotor(K, seed, t) @ seed.frame))
-        return Bundle(space, CliffordSet(space, out_gens), grid,
-                      tuple(fibers), label)
-    if b.grid.d == 1:
+        ks = grid.points[:, 0]
+        west = np.abs(ks) > math.pi / 2 + 1e-12
+        seeds = west.astype(int)
+        ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
+        poles = ()
+    elif b.grid.d == 1:
         if b.rank != space.n:
             raise InputError("suspension to a sphere needs half-rank fibers")
         N = b.grid.N
@@ -204,21 +196,18 @@ def suspend(inp: SuspensionInput, points: int = 64,
         if M < 1 or M % 2 == 0:
             raise InputError("interior row count must be odd")
         grid = make_sphere_grid(2, N, M)
-        south, north = _eigenplanes(space, K)
-        fibers = [None] * grid.size
-        for j in range(M):
-            t = grid.points[j * N, 1]
-            for i in range(N):
-                A = b.fibers[i]
-                if t == 0.0:
-                    fibers[j * N + i] = A
-                else:
-                    fibers[j * N + i] = Plane(space, rotor(K, A, t) @ A.frame)
-        fibers[grid.size - 2] = south
-        fibers[grid.size - 1] = north
-        return Bundle(space, CliffordSet(space, out_gens), grid,
-                      tuple(fibers), label)
-    raise InputError("suspension is supported for d = 0 and d = 1 inputs")
+        seeds = np.tile(np.arange(N), M)
+        ts = grid.points[:N * M, 1]
+        poles = _eigenplanes(space, K)
+    else:
+        raise InputError("suspension is supported for d = 0 and d = 1 inputs")
+    fibers = []
+    for seed, t in zip(seeds, ts):
+        A = b.fibers[seed]
+        fibers.append(A if t == 0.0
+                      else Plane(space, rotor(K, A, t) @ A.frame))
+    return Bundle(space, CliffordSet(space, out_gens), grid,
+                  tuple(fibers) + poles, label)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ class AntiUnitary:
 
     matrix: np.ndarray
 
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(v, dtype=complex))
-
     @property
     def square(self) -> np.ndarray:
         """Matrix of the operator applied twice (always a unitary)."""
@@ -59,6 +56,11 @@ class TrueSymmetries:
     S: tuple | None
 
 
+def _charge(n: int) -> np.ndarray:
+    """Charge operator diag(1, ..., 1, -1, ..., -1) of ``n`` bands."""
+    return np.diag(np.r_[np.ones(n), -np.ones(n)])
+
+
 def _spin_halves(nb: int):
     """Single-particle spin matrices sigma_l / 2 for nb bands paired (up, down)."""
     return tuple(np.kron(np.eye(nb // 2), s) / 2.0 for s in _SIGMA)
@@ -72,7 +74,7 @@ def true_symmetries(space: NambuSpace, spinful: bool = False) -> TrueSymmetries:
     relation [S_1, S_2] = i S_3 and commute with ``T_minus`` and ``Q``.
     """
     n = space.n
-    Q = np.diag(np.r_[np.ones(n), -np.ones(n)]).astype(complex)
+    Q = _charge(n).astype(complex)
     C = AntiUnitary(space.gamma_matrix.astype(complex))
     T_plus = AntiUnitary(np.eye(2 * n, dtype=complex))
     if not spinful:
@@ -180,6 +182,14 @@ def _require_bands(info: ClassInfo, n: int):
             f"{info.n_multiple}, got {n}")
 
 
+def _time_reversal_generators(space: NambuSpace, count: int):
+    """First ``count`` of the real generators (gamma T, i Q gamma T, i Q)."""
+    ts = true_symmetries(space, spinful=True)
+    J = space.gamma_matrix @ ts.T_minus.matrix
+    mats = (J, 1j * ts.Q @ J, 1j * ts.Q)[:count]
+    return ts, tuple(Generator(M, "real") for M in mats)
+
+
 def kitaev_generators(space: NambuSpace, label: str) -> CliffordSet:
     """Pseudo-symmetry Clifford set for one of the ten classes.
 
@@ -194,31 +204,16 @@ def kitaev_generators(space: NambuSpace, label: str) -> CliffordSet:
     if info.s == 0:
         return CliffordSet(space, ())
     if info.label == "AIII":
-        D = np.diag(np.r_[np.ones(n // 2), -np.ones(n // 2)])
+        D = _charge(n // 2)
         J1 = 1j * np.block(
             [[-D, np.zeros((n, n))], [np.zeros((n, n)), D]])
         return CliffordSet(space, (Generator(J1, "real"),))
     if info.label in ("DIII", "AII", "CII"):
-        ts = true_symmetries(space, spinful=True)
-        J1 = space.gamma_matrix @ ts.T_minus.matrix
-        gens = [Generator(J1, "real")]
-        if info.s >= 2:
-            gens.append(Generator(1j * ts.Q @ J1, "real"))
-        if info.s >= 3:
-            gens.append(Generator(1j * ts.Q, "real"))
-        return CliffordSet(space, tuple(gens))
+        _, gens = _time_reversal_generators(space, info.s)
+        return CliffordSet(space, gens)
     # spin classes C, CI, AI, BDI on the doubled space
-    base = make_nambu(n // 2)
-    ts = true_symmetries(base, spinful=True)
-    J5 = base.gamma_matrix @ ts.T_minus.matrix
-    extras = []
-    if info.s >= 5:
-        extras.append(Generator(J5, "real"))
-    if info.s >= 6:
-        extras.append(Generator(1j * ts.Q @ J5, "real"))
-    if info.s >= 7:
-        extras.append(Generator(1j * ts.Q, "real"))
-    return spin_embed(space, ts.S, tuple(extras))
+    ts, extras = _time_reversal_generators(make_nambu(n // 2), info.s - 4)
+    return spin_embed(space, ts.S, extras)
 
 
 def make_symmetry_class(space: NambuSpace, label: str) -> SymmetryClass:
@@ -236,8 +231,7 @@ def imaginary_realization(space: NambuSpace, label: str) -> CliffordSet:
     """
     key = str(label).upper()
     G = space.gamma_matrix
-    n = space.n
-    Q = np.diag(np.r_[np.ones(n), -np.ones(n)])
+    Q = _charge(space.n)
     if key == "BDI":
         return CliffordSet(space, (Generator(1j * G, "imaginary"),))
     if key == "AI":

@@ -18,6 +18,3 @@ CONTINUITY_TOL = 0.5
 
 # allowed defect between the plaquette flux sum and an integer Chern number
 CHERN_RESIDUAL = 0.05
-
-# serialization round trip accuracy
-SERIAL_TOL = 1e-15

@@ -15,6 +15,7 @@ from fermibundle.bundles import (
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
 from fermibundle.planes import Plane, vacuum_plane
+from fermibundle.suspension import example_majorana
 from fermibundle.symmetry import imaginary_realization
 
 
@@ -170,6 +171,20 @@ def test_validation_flags_pseudo_symmetry_break():
     assert any("pseudo" in m for m in report.messages)
 
 
+def test_fermi_check_obeys_tol():
+    b = example_majorana(N=32)
+    theta = 1e-9
+    R = np.array([[math.cos(theta), -math.sin(theta)],
+                  [math.sin(theta), math.cos(theta)]])
+    fibers = list(b.fibers)
+    fibers[3] = Plane(b.space, R @ fibers[3].frame)
+    nudged = Bundle(b.space, b.cset, b.grid, tuple(fibers), b.label)
+    report = validate_bundle(nudged, tol=1e-10)
+    assert not report.ok
+    assert any("Fermi" in m for m in report.messages)
+    assert validate_bundle(nudged, tol=1e-8).ok
+
+
 def test_bundle_structural_errors():
     sp = make_nambu(1)
     cset = CliffordSet(sp, ())
@@ -245,6 +260,19 @@ def test_deserialize_reports_offending_path(mangle, fragment):
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
     assert fragment in str(err.value)
+
+
+def test_deserialize_checks_fiber_count_before_building_the_grid(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("grid built before the fiber count check")
+
+    monkeypatch.setattr("fermibundle.bundles.make_sphere_grid", refuse)
+    data = serialize_bundle(_constant_creator_bundle(N=4))
+    data["grid"] = {"d": 2, "N": 10**6, "M": 10**6}
+    with pytest.raises(InputError) as err:
+        deserialize_bundle(data)
+    assert "fibers" in str(err.value)
 
 
 def test_deserialize_rejects_skew_frame():

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from fermibundle.bundles import Bundle, make_sphere_grid, serialize_bundle
 from fermibundle.cli import main
 from fermibundle.invariants import chern_number
+from fermibundle.nambu import make_nambu
+from fermibundle.planes import vacuum_plane
 from fermibundle.suspension import (SuspensionInput, example_kitaev_chain,
                                     suspend)
-from fermibundle.symmetry import class_info
+from fermibundle.symmetry import class_info, imaginary_realization
 
 
 def run(*argv):
@@ -90,6 +93,13 @@ def test_validate_csv_output(tmp_path):
     assert lines[0] == "index,k,pseudo_max,fermi_max"
     assert len(lines) == 9
 
+    sphere = tmp_path / "diii.json"
+    run("example", "--name", "diii", "--N", 8, "--output", sphere)
+    assert run("validate", "--input", sphere, "--csv", csv_path) == 0
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "index,k,t,pseudo_max,fermi_max"
+    assert len(lines) == 8 * 5 + 2 + 1
+
 
 def test_file_pipeline_matches_the_library_bit_for_bit(tmp_path, capsys):
     ring = tmp_path / "ring.json"
@@ -123,6 +133,25 @@ def test_invariant_kane_mele_with_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "index,k,t,abs_pf,arg_pf"
     assert len(lines) == 8 * 5 + 2 + 1
+
+
+def test_invariant_chern_number_with_csv(tmp_path, capsys):
+    ring = tmp_path / "ring.json"
+    sphere = tmp_path / "sphere.json"
+    csv_path = tmp_path / "flux.csv"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 16, "--output", ring)
+    run("suspend", "--input", ring, "--k-index", 0, "--output", sphere)
+    capsys.readouterr()
+    assert run("invariant", "--input", sphere, "--kind", "chern_number",
+               "--csv", csv_path) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lines = csv_path.read_text().strip().splitlines()
+    assert lines[0] == "plaquette,flux"
+    grid = _load(sphere)["grid"]
+    assert len(lines) - 1 == grid["N"] * (grid["M"] + 1)
+    total = sum(float(line.split(",")[1]) for line in lines[1:])
+    assert round(total / (2 * np.pi)) == payload["value"]
 
 
 def test_invariant_csv_rejected_for_other_kinds(tmp_path):
@@ -185,6 +214,40 @@ def test_exit_code_for_input_errors(tmp_path):
         "--N", 8, "--output", out)
     assert run("invariant", "--input", out, "--kind", "chern_number") == 2
     assert run("validate", "--input", tmp_path / "missing.json") == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", ["fiber", "generator"])
+def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", out)
+    data = _load(out)
+    if where == "fiber":
+        data["fibers"][3]["frame"][0][0] = [bad, 0.0]
+    else:
+        data["class"]["generators"][0]["matrix"][0][1] = [0.0, bad]
+    out.write_text(json.dumps(data))
+    assert run("validate", "--input", out) == 2
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda d: d.update(version=True),
+    lambda d: d.update(n=True),
+    lambda d: d["grid"].update(N=True),
+], ids=["version", "n", "grid.N"])
+def test_booleans_are_not_integers(tmp_path, mangle):
+    # on the point pair grid.N is unused, so only its type can reject it
+    sp = make_nambu(1)
+    pair = Bundle(sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
+                  (vacuum_plane(sp),) * 2, "BDI")
+    data = serialize_bundle(pair)
+    out = tmp_path / "pair.json"
+    out.write_text(json.dumps(data))
+    assert run("validate", "--input", out) == 0
+    mangle(data)
+    out.write_text(json.dumps(data))
+    assert run("validate", "--input", out) == 2
 
 
 def test_exit_code_for_numeric_errors(tmp_path):
