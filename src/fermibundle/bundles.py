@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InputError
 from .nambu import CliffordSet, Generator, NambuSpace, _frozen, make_nambu
-from .planes import Plane, fermi_perp, plane_distance, pseudo_check
+from .planes import (Plane, _spectral_distance, plane_distance,
+                     pseudo_check)
 from .symmetry import CLASS_TABLE, double_one_one, lift_plane
 from .tolerances import ALG_TOL, CONTINUITY_TOL
 
@@ -188,9 +189,10 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
                     continuity_tol: float = CONTINUITY_TOL) -> BundleReport:
     """Check pseudo-symmetry, Fermi pairing, and continuity of a bundle.
 
-    The Fermi constraint compares the fiber at -k with the Fermi
-    annihilator of the fiber at k; it applies only to half-rank bundles
-    and is skipped (reported as ``None``) otherwise.
+    The Fermi constraint is the spectral distance from the projector at -k
+    to B conj(1 - Pi_A) B, the projector of the Fermi annihilator of the
+    fiber A at k; it applies only to half-rank bundles and is skipped
+    (reported as ``None``) otherwise.
     """
     grid = bundle.grid
     size = grid.size
@@ -207,9 +209,11 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     fermi = None
     if bundle.rank == bundle.space.n:
         fermi = np.zeros(size)
-        perp = [fermi_perp(A) for A in bundle.fibers]
-        for p in range(size):
-            fermi[p] = plane_distance(bundle.fibers[int(grid.antipode[p])], perp[p])
+        B = bundle.space.bracket_matrix
+        for p, A in enumerate(bundle.fibers):
+            perp = B @ np.conj(np.eye(bundle.space.dim) - A.projector) @ B
+            fermi[p] = _spectral_distance(
+                bundle.fibers[int(grid.antipode[p])].projector, perp)
         if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(
@@ -250,7 +254,8 @@ def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
         vals = []
         for c, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+                    or not all(isinstance(x, (int, float))
+                               and not isinstance(x, bool) for x in cell)):
                 raise InputError(
                     f"{path}: entry ({r}, {c}) is not an [re, im] pair")
             vals.append(complex(cell[0], cell[1]))

@@ -10,6 +10,7 @@ returning a wrong integer.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,7 +18,8 @@ import numpy as np
 
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
-from .nambu import Generator, NambuSpace, _frozen, _generator_matrix
+from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
+                    make_nambu)
 from .planes import (Plane, complement, fermi_check, plane_distance,
                      pseudo_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
@@ -155,6 +157,13 @@ def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
     return float(pfaffian(0.5 * (Xr - Xr.T)).real)
 
 
+@functools.cache
+def _vacuum_pfaffian(n: int) -> float:
+    """Majorana Pfaffian of the vacuum plane, which depends only on n."""
+    space = make_nambu(n)
+    return _majorana_pfaffian(space, vacuum_plane(space))
+
+
 def fermion_parity(space: NambuSpace, A: Plane) -> InvariantResult:
     """Fermion parity bit of a self-paired Lagrangian plane.
 
@@ -174,7 +183,7 @@ def fermion_parity(space: NambuSpace, A: Plane) -> InvariantResult:
         raise ValidationError(
             f"plane is not Lagrangian under the bracket (pairing {dev:.2e})")
     pf = _majorana_pfaffian(space, A)
-    pf_vac = _majorana_pfaffian(space, vacuum_plane(space))
+    pf_vac = _vacuum_pfaffian(space.n)
     bit = 0 if (pf > 0) == (pf_vac > 0) else 1
     return InvariantResult("parity_bit", bit,
                            {"pfaffian": pf, "vacuum_pfaffian": pf_vac})
@@ -190,23 +199,11 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d not in (0, 1):
         raise InputError("the class-D index lives on S^0 or S^1")
-    bits = []
-    momenta = []
-    for p in grid.trims:
-        A = bundle.fibers[p]
-        if A.rank != bundle.space.n:
-            raise InputError(
-                f"fiber at self-antipodal point {p} is not half rank")
-        dev = fermi_check(A, A)
-        if dev > ALG_TOL:
-            raise ValidationError(
-                f"fiber at self-antipodal point {p} is not Lagrangian "
-                f"(pairing {dev:.2e})")
-        bits.append(fermion_parity(bundle.space, A).value)
-        momenta.append(float(grid.points[p, 0]))
+    bits = tuple(fermion_parity(bundle.space, bundle.fibers[p]).value
+                 for p in grid.trims)
+    momenta = tuple(float(grid.points[p, 0]) for p in grid.trims)
     return InvariantResult("z2_bit", bits[0] ^ bits[1],
-                           {"parity_bits": tuple(bits),
-                            "momenta": tuple(momenta)})
+                           {"parity_bits": bits, "momenta": momenta})
 
 
 def _link_overlaps(bundle) -> dict:
@@ -324,13 +321,6 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
         dist = plane_distance(complement(bundle.fibers[z]),
                               bundle.fibers[int(grid.antipode[z])])
         band_max = max(band_max, dist)
-    if not elements:
-        return InvariantResult("z2_bit", 0, {
-            "pairs": (), "pair_count": 0, "components": 0,
-            "self_antipodal_components": 0, "zero_points": (),
-            "vortex_plaquettes": {}, "crossing_plaquettes": (),
-            "total_vorticity": 0, "band_inversion_max": band_max,
-            "field": p})
 
     parent = {e: e for e in elements}
 
@@ -453,9 +443,6 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
     if not (np.all(vals[:n] < 0) and np.all(vals[n:] > 0)):
         raise ValidationError("generator eigenvalues are not balanced")
     V = np.hstack([vecs[:, n:], vecs[:, :n]])
-    for j in range(V.shape[1]):
-        lead = V[int(np.argmax(np.abs(V[:, j]))), j]
-        V[:, j] *= (lead / abs(lead)).conjugate()
 
     dets = []
     for pt, A in enumerate(bundle.fibers):

@@ -79,9 +79,13 @@ def j_of(A: Plane) -> np.ndarray:
     return 1j * (2.0 * A.projector - np.eye(A.space.dim))
 
 
+def _spectral_distance(P: np.ndarray, Q: np.ndarray) -> float:
+    return float(np.linalg.norm(P - Q, 2))
+
+
 def plane_distance(A: Plane, B: Plane) -> float:
     """Spectral norm of the projector difference, a metric on planes."""
-    return float(np.linalg.norm(A.projector - B.projector, 2))
+    return _spectral_distance(A.projector, B.projector)
 
 
 def fermi_check(A: Plane, B: Plane) -> float:

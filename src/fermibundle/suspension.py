@@ -19,11 +19,9 @@ from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import CliffordSet, Generator, _generator_matrix, make_nambu
 from .planes import Plane, j_of, pseudo_check, vacuum_plane
-from .symmetry import class_info, imaginary_realization, true_symmetries
+from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
+                       true_symmetries)
 from .tolerances import ALG_TOL
-
-_REAL_SEQUENCE = ("D", "DIII", "AII", "CII", "C", "CI", "AI", "BDI")
-_COMPLEX_SEQUENCE = ("A", "AIII")
 
 
 def rotor(K, A: Plane, t: float) -> np.ndarray:
@@ -131,9 +129,9 @@ def _next_label(label):
     if label is None:
         return None
     info = class_info(label)
-    if info.sector == "real":
-        return _REAL_SEQUENCE[(info.s + 1) % 8]
-    return _COMPLEX_SEQUENCE[(info.s + 1) % 2]
+    s = (info.s + 1) % (8 if info.sector == "real" else 2)
+    return next(row.label for row in CLASS_TABLE.values()
+                if row.sector == info.sector and row.s == s)
 
 
 def _consumed_set(inp: SuspensionInput) -> tuple:
@@ -201,11 +199,15 @@ def suspend(inp: SuspensionInput, points: int = 64,
         poles = _eigenplanes(space, K)
     else:
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
+    # SuspensionInput checked K A = A^c on every fiber, which makes
+    # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
+    KF = [K.matrix @ A.frame for A in b.fibers]
     fibers = []
     for seed, t in zip(seeds, ts):
         A = b.fibers[seed]
-        fibers.append(A if t == 0.0
-                      else Plane(space, rotor(K, A, t) @ A.frame))
+        fibers.append(A if t == 0.0 else Plane(
+            space, math.cos(t / 2) * A.frame
+            + 1j * math.sin(t / 2) * KF[seed]))
     return Bundle(space, CliffordSet(space, out_gens), grid,
                   tuple(fibers) + poles, label)
 

@@ -52,6 +52,26 @@ def random_pseudo_plane(space, K, rng):
     return Plane(space, frame)
 
 
+def regauge(bundle, rng):
+    """The same bundle with a random right unitary on every frame."""
+    fibers = [Plane(bundle.space, A.frame @ random_unitary(A.rank, rng))
+              for A in bundle.fibers]
+    return Bundle(bundle.space, bundle.cset, bundle.grid, fibers,
+                  bundle.label)
+
+
+def nudge(bundle, p, eps, rng):
+    """The bundle with fiber ``p`` moved by about ``eps``."""
+    A = bundle.fibers[p]
+    noise = (rng.standard_normal(A.frame.shape)
+             + 1j * rng.standard_normal(A.frame.shape))
+    Q, _ = np.linalg.qr(A.frame + eps * noise)
+    fibers = list(bundle.fibers)
+    fibers[p] = Plane(bundle.space, Q)
+    return Bundle(bundle.space, bundle.cset, bundle.grid, fibers,
+                  bundle.label)
+
+
 def _coordinate_lines(space):
     e = np.eye(space.dim, dtype=complex)
     return Plane(space, e[:, :1]), Plane(space, e[:, 1:2])

@@ -1,16 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from fermibundle.bundles import Bundle, make_sphere_grid, serialize_bundle
 from fermibundle.cli import main
-from fermibundle.invariants import chern_number
+from fermibundle.invariants import chern_number, component_index_ai
 from fermibundle.nambu import make_nambu
 from fermibundle.planes import vacuum_plane
 from fermibundle.suspension import (SuspensionInput, example_kitaev_chain,
                                     suspend)
-from fermibundle.symmetry import class_info, imaginary_realization
+from fermibundle.symmetry import (class_info, imaginary_realization,
+                                  true_symmetries)
 
 
 def run(*argv):
@@ -235,7 +237,8 @@ def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
     lambda d: d.update(version=True),
     lambda d: d.update(n=True),
     lambda d: d["grid"].update(N=True),
-], ids=["version", "n", "grid.N"])
+    lambda d: d["fibers"][1].update(frame=[[[False, False]], [[True, False]]]),
+], ids=["version", "n", "grid.N", "frame entry"])
 def test_booleans_are_not_integers(tmp_path, mangle):
     # on the point pair grid.N is unused, so only its type can reject it
     sp = make_nambu(1)
@@ -248,6 +251,50 @@ def test_booleans_are_not_integers(tmp_path, mangle):
     mangle(data)
     out.write_text(json.dumps(data))
     assert run("validate", "--input", out) == 2
+
+
+def test_invariant_parity_of_the_majorana_zero_fiber(tmp_path, capsys):
+    out = tmp_path / "maj.json"
+    run("example", "--name", "majorana", "--N", 8, "--output", out)
+    capsys.readouterr()
+    # point 4 of the 8-point circle is k = 0
+    assert run("invariant", "--input", out, "--kind", "parity",
+               "--point-index", 4) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "parity_bit"
+    assert payload["value"] == 1
+
+
+def test_exit_code_for_validation_errors(tmp_path, capsys):
+    out = tmp_path / "maj.json"
+    run("example", "--name", "majorana", "--N", 8, "--output", out)
+    data = _load(out)
+    # span{(c + c^dagger)/sqrt(2)} is a unit line but not Lagrangian
+    data["fibers"][4]["frame"] = [[[math.sqrt(0.5), 0.0]],
+                                  [[math.sqrt(0.5), 0.0]]]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("invariant", "--input", out, "--kind", "parity",
+               "--point-index", 4) == 1
+    assert "validation error:" in capsys.readouterr().err
+
+
+def test_invariant_component_index_at_self_antipodal_points(tmp_path,
+                                                             capsys):
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 1,
+        "--N", 8, "--output", out)
+    chain = example_kitaev_chain(2, 1, N=8)
+    Q = true_symmetries(chain.space).Q
+    values = []
+    for p in chain.grid.trims:
+        capsys.readouterr()
+        assert run("invariant", "--input", out, "--kind",
+                   "component_index", "--point-index", p) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == component_index_ai(chain.fibers[p], Q).value
+        values.append(payload["value"])
+    assert values == [0, 1]
 
 
 def test_exit_code_for_numeric_errors(tmp_path):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import nudge, regauge
+
 from fermibundle.bundles import Bundle, make_sphere_grid, validate_bundle
 from fermibundle.errors import InputError, NumericError, ValidationError
 from fermibundle.invariants import (InvariantResult, chern_number,
@@ -237,6 +239,23 @@ def test_class_d_z2_on_point_pair():
     vac = vacuum_plane(sp)
     assert class_d_z2(Bundle(sp, cset, grid, (creator, vac), "BDI")).value == 1
     assert class_d_z2(Bundle(sp, cset, grid, (vac, vac), "BDI")).value == 0
+
+
+def test_class_d_z2_rejects_wrong_rank_fibers():
+    sp = make_nambu(2)
+    line = _basis_plane(sp, (2,))
+    pair = Bundle(sp, CliffordSet(sp, ()), make_sphere_grid(0), (line, line))
+    with pytest.raises(InputError, match="parity needs a rank-2 plane"):
+        class_d_z2(pair)
+
+
+def test_class_d_z2_rejects_non_lagrangian_fibers():
+    sp = make_nambu(1)
+    line = Plane(sp, np.array([[1.0], [1.0]]) / np.sqrt(2))
+    pair = Bundle(sp, CliffordSet(sp, ()), make_sphere_grid(0),
+                  (vacuum_plane(sp), line))
+    with pytest.raises(ValidationError, match="not Lagrangian"):
+        class_d_z2(pair)
 
 
 def test_class_d_z2_rejects_sphere():
@@ -490,6 +509,44 @@ def test_component_index_rejects_bad_charge_operators():
         component_index_ai(vac, 2.0 * Q)
     with pytest.raises(InputError):
         component_index_ai(vac, sp.bracket_matrix)
+
+
+# ------------------------------------------------------ gauge invariance
+
+
+def _validation_numbers(bundle):
+    rep = validate_bundle(bundle)
+    return rep.ok, np.concatenate(
+        [rep.pseudo_max, rep.fermi_max, [rep.continuity_max]])
+
+
+def _integer_invariants(bundle):
+    if bundle.grid.d == 2:
+        return (kane_mele_z2(bundle, bundle.cset.generators[0]).value,
+                chern_number(bundle).value)
+    Q = true_symmetries(bundle.space).Q
+    return (chiral_winding(bundle, bundle.cset.generators[0]).value,
+            class_d_z2(bundle).value,
+            *(component_index_ai(bundle.fibers[p], Q).value
+              for p in bundle.grid.trims))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_dIII(N=16),
+    lambda: example_kitaev_chain(2, 1, N=16),
+], ids=["dIII", "chain"])
+def test_right_unitary_gauge_changes_no_number(make):
+    rng = np.random.default_rng(31)
+    bundle = make()
+    # the nudged copy fails validation by about 1e-6 at one point, so
+    # the relative comparison also covers numbers far from zero
+    for base in (bundle, nudge(bundle, 3, 1e-6, rng)):
+        ok, numbers = _validation_numbers(base)
+        ok_g, numbers_g = _validation_numbers(regauge(base, rng))
+        assert ok_g == ok
+        np.testing.assert_allclose(numbers_g, numbers, rtol=1e-9, atol=1e-14)
+    assert (_integer_invariants(regauge(bundle, rng))
+            == _integer_invariants(bundle))
 
 
 # ------------------------------------------------------- result record

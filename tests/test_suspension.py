@@ -20,6 +20,7 @@ from fermibundle.planes import (
 )
 from fermibundle.suspension import (
     SuspensionInput,
+    _next_label,
     default_row_count,
     example_dIII,
     example_kitaev_chain,
@@ -312,6 +313,16 @@ def test_chain_argument_errors():
 
 # ---------------------------------------------------------------------------
 # structural rules
+
+
+@pytest.mark.parametrize("label, successor", [
+    ("D", "DIII"), ("DIII", "AII"), ("AII", "CII"), ("CII", "C"),
+    ("C", "CI"), ("CI", "AI"), ("AI", "BDI"), ("BDI", "D"),
+    ("A", "AIII"), ("AIII", "A"),
+])
+def test_suspension_advances_the_bott_clock(label, successor):
+    assert _next_label(label) == successor
+    assert _next_label(label.lower()) == successor
 
 
 def test_suspend_consumes_k_and_appends_i_last():
