@@ -9,15 +9,17 @@ neighboring fibers stay close.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .nambu import CliffordSet, Generator, NambuSpace, _frozen, make_nambu
-from .planes import (Plane, _spectral_distance, plane_distance,
-                     pseudo_check)
+from .planes import (Plane, _blocks, _check_frames, _dagger,
+                     _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_plane
 from .tolerances import ALG_TOL, CONTINUITY_TOL
 
@@ -51,6 +53,43 @@ class MomentumGrid:
             raise InputError("poles exist only on the d = 2 grid")
         return self.N * self.M, self.N * self.M + 1
 
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        """``edges`` as an (E, 2) int array."""
+        return _frozen(np.array(self.edges, dtype=int).reshape(-1, 2))
+
+    @functools.cached_property
+    def plaquette_links(self):
+        """Corner and edge tables of the plaquettes, as int arrays.
+
+        Returns ``(corners, links, slots)``.  ``corners`` is (Q, 4), a
+        triangle repeating its first corner last, so the edges of plaquette
+        q run from corners[q, i] to corners[q, (i + 1) % 4] and a
+        triangle's fourth edge is degenerate.  ``links`` is (E, 2): every
+        distinct edge in the orientation of its first traversal.  ``slots``
+        is (Q, 4): an edge equal to links[e] has slot e, its reverse
+        e + E, and a degenerate edge 2 E.
+        """
+        corners = np.array([cyc + cyc[:1] * (4 - len(cyc))
+                            for cyc in self.plaquettes],
+                           dtype=int).reshape(-1, 4)
+        first = {}
+        codes = []
+        for cyc in corners.tolist():
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if a == b:
+                    codes.append((None, 0))
+                elif (b, a) in first:
+                    codes.append((first[(b, a)], 1))
+                else:
+                    codes.append((first.setdefault((a, b), len(first)), 0))
+        E = len(first)
+        slots = np.array([2 * E if e is None else e + flip * E
+                          for e, flip in codes], dtype=int)
+        links = np.array(list(first), dtype=int).reshape(-1, 2)
+        return (_frozen(corners), _frozen(links),
+                _frozen(slots.reshape(-1, 4)))
+
 
 def _circle_angles(N):
     return -math.pi + 2.0 * math.pi * np.arange(N) / N
@@ -71,8 +110,10 @@ def _grid_size(d, N, M) -> int:
     raise InputError(f"grids exist for d in (0, 1, 2), got {d}")
 
 
+# typed: a grid built from numpy integers keeps them, which JSON rejects
+@functools.lru_cache(maxsize=None, typed=True)
 def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> MomentumGrid:
-    """Build the standard grid on S^d.
+    """Build the standard grid on S^d, cached per argument values.
 
     d = 0 is the fixed two point set {0, pi}.  d = 1 is a circle of N
     points k_i = -pi + 2 pi i / N.  d = 2 has N columns times M interior
@@ -126,9 +167,73 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
                         tuple(edges), trims, tuple(plaq))
 
 
+class _Fibers(Sequence):
+    """Read-only sequence of the planes of a checked frame stack.
+
+    Each :class:`Plane` is built from its frame on first access, without
+    repeating the checks the stack passed, and kept; indexing, slicing (to
+    a tuple), iteration and ``len`` behave as on a tuple of planes.
+    """
+
+    def __init__(self, space, frames, planes=None):
+        self._space = space
+        self._frames = frames
+        self._planes = list(planes) if planes else [None] * len(frames)
+
+    def __len__(self):
+        return len(self._planes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[p] for p in range(len(self))[index])
+        p = range(len(self))[index]
+        if self._planes[p] is None:
+            self._planes[p] = Plane._prechecked(self._space, self._frames[p])
+        return self._planes[p]
+
+
+def _frame_stack(space, fibers, size):
+    """Checked (P, 2n, m) frame array of a plane sequence or an array.
+
+    Planes were checked when they were built and are only stacked; an
+    array is checked here, once for the whole batch, with the errors of
+    :class:`Plane`.  Returns the frames and the planes given, if any.
+    """
+    if isinstance(fibers, np.ndarray):
+        F = np.array(fibers, dtype=complex)
+        d = space.dim
+        if F.ndim != 3 or F.shape[1] != d:
+            raise InputError(
+                f"frames have shape {F.shape}, expected (points, {d}, m)")
+        if len(F) != size:
+            raise InputError(
+                f"grid has {size} points but {len(F)} fibers were given")
+        _check_frames(F)
+        return F, None
+    fibers = tuple(fibers)
+    if len(fibers) != size:
+        raise InputError(
+            f"grid has {size} points but {len(fibers)} fibers were given")
+    ranks = set()
+    for p, A in enumerate(fibers):
+        if not isinstance(A, Plane):
+            raise InputError(f"fiber {p} is not a Plane")
+        if A.space.n != space.n:
+            raise InputError(f"fiber {p} lives on the wrong space")
+        ranks.add(A.rank)
+    if len(ranks) != 1:
+        raise InputError(f"fibers have mixed ranks {sorted(ranks)}")
+    return np.stack([A.frame for A in fibers]), fibers
+
+
 @dataclass(frozen=True, eq=False)
 class Bundle:
     """Planes over a momentum grid, tied to a Clifford set.
+
+    ``fibers`` may be given as a sequence of :class:`Plane` objects or as
+    a (P, 2n, m) array of orthonormal frames, one per grid point.  The
+    stored state is ``frames``, a read-only complex array of that shape;
+    ``fibers`` reads as a sequence of planes built from it on demand.
 
     ``label`` optionally names the symmetry class the Clifford set was
     built from; it is informational and carried through serialization.
@@ -137,32 +242,23 @@ class Bundle:
     space: NambuSpace
     cset: CliffordSet
     grid: MomentumGrid
-    fibers: tuple
+    fibers: Sequence
     label: str | None = None
+    frames: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "fibers", tuple(self.fibers))
         if self.cset.space.n != self.space.n:
             raise InputError("Clifford set and bundle space disagree")
-        if len(self.fibers) != self.grid.size:
-            raise InputError(
-                f"grid has {self.grid.size} points but {len(self.fibers)} "
-                "fibers were given")
-        ranks = set()
-        for p, A in enumerate(self.fibers):
-            if not isinstance(A, Plane):
-                raise InputError(f"fiber {p} is not a Plane")
-            if A.space.n != self.space.n:
-                raise InputError(f"fiber {p} lives on the wrong space")
-            ranks.add(A.rank)
-        if len(ranks) != 1:
-            raise InputError(f"fibers have mixed ranks {sorted(ranks)}")
+        frames, planes = _frame_stack(self.space, self.fibers, self.grid.size)
+        object.__setattr__(self, "frames", _frozen(frames))
+        object.__setattr__(self, "fibers",
+                           _Fibers(self.space, self.frames, planes))
         if self.label is not None and str(self.label).upper() not in CLASS_TABLE:
             raise InputError(f"unknown class label {self.label!r}")
 
     @property
     def rank(self) -> int:
-        return self.fibers[0].rank
+        return self.frames.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,38 +288,46 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     The Fermi constraint is the spectral distance from the projector at -k
     to B conj(1 - Pi_A) B, the projector of the Fermi annihilator of the
     fiber A at k; it applies only to half-rank bundles and is skipped
-    (reported as ``None``) otherwise.
+    (reported as ``None``) otherwise.  Continuity is the largest spectral
+    distance between the projectors at the two ends of a grid edge.
     """
     grid = bundle.grid
-    size = grid.size
-    gens = bundle.cset.generators
+    frames = bundle.frames
+    size, dim, m = frames.shape
     pseudo = np.zeros(size)
-    for p, A in enumerate(bundle.fibers):
-        if gens:
-            pseudo[p] = max(pseudo_check(g, A) for g in gens)
+    for g in bundle.cset.generators:
+        pseudo = np.maximum(pseudo, _pseudo_deviations(g, frames))
     messages = []
     if pseudo.max() > tol:
         p = int(np.argmax(pseudo))
         messages.append(
             f"pseudo-symmetry violated at point {p} (deviation {pseudo[p]:.3e})")
     fermi = None
-    if bundle.rank == bundle.space.n:
-        fermi = np.zeros(size)
+    if m == bundle.space.n:
+        # For rank-n planes, (1 - Pi_perp) F_{-k} = B conj(F_k) F_k^T B F_{-k}
+        # with Pi_perp = B conj(1 - Pi_k) B, and B conj(F_k) is an isometry:
+        # the projector distance equals the spectral norm of the pairing
+        # matrix F_k^T B F_{-k}.
+        fermi = np.empty(size)
         B = bundle.space.bracket_matrix
-        for p, A in enumerate(bundle.fibers):
-            perp = B @ np.conj(np.eye(bundle.space.dim) - A.projector) @ B
-            fermi[p] = _spectral_distance(
-                bundle.fibers[int(grid.antipode[p])].projector, perp)
+        anti = grid.antipode
+        for blk in _blocks(size, 16 * dim * m):
+            fermi[blk] = _spectral_norms(
+                np.swapaxes(frames[blk], 1, 2) @ B @ frames[anti[blk]])
         if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(
                 f"Fermi pairing violated at point {p} (deviation {fermi[p]:.3e})")
-    cont = 0.0
-    worst = None
-    for a, b in grid.edges:
-        dist = plane_distance(bundle.fibers[a], bundle.fibers[b])
-        if dist > cont:
-            cont, worst = dist, (a, b)
+    # for planes of equal rank, |Pi_a - Pi_b| = |(1 - Pi_a) F_b|
+    edges = grid.edge_array
+    dist = np.empty(len(edges))
+    for blk in _blocks(len(edges), 16 * dim * m):
+        Fa, Fb = frames[edges[blk, 0]], frames[edges[blk, 1]]
+        dist[blk] = _spectral_norms(Fb - Fa @ (_dagger(Fa) @ Fb))
+    cont, worst = 0.0, None
+    if dist.size and dist.max() > 0.0:
+        i = int(np.argmax(dist))
+        cont, worst = float(dist[i]), tuple(int(v) for v in edges[i])
     if cont > continuity_tol:
         messages.append(
             f"fibers jump across edge {worst} (distance {cont:.3f})")
@@ -284,8 +388,8 @@ def serialize_bundle(bundle: Bundle) -> dict:
         "n": bundle.space.n,
         "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
         "fibers": [
-            {"rank": A.rank, "frame": _complex_to_json(A.frame)}
-            for A in bundle.fibers
+            {"rank": bundle.rank, "frame": _complex_to_json(F)}
+            for F in bundle.frames
         ],
     }
 
@@ -358,16 +462,18 @@ def deserialize_bundle(data: dict) -> Bundle:
         raise InputError(
             f"fibers: expected {size} entries, got {len(fdata)}")
     grid = make_sphere_grid(d, N, M)
-    fibers = []
+    frames = []
     for p, entry in enumerate(fdata):
         path = f"fibers[{p}]"
         rank = _need(entry, "rank", path, int)
         if not 1 <= rank <= dim - 1:
             raise InputError(f"{path}.rank: out of range value {rank}")
-        frame = _complex_from_json(_need(entry, "frame", path, list),
-                                   f"{path}.frame", dim, rank)
-        fibers.append(Plane(space, frame))
-    return Bundle(space, cset, grid, tuple(fibers), label)
+        frames.append(_complex_from_json(_need(entry, "frame", path, list),
+                                         f"{path}.frame", dim, rank))
+    ranks = sorted({F.shape[1] for F in frames})
+    if len(ranks) != 1:
+        raise InputError(f"fibers have mixed ranks {ranks}")
+    return Bundle(space, cset, grid, np.stack(frames), label)
 
 
 def double_bundle(bundle: Bundle) -> Bundle:

@@ -20,8 +20,8 @@ from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
                     make_nambu)
-from .planes import (Plane, complement, fermi_check, plane_distance,
-                     pseudo_check, vacuum_plane)
+from .planes import (Plane, _dagger, _pseudo_deviations, _spectral_norms,
+                     fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
 
 _KINDS = ("parity_bit", "z2_bit", "winding_int", "chern_int",
@@ -56,6 +56,63 @@ class InvariantResult:
             raise InputError(f"{self.kind} value must be 0 or 1")
 
 
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product, each real operation rounded alone.
+
+    numpy's vectorized complex multiply fuses multiply and add on some
+    CPUs; spelled out, a product is the same on every machine and equal
+    to the product of Python complex numbers.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _pfaffians(X: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
+    """Pfaffians of a (S, m, m) stack of skew-symmetric matrices.
+
+    Parlett-Reid elimination with partial pivoting, run on the whole stack
+    at once.  Each matrix keeps its own skew check, its own zero-pivot
+    rule (a pivot column below 1e-13 max(1, scale) gives Pfaffian 0), and
+    its own sign, flipped by every symmetric row-and-column swap.  Odd m
+    gives zeros.
+    """
+    A = np.array(X, dtype=complex)
+    S, m = A.shape[0], A.shape[2]
+    scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    if (np.abs(A + np.swapaxes(A, 1, 2)).max(axis=(1, 2)) > tol * scale).any():
+        raise ValidationError("matrix is not skew-symmetric")
+    out = np.zeros(S, dtype=complex)
+    if m % 2:
+        return out
+    tiny = 1e-13 * scale
+    live = np.arange(S)             # matrices without a zero pivot so far
+    pf = np.ones(S, dtype=complex)
+    for k in range(0, m - 1, 2):
+        col = np.abs(A[:, k + 1:, k])
+        keep = col.max(axis=1) > tiny
+        if not keep.all():
+            A, col, live, pf, tiny = (A[keep], col[keep], live[keep],
+                                      pf[keep], tiny[keep])
+        p = np.argmax(col, axis=1) + k + 1
+        r = np.arange(len(A))
+        row = A[r, k + 1].copy()
+        A[r, k + 1] = A[r, p]
+        A[r, p] = row
+        column = A[r, :, k + 1].copy()
+        A[r, :, k + 1] = A[r, :, p]
+        A[r, :, p] = column
+        pf = _cmul(np.where(p != k + 1, -pf, pf), A[:, k, k + 1])
+        if k + 2 < m:
+            tau = A[:, k + 2:, k] / A[:, k, k + 1, None]
+            colv = A[:, k + 2:, k + 1].copy()
+            A[:, k + 2:, k + 2:] += (colv[:, :, None] * tau[:, None, :]
+                                     - tau[:, :, None] * colv[:, None, :])
+    out[live] = pf
+    return out
+
+
 def pfaffian(X, tol: float = ALG_TOL) -> complex:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
@@ -65,35 +122,15 @@ def pfaffian(X, tol: float = ALG_TOL) -> complex:
     An odd-dimensional skew matrix has Pfaffian zero by convention; that
     case returns 0 with a warning since it usually signals a caller bug.
     """
-    A = np.array(X, dtype=complex)
+    A = np.asarray(X, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
-    m = A.shape[0]
-    if m == 0:
+    if A.shape[0] == 0:
         return complex(1.0)
-    scale = float(np.abs(A).max())
-    if np.abs(A + A.T).max() > tol * max(1.0, scale):
-        raise ValidationError("matrix is not skew-symmetric")
-    if m % 2:
+    pf = complex(_pfaffians(A[None], tol)[0])
+    if A.shape[0] % 2:
         warnings.warn("odd-dimensional skew matrix has Pfaffian 0",
                       RuntimeWarning, stacklevel=2)
-        return complex(0.0)
-    tiny = 1e-13 * max(1.0, scale)
-    pf = complex(1.0)
-    for k in range(0, m - 1, 2):
-        col = np.abs(A[k + 1:, k])
-        if col.max() <= tiny:
-            return complex(0.0)
-        p = int(np.argmax(col)) + k + 1
-        if p != k + 1:
-            A[[k + 1, p], :] = A[[p, k + 1], :]
-            A[:, [k + 1, p]] = A[:, [p, k + 1]]
-            pf = -pf
-        pf *= A[k, k + 1]
-        if k + 2 < m:
-            tau = A[k + 2:, k] / A[k, k + 1]
-            colv = A[k + 2:, k + 1].copy()
-            A[k + 2:, k + 2:] += np.outer(colv, tau) - np.outer(tau, colv)
     return pf
 
 
@@ -103,12 +140,6 @@ class OmegaForm:
 
     space: NambuSpace
     matrix: np.ndarray
-
-    def restrict(self, A: Plane) -> np.ndarray:
-        """Pull the form back to a plane's frame, giving an m x m matrix."""
-        if A.space.dim != self.space.dim:
-            raise InputError("plane lives on the wrong space")
-        return A.frame.T @ self.matrix @ A.frame
 
 
 def omega_form(space: NambuSpace, J1) -> OmegaForm:
@@ -137,9 +168,12 @@ def pfaffian_field(bundle: Bundle, form) -> np.ndarray:
     """
     om = form if isinstance(form, OmegaForm) else omega_form(bundle.space,
                                                              form)
+    if om.space.dim != bundle.space.dim:
+        raise InputError("form lives on the wrong space")
     if bundle.rank % 2:
         raise InputError("the Pfaffian field needs even-rank fibers")
-    return np.array([pfaffian(om.restrict(A)) for A in bundle.fibers])
+    F = bundle.frames
+    return _pfaffians(np.swapaxes(F, 1, 2) @ om.matrix @ F)
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
@@ -206,32 +240,36 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
                            {"parity_bits": bits, "momenta": momenta})
 
 
-def _link_overlaps(bundle) -> dict:
-    """Frame overlaps det(F_a^H F_b) over every plaquette edge.
+def _link_variables(bundle):
+    """Fukui-Hatsugai-Suzuki link variables around every plaquette.
 
-    These are the Fukui-Hatsugai-Suzuki link variables.  Each edge is
-    computed once, in the direction of its first traversal, and stored
-    under both orientations, the reverse one conjugated.
+    Returns ``(L, edge)``: L is a (Q, 4) array holding det(F_a^H F_b)
+    along the edges of each plaquette in order, a triangle's fourth entry
+    being exactly 1, and ``edge`` marks the entries that are edges.  Each
+    distinct edge is computed once, in the orientation of its first
+    traversal; its reverse is the complex conjugate.
     """
-    fibers = bundle.fibers
-    links = {}
-    for cyc in bundle.grid.plaquettes:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            if (a, b) not in links:
-                o = complex(np.linalg.det(
-                    fibers[a].frame.conj().T @ fibers[b].frame))
-                links[(a, b)] = o
-                links[(b, a)] = o.conjugate()
-    return links
+    _, links, slots = bundle.grid.plaquette_links
+    F = bundle.frames
+    o = np.linalg.det(_dagger(F[links[:, 0]]) @ F[links[:, 1]])
+    return (np.concatenate([o, o.conj(), [1.0]])[slots],
+            slots < 2 * len(links))
 
 
-def _plaquette_links(links, qi, cyc):
-    """Oriented (a, b, overlap) triples around plaquette ``qi``."""
-    out = [(a, b, links[(a, b)]) for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-    if any(abs(o) < _OVERLAP_FLOOR for _, _, o in out):
+def _check_overlaps(L, rows):
+    """NumericError at the first plaquette of ``rows`` with a tiny link."""
+    bad = rows[(np.abs(L[rows]) < _OVERLAP_FLOOR).any(axis=1)]
+    if bad.size:
         raise NumericError(
-            f"singular frame overlap on plaquette {qi}; refine the grid")
-    return out
+            f"singular frame overlap on plaquette {bad[0]}; refine the grid")
+
+
+def _loop_products(L, edge):
+    """Product of the link variables around each plaquette, in order."""
+    prod = np.ones(len(L), dtype=complex)
+    for i in range(L.shape[1]):
+        prod = np.where(edge[:, i], _cmul(prod, L[:, i]), prod)
+    return prod
 
 
 def _plaquette_zeros(bundle, grid, p):
@@ -243,31 +281,25 @@ def _plaquette_zeros(bundle, grid, p):
     plaquette is computed and nonzero windings are recorded.
     """
     absp = np.abs(p)
-    zero_set = set(np.flatnonzero(
-        absp < _ZERO_REL * absp.max()).tolist())
-    links = _link_overlaps(bundle)
-    crossing = set()
-    vortices = {}
-    for qi, cyc in enumerate(grid.plaquettes):
-        if any(c in zero_set for c in cyc):
-            crossing.add(qi)
-            continue
-        dsum = 0.0
-        oprod = complex(1.0)
-        ambiguous = False
-        for a, b, o in _plaquette_links(links, qi, cyc):
-            step = float(np.angle((p[b] / p[a]) * (o.conjugate() / abs(o))))
-            if abs(step) > np.pi - _PHASE_MARGIN_ZEROS:
-                ambiguous = True
-            dsum += step
-            oprod *= o
-        if ambiguous:
-            crossing.add(qi)
-            continue
-        nu = int(round((dsum + float(np.angle(oprod))) / (2.0 * np.pi)))
-        if nu:
-            vortices[qi] = nu
-    return zero_set, crossing, vortices
+    zero = absp < _ZERO_REL * absp.max()
+    corners = grid.plaquette_links[0]
+    on_zero = zero[corners].any(axis=1)
+    L, edge = _link_variables(bundle)
+    rows = np.flatnonzero(~on_zero)
+    _check_overlaps(L, rows)
+    L, edge = L[rows], edge[rows]
+    a = corners[rows]
+    b = np.roll(a, -1, axis=1)
+    steps = np.where(edge, np.angle((p[b] / p[a]) * (L.conj() / np.abs(L))),
+                     0.0)
+    ambiguous = (np.abs(steps) > np.pi - _PHASE_MARGIN_ZEROS).any(axis=1)
+    nu = np.rint((steps.sum(axis=1) + np.angle(_loop_products(L, edge)))
+                 / (2.0 * np.pi)).astype(int)
+    crossing = set(np.flatnonzero(on_zero).tolist())
+    crossing.update(rows[ambiguous].tolist())
+    vortices = {int(q): int(v) for q, v, amb in zip(rows, nu, ambiguous)
+                if v and not amb}
+    return set(np.flatnonzero(zero).tolist()), crossing, vortices
 
 
 def _component_representative(members, grid, absp, poles):
@@ -316,11 +348,14 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
 
     elements = [("p", z) for z in sorted(zero_set)]
     elements += [("q", qi) for qi in sorted(crossing | set(vortices))]
+    # spectral distance from 1 - Pi_z to Pi_{-z}; for rank-n planes it is
+    # |Pi_z F_{-z}| = |F_z^H F_{-z}|
     band_max = 0.0
-    for z in sorted(zero_set):
-        dist = plane_distance(complement(bundle.fibers[z]),
-                              bundle.fibers[int(grid.antipode[z])])
-        band_max = max(band_max, dist)
+    if zero_set:
+        z = np.array(sorted(zero_set))
+        F = bundle.frames
+        band_max = float(_spectral_norms(
+            _dagger(F[z]) @ F[grid.antipode[z]]).max())
 
     parent = {e: e for e in elements}
 
@@ -432,9 +467,9 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
     if isinstance(K1, Generator) and K1.parity != "imaginary":
         raise InputError("the chiral winding needs an imaginary generator")
     K = _generator_matrix(K1, bundle.space.dim)
-    bad = [pt for pt, A in enumerate(bundle.fibers)
-           if pseudo_check(K, A) > ALG_TOL]
-    if bad:
+    F = bundle.frames
+    bad = np.flatnonzero(_pseudo_deviations(K, F) > ALG_TOL)
+    if bad.size:
         shown = ", ".join(str(b) for b in bad[:4])
         raise ValidationError(
             f"fibers are not pseudo-symmetric under K1 at points {shown}")
@@ -444,24 +479,25 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise ValidationError("generator eigenvalues are not balanced")
     V = np.hstack([vecs[:, n:], vecs[:, :n]])
 
-    dets = []
-    for pt, A in enumerate(bundle.fibers):
-        block = 2.0 * (V.conj().T @ A.projector @ V)[:n, n:]
-        if np.abs(block.conj().T @ block - np.eye(n)).max() > 1e-8:
-            raise NumericError(
-                f"projector block at point {pt} is not unitary")
-        dets.append(complex(np.linalg.det(block)))
+    # the off-diagonal block of V^H Pi V, with Pi = F F^H
+    G = _dagger(V) @ F
+    blocks = 2.0 * (G[:, :n] @ _dagger(G[:, n:]))
+    bad = np.flatnonzero(
+        np.abs(_dagger(blocks) @ blocks - np.eye(n)).max(axis=(1, 2)) > 1e-8)
+    if bad.size:
+        raise NumericError(
+            f"projector block at point {bad[0]} is not unitary")
+    dets = np.linalg.det(blocks)
 
-    total = 0.0
-    max_step = 0.0
-    for i in range(grid.N):
-        step = float(np.angle(dets[(i + 1) % grid.N] * np.conj(dets[i])))
-        if abs(step) >= np.pi - _PHASE_MARGIN_WINDING:
-            raise NumericError(
-                f"phase step {step:+.3f} between points {i} and "
-                f"{(i + 1) % grid.N} is too large; refine the grid")
-        total += step
-        max_step = max(max_step, abs(step))
+    steps = np.angle(np.roll(dets, -1) * np.conj(dets))
+    big = np.flatnonzero(np.abs(steps) >= np.pi - _PHASE_MARGIN_WINDING)
+    if big.size:
+        i = big[0]
+        raise NumericError(
+            f"phase step {steps[i]:+.3f} between points {i} and "
+            f"{(i + 1) % grid.N} is too large; refine the grid")
+    total = float(np.sum(steps))
+    max_step = float(np.abs(steps).max())
     w = int(round(total / (2.0 * np.pi)))
     residual = abs(total / (2.0 * np.pi) - w)
     return InvariantResult("winding_int", w,
@@ -479,14 +515,10 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d != 2:
         raise InputError("the Chern number lives on S^2")
-    links = _link_overlaps(bundle)
-    fluxes = []
-    for qi, cyc in enumerate(grid.plaquettes):
-        prod = complex(1.0)
-        for _, _, o in _plaquette_links(links, qi, cyc):
-            prod *= o
-        fluxes.append(float(np.angle(prod)))
-    min_overlap = min(abs(o) for o in links.values())
+    L, edge = _link_variables(bundle)
+    _check_overlaps(L, np.arange(len(L)))
+    fluxes = np.angle(_loop_products(L, edge))
+    min_overlap = np.abs(L[edge]).min()
     total = float(np.sum(fluxes))
     c = int(round(total / (2.0 * np.pi)))
     residual = abs(total / (2.0 * np.pi) - c)
@@ -495,7 +527,7 @@ def chern_number(bundle: Bundle) -> InvariantResult:
             f"flux residual {residual:.3f} exceeds {CHERN_RESIDUAL}; "
             "refine the grid")
     return InvariantResult("chern_int", c,
-                           {"fluxes": np.asarray(fluxes),
+                           {"fluxes": fluxes,
                             "residual": residual,
                             "min_overlap": float(min_overlap)})
 

@@ -31,13 +31,16 @@ class Plane(object):
         if F.ndim != 2 or F.shape[0] != d:
             raise InputError(
                 f"frame has shape {F.shape}, expected ({d}, m)")
-        m = F.shape[1]
-        if not 1 <= m < d:
-            raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
-        _require_finite(F, "frame")
-        if np.abs(F.conj().T @ F - np.eye(m)).max() > ORTHO_TOL:
-            raise ValidationError("frame columns are not orthonormal")
+        _check_frames(F[None])
         object.__setattr__(self, "frame", _frozen(F))
+
+    @classmethod
+    def _prechecked(cls, space: NambuSpace, frame: np.ndarray) -> "Plane":
+        """A plane over a read-only frame whose checks were already run."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "space", space)
+        object.__setattr__(A, "frame", frame)
+        return A
 
     @property
     def rank(self) -> int:
@@ -46,6 +49,23 @@ class Plane(object):
     @cached_property
     def projector(self) -> np.ndarray:
         return _frozen(self.frame @ self.frame.conj().T)
+
+
+def _check_frames(F: np.ndarray) -> None:
+    """Rank, finiteness and orthonormality of a (P, d, m) frame stack.
+
+    A failed orthonormality check names the first bad point of a stack
+    of more than one frame.
+    """
+    P, d, m = F.shape
+    if not 1 <= m < d:
+        raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
+    _require_finite(F, "frame")
+    dev = np.abs(_dagger(F) @ F - np.eye(m)).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > ORTHO_TOL)
+    if bad.size:
+        at = f" at point {bad[0]}" if P > 1 else ""
+        raise ValidationError(f"frame columns are not orthonormal{at}")
 
 
 def plane_from_vectors(space: NambuSpace, vectors, rank_tol: float = RANK_TOL) -> Plane:
@@ -79,13 +99,9 @@ def j_of(A: Plane) -> np.ndarray:
     return 1j * (2.0 * A.projector - np.eye(A.space.dim))
 
 
-def _spectral_distance(P: np.ndarray, Q: np.ndarray) -> float:
-    return float(np.linalg.norm(P - Q, 2))
-
-
 def plane_distance(A: Plane, B: Plane) -> float:
     """Spectral norm of the projector difference, a metric on planes."""
-    return _spectral_distance(A.projector, B.projector)
+    return float(np.linalg.norm(A.projector - B.projector, 2))
 
 
 def fermi_check(A: Plane, B: Plane) -> float:
@@ -112,6 +128,45 @@ def pseudo_check(J, A: Plane) -> float:
     M = _generator_matrix(J, d)
     Pi = A.projector
     return float(np.abs(M @ Pi @ M.conj().T - (np.eye(d) - Pi)).max())
+
+
+# Batched checks hold no temporary larger than this, so their memory does
+# not grow with the number of grid points.
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(count: int, item_bytes: int):
+    """Slices covering range(count), each within the temporary budget."""
+    step = max(1, _BLOCK_BYTES // item_bytes)
+    return [slice(s, min(s + step, count)) for s in range(0, count, step)]
+
+
+def _dagger(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.conj(np.swapaxes(X, -1, -2))
+
+
+def _spectral_norms(X: np.ndarray) -> np.ndarray:
+    """Spectral norm (largest singular value) of every matrix in a stack."""
+    return np.linalg.svd(X, compute_uv=False)[..., 0]
+
+
+def _pseudo_deviations(J, frames: np.ndarray) -> np.ndarray:
+    """:func:`pseudo_check` of one generator at every frame of a stack.
+
+    ``frames`` is a (P, d, m) array of orthonormal frames; J Pi J^dagger is
+    formed as (J F)(J F)^dagger.
+    """
+    d = frames.shape[1]
+    M = _generator_matrix(J, d)
+    eye = np.eye(d)
+    out = np.empty(len(frames))
+    for blk in _blocks(len(frames), 16 * d * d):
+        F = frames[blk]
+        MF = M @ F
+        out[blk] = np.abs(MF @ _dagger(MF) - (eye - F @ _dagger(F))
+                          ).max(axis=(1, 2))
+    return out
 
 
 def fermi_perp(A: Plane) -> Plane:

@@ -18,7 +18,8 @@ import numpy as np
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import CliffordSet, Generator, _generator_matrix, make_nambu
-from .planes import Plane, j_of, pseudo_check, vacuum_plane
+from .planes import (Plane, _pseudo_deviations, j_of, pseudo_check,
+                     vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
                        true_symmetries)
 from .tolerances import ALG_TOL
@@ -102,11 +103,9 @@ class SuspensionInput:
                     f"consumed generator does not anti-commute with "
                     f"generator {m} (deviation {dev:.3e})")
         checked = [K] if self.i_index is None else [K, gens[self.i_index]]
-        bad = []
-        for p, A in enumerate(self.bundle.fibers):
-            dev = max(pseudo_check(g, A) for g in checked)
-            if dev > ALG_TOL:
-                bad.append((p, dev))
+        devs = np.max([_pseudo_deviations(g, self.bundle.frames)
+                       for g in checked], axis=0)
+        bad = [(p, devs[p]) for p in np.flatnonzero(devs > ALG_TOL)]
         if bad:
             head = ", ".join(f"{p} ({dev:.3e})" for p, dev in bad[:4])
             more = "" if len(bad) <= 4 else f" and {len(bad) - 4} more"
@@ -185,7 +184,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
         west = np.abs(ks) > math.pi / 2 + 1e-12
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
-        poles = ()
+        poles = []
     elif b.grid.d == 1:
         if b.rank != space.n:
             raise InputError("suspension to a sphere needs half-rank fibers")
@@ -196,20 +195,17 @@ def suspend(inp: SuspensionInput, points: int = 64,
         grid = make_sphere_grid(2, N, M)
         seeds = np.tile(np.arange(N), M)
         ts = grid.points[:N * M, 1]
-        poles = _eigenplanes(space, K)
+        poles = [A.frame[None] for A in _eigenplanes(space, K)]
     else:
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
     # SuspensionInput checked K A = A^c on every fiber, which makes
     # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
-    KF = [K.matrix @ A.frame for A in b.fibers]
-    fibers = []
-    for seed, t in zip(seeds, ts):
-        A = b.fibers[seed]
-        fibers.append(A if t == 0.0 else Plane(
-            space, math.cos(t / 2) * A.frame
-            + 1j * math.sin(t / 2) * KF[seed]))
+    F = b.frames[seeds]
+    half = (ts / 2)[:, None, None]
+    rotated = np.cos(half) * F + (1j * np.sin(half)) * (K.matrix @ F)
+    frames = np.where(half == 0.0, F, rotated)
     return Bundle(space, CliffordSet(space, out_gens), grid,
-                  tuple(fibers) + poles, label)
+                  np.concatenate([frames, *poles]), label)
 
 
 # ---------------------------------------------------------------------------

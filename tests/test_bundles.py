@@ -12,15 +12,25 @@ from fermibundle.bundles import (
     serialize_bundle,
     validate_bundle,
 )
+from helpers import nudge, random_suspension_inputs
+
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
-from fermibundle.planes import Plane, vacuum_plane
-from fermibundle.suspension import example_majorana
+from fermibundle.planes import Plane, plane_distance, pseudo_check, vacuum_plane
+from fermibundle.suspension import (example_kitaev_chain, example_majorana,
+                                    suspend)
 from fermibundle.symmetry import imaginary_realization
 
 
 # ---------------------------------------------------------------------------
 # grids
+
+
+def test_grids_are_shared_per_parameters():
+    assert make_sphere_grid(2, 8, 3) is make_sphere_grid(2, 8, 3)
+    assert make_sphere_grid(1, 8) is not make_sphere_grid(1, 10)
+    make_sphere_grid(1, np.int64(6))
+    assert type(make_sphere_grid(1, 6).N) is int
 
 
 def test_point_pair_grid():
@@ -201,6 +211,120 @@ def test_bundle_structural_errors():
     mixed[2] = Plane(sp2, np.eye(4, dtype=complex)[:, :1])
     with pytest.raises(InputError):
         Bundle(sp2, CliffordSet(sp2, ()), grid, tuple(mixed))
+
+
+def test_bundle_from_a_frame_array():
+    b = _constant_creator_bundle(N=4)
+    again = Bundle(b.space, b.cset, b.grid, np.array(b.frames), b.label)
+    assert np.array_equal(again.frames, b.frames)
+    assert again.rank == 1
+    assert not again.frames.flags.writeable
+
+
+def _bad_frames(kind):
+    F = np.array(_constant_creator_bundle(N=4).frames)
+    if kind == "nan":
+        F[2, 0, 0] = np.nan
+    elif kind == "skew":
+        F[3] = [[0.7], [0.0]]
+    elif kind == "matrix":
+        F = F[0]
+    elif kind == "dimension":
+        F = np.zeros((4, 3, 1), dtype=complex)
+    elif kind == "count":
+        F = F[:3]
+    elif kind == "full rank":
+        F = np.tile(np.eye(2, dtype=complex), (4, 1, 1))
+    return F
+
+
+@pytest.mark.parametrize("kind, error", [
+    ("nan", InputError), ("skew", ValidationError), ("matrix", InputError),
+    ("dimension", InputError), ("count", InputError),
+    ("full rank", InputError)])
+def test_frame_array_checks_match_plane(kind, error):
+    b = _constant_creator_bundle(N=4)
+    F = _bad_frames(kind)
+    with pytest.raises(error) as err:
+        Bundle(b.space, b.cset, b.grid, F)
+    if F.ndim == 3 and len(F) == 4 and F.shape[1] == 2:
+        for frame in F:
+            try:
+                Plane(b.space, frame)
+            except (InputError, ValidationError) as exc:
+                assert type(exc) is type(err.value)
+                break
+        else:
+            raise AssertionError("no single frame was rejected")
+    if kind == "skew":
+        assert "point 3" in str(err.value)
+
+
+def test_fibers_behave_as_a_tuple():
+    b = example_majorana(N=8)
+    planes = tuple(Plane(b.space, F) for F in b.frames)
+
+    def same(A, B):
+        return np.array_equal(A.frame, B.frame)
+
+    assert len(b.fibers) == len(planes) == 8
+    assert same(b.fibers[-1], planes[-1]) and same(b.fibers[-8], planes[0])
+    assert b.fibers[5] is b.fibers[5 - 8]
+    part = b.fibers[1:7:2]
+    assert isinstance(part, tuple) and len(part) == 3
+    assert all(same(A, B) for A, B in zip(part, planes[1:7:2]))
+    assert b.fibers[::-1][0] is b.fibers[7]
+    assert all(same(A, B) for A, B in zip(b.fibers, planes))
+    assert [A.rank for A in tuple(b.fibers)] == [1] * 8
+    with pytest.raises(IndexError):
+        b.fibers[8]
+    with pytest.raises(IndexError):
+        b.fibers[-9]
+
+
+def _per_fiber_report(b):
+    """validate_bundle's numbers, computed one fiber and one edge at a time."""
+    fibers = [Plane(b.space, F) for F in b.frames]
+    gens = b.cset.generators
+    pseudo = [max((pseudo_check(g, A) for g in gens), default=0.0)
+              for A in fibers]
+    fermi = None
+    if b.rank == b.space.n:
+        B = b.space.bracket_matrix
+        perp = [B @ np.conj(np.eye(b.space.dim) - A.projector) @ B
+                for A in fibers]
+        fermi = [np.linalg.norm(fibers[q].projector - perp[p], 2)
+                 for p, q in enumerate(b.grid.antipode)]
+    cont = max((plane_distance(fibers[a], fibers[c]) for a, c in b.grid.edges),
+               default=0.0)
+    return pseudo, fermi, cont
+
+
+def _oracle_bundles():
+    rng = np.random.default_rng(11)
+    out = []
+    for inp in random_suspension_inputs(rng, copies=1):
+        out.append(inp.bundle)
+        out.append(suspend(inp, points=8))
+    out.append(nudge(out[-1], 3, 1e-3, rng))
+    out.append(double_bundle(example_kitaev_chain(8, 3, N=16)))
+    return out
+
+
+@pytest.mark.parametrize("block_bytes", [None, 600])
+def test_validation_matches_the_per_fiber_computation(block_bytes,
+                                                      monkeypatch):
+    if block_bytes is not None:
+        monkeypatch.setattr("fermibundle.planes._BLOCK_BYTES", block_bytes)
+    for b in _oracle_bundles():
+        report = validate_bundle(b)
+        pseudo, fermi, cont = _per_fiber_report(b)
+        assert np.abs(report.pseudo_max - pseudo).max() < 1e-14
+        if fermi is None:
+            assert report.fermi_max is None
+        else:
+            assert np.abs(report.fermi_max - fermi).max() < 1e-14
+        assert abs(report.continuity_max - cont) < 1e-14
 
 
 def test_report_rows_carry_coordinates():

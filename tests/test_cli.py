@@ -305,6 +305,36 @@ def test_exit_code_for_numeric_errors(tmp_path):
                "chiral_winding") == 3
 
 
+def test_numpy_linalg_failures_exit_3(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "sphere.json"
+    run("example", "--name", "dIII", "--N", 8, "--output", out)
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    capsys.readouterr()
+    assert run("invariant", "--input", out, "--kind", "chern_number") == 3
+    assert capsys.readouterr().err == "numeric error: Singular matrix\n"
+
+
+@pytest.mark.parametrize("frame, code, fragment", [
+    ([[[float("nan"), 0.0]], [[0.0, 0.0]]], 2, "non-finite"),
+    ([[[0.7, 0.0]], [[0.0, 0.0]]], 1, "not orthonormal at point 5"),
+    ([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]], 2, "fibers[5].frame"),
+], ids=["nan", "skew", "shape"])
+def test_bad_frames_exit_codes(tmp_path, capsys, frame, code, fragment):
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", out)
+    data = _load(out)
+    data["fibers"][5]["frame"] = frame
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == code
+    assert fragment in capsys.readouterr().err
+
+
 def test_unknown_kind_is_an_argparse_error(tmp_path):
     out = tmp_path / "maj.json"
     run("example", "--name", "majorana", "--N", 8, "--output", out)

@@ -12,9 +12,10 @@ from fermibundle.invariants import (InvariantResult, chern_number,
                                     chiral_winding, class_d_z2,
                                     component_index_ai, fermion_parity,
                                     kane_mele_z2, omega_form, pfaffian,
-                                    pfaffian_field)
+                                    pfaffian_field, _pfaffians)
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
-from fermibundle.planes import Plane, fermi_check, vacuum_plane
+from fermibundle.planes import (Plane, complement, fermi_check,
+                                plane_distance, vacuum_plane)
 from fermibundle.suspension import (SuspensionInput, example_dIII,
                                     example_kitaev_chain, example_majorana,
                                     suspend)
@@ -92,6 +93,25 @@ def test_pfaffian_congruence_rule():
         assert abs(left - right) < 1e-8 * abs(right)
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_batched_pfaffian_squares_to_determinant(m):
+    rng = np.random.default_rng(17 + m)
+    X = np.array([_random_skew(rng, m) for _ in range(20)])
+    pf = _pfaffians(X)
+    det = np.linalg.det(X)
+    assert np.all(np.abs(pf * pf - det) < 1e-9 * np.maximum(1.0, abs(det)))
+
+
+def test_batched_pfaffian_with_singular_members():
+    rng = np.random.default_rng(23)
+    X = np.array([_random_skew(rng, 6) for _ in range(6)])
+    X[1] = 0.0                          # zero pivot at the first step
+    X[4, 2:, :] = X[4, :, 2:] = 0.0     # zero pivot at the second step
+    pf = _pfaffians(X)
+    assert pf[1] == 0 and pf[4] == 0
+    assert np.array_equal(pf, [pfaffian(x) for x in X])
+
+
 def test_pfaffian_singular_input_is_exactly_zero():
     X = np.zeros((4, 4))
     X[2, 3], X[3, 2] = 5.0, -5.0
@@ -154,6 +174,14 @@ def test_pfaffian_field_constant_creator_bundle():
     _, J1 = _diii_cset(sp)
     p = pfaffian_field(b, J1)
     assert np.allclose(p, -1.0, atol=1e-12)
+
+
+def test_pfaffian_field_rejects_a_form_on_another_space():
+    b = _constant_sphere_bundle(make_nambu(2), (0, 2))
+    other = omega_form(make_nambu(4),
+                       kitaev_generators(make_nambu(4), "DIII").generators[0])
+    with pytest.raises(InputError):
+        pfaffian_field(b, other)
 
 
 def test_pfaffian_field_rejects_odd_rank():
@@ -280,6 +308,16 @@ def test_kane_mele_on_the_dIII_example():
     assert abs(abs(pa[0]) - np.pi / 2) < 1e-12
     assert abs(abs(pb[0]) - np.pi / 2) < 1e-12
     assert pa[0] == -pb[0]
+
+
+def test_band_inversion_is_the_complement_distance():
+    b = example_dIII(N=16)
+    diag = kane_mele_z2(b, b.cset.generators[0]).diagnostics
+    assert diag["zero_points"]
+    want = max(plane_distance(complement(b.fibers[z]),
+                              b.fibers[b.grid.antipode[z]])
+               for z in diag["zero_points"])
+    assert abs(diag["band_inversion_max"] - want) < 1e-14
 
 
 def test_kane_mele_constant_bundle_is_trivial():
@@ -464,6 +502,19 @@ def test_chern_singular_overlap_errors():
     fibers[0] = _basis_plane(sp, (0,))
     b = Bundle(sp, CliffordSet(sp, ()), grid, fibers, "D")
     with pytest.raises(NumericError):
+        chern_number(b)
+
+
+def test_singular_overlap_names_the_first_plaquette():
+    sp = make_nambu(1)
+    grid = make_sphere_grid(2, 8, 3)
+    fibers = [_basis_plane(sp, (1,))] * grid.size
+    p = grid.N + 3
+    fibers[p] = _basis_plane(sp, (0,))
+    b = Bundle(sp, CliffordSet(sp, ()), grid, fibers, "D")
+    first = next(q for q, cyc in enumerate(grid.plaquettes) if p in cyc)
+    assert first > 0
+    with pytest.raises(NumericError, match=f"plaquette {first};"):
         chern_number(b)
 
 
