@@ -10,6 +10,7 @@ neighboring fibers stay close.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -294,9 +295,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     grid = bundle.grid
     frames = bundle.frames
     size, dim, m = frames.shape
-    pseudo = np.zeros(size)
-    for g in bundle.cset.generators:
-        pseudo = np.maximum(pseudo, _pseudo_deviations(g, frames))
+    pseudo = _pseudo_deviations(bundle.cset.generators, frames)
     messages = []
     if pseudo.max() > tol:
         p = int(np.argmax(pseudo))
@@ -338,8 +337,9 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
 # serialization
 
 def _complex_to_json(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    """Nested lists of [re, im] pairs, one per entry of a complex array."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2).tolist()
 
 
 def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
@@ -362,7 +362,11 @@ def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
                                and not isinstance(x, bool) for x in cell)):
                 raise InputError(
                     f"{path}: entry ({r}, {c}) is not an [re, im] pair")
-            vals.append(complex(cell[0], cell[1]))
+            try:
+                vals.append(complex(cell[0], cell[1]))
+            except OverflowError as exc:
+                raise InputError(f"{path}: entry ({r}, {c}) is too large "
+                                 f"for a float") from exc
         out.append(vals)
     M = np.array(out, dtype=complex)
     if rows is not None and M.shape != (rows, cols):
@@ -388,8 +392,8 @@ def serialize_bundle(bundle: Bundle) -> dict:
         "n": bundle.space.n,
         "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
         "fibers": [
-            {"rank": bundle.rank, "frame": _complex_to_json(F)}
-            for F in bundle.frames
+            {"rank": bundle.rank, "frame": F}
+            for F in _complex_to_json(bundle.frames)
         ],
     }
 
@@ -406,6 +410,47 @@ def _need(data, key, path, kind=None):
         raise InputError(
             f"{path + '.' if path else ''}{key}: wrong type {type(val).__name__}")
     return val
+
+
+def _frames_from_json(fdata, dim):
+    """All fiber frames of a well-formed ``fibers`` list, in one batch.
+
+    Returns the (P, dim, m) complex array, bit-identical to decoding each
+    entry with :func:`_complex_from_json`, when every entry is an object
+    whose ``rank`` is the same integer m in [1, dim - 1] and whose
+    ``frame`` is a dim x m list of [re, im] pairs of JSON numbers
+    (exactly ``int`` or ``float``).  Returns None otherwise; the
+    per-fiber decoder then names the first bad entry, or decodes the
+    other number types a Python caller may pass.
+    """
+    rank = fdata[0].get("rank") if isinstance(fdata[0], dict) else None
+    if type(rank) is not int or not 1 <= rank <= dim - 1:
+        return None
+    frames = []
+    for entry in fdata:
+        if not isinstance(entry, dict) or type(entry.get("rank")) is not int \
+                or entry["rank"] != rank:
+            return None
+        frames.append(entry.get("frame"))
+    chain = itertools.chain.from_iterable
+    if set(map(type, frames)) != {list} or set(map(len, frames)) != {dim}:
+        return None
+    rows = list(chain(frames))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {rank}:
+        return None
+    cells = list(chain(rows))
+    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
+        return None
+    # JSON numbers decode to exactly int and float; bool, str, None and
+    # lists fall through to the per-fiber decoder
+    leaves = list(chain(cells))
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
+    try:
+        values = np.array(leaves, dtype=float)
+    except OverflowError:
+        return None
+    return values.view(complex).reshape(len(frames), dim, rank)
 
 
 def deserialize_bundle(data: dict) -> Bundle:
@@ -462,18 +507,21 @@ def deserialize_bundle(data: dict) -> Bundle:
         raise InputError(
             f"fibers: expected {size} entries, got {len(fdata)}")
     grid = make_sphere_grid(d, N, M)
-    frames = []
-    for p, entry in enumerate(fdata):
-        path = f"fibers[{p}]"
-        rank = _need(entry, "rank", path, int)
-        if not 1 <= rank <= dim - 1:
-            raise InputError(f"{path}.rank: out of range value {rank}")
-        frames.append(_complex_from_json(_need(entry, "frame", path, list),
-                                         f"{path}.frame", dim, rank))
-    ranks = sorted({F.shape[1] for F in frames})
-    if len(ranks) != 1:
-        raise InputError(f"fibers have mixed ranks {ranks}")
-    return Bundle(space, cset, grid, np.stack(frames), label)
+    frames = _frames_from_json(fdata, dim)
+    if frames is None:
+        frames = []
+        for p, entry in enumerate(fdata):
+            path = f"fibers[{p}]"
+            rank = _need(entry, "rank", path, int)
+            if not 1 <= rank <= dim - 1:
+                raise InputError(f"{path}.rank: out of range value {rank}")
+            frames.append(_complex_from_json(
+                _need(entry, "frame", path, list), f"{path}.frame", dim, rank))
+        ranks = sorted({F.shape[1] for F in frames})
+        if len(ranks) != 1:
+            raise InputError(f"fibers have mixed ranks {ranks}")
+        frames = np.stack(frames)
+    return Bundle(space, cset, grid, frames, label)
 
 
 def double_bundle(bundle: Bundle) -> Bundle:

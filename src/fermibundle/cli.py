@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .bundles import (deserialize_bundle, double_bundle, serialize_bundle,
-                      validate_bundle)
+from .bundles import (_complex_to_json, deserialize_bundle, double_bundle,
+                      serialize_bundle, validate_bundle)
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
                          component_index_ai, fermion_parity, kane_mele_z2)
@@ -42,8 +42,12 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an integer literal past
+        # Python's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to decode") from exc
 
 
 @contextlib.contextmanager
@@ -57,9 +61,9 @@ def _writing(path, newline=None):
 
 
 def _write_json(path, data):
+    # one line: only json.dumps without indent runs the C encoder
     with _writing(path) as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -86,6 +90,10 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "c":
+            return _complex_to_json(value)
+        if value.dtype.kind in "biuf":
+            return value.tolist()
         return _jsonable(value.tolist())
     if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
@@ -227,13 +235,17 @@ def _cmd_invariant(args):
         raise InputError(f"unknown invariant kind {kind!r}")
     print(json.dumps({"kind": result.kind, "value": result.value,
                       "diagnostics": _jsonable(result.diagnostics)},
-                     indent=2, sort_keys=True))
+                     sort_keys=True))
     if args.csv is not None:
         if kind == "kane_mele_z2":
-            field = result.diagnostics["field"]
+            f = result.diagnostics["field"]
+            # np.hypot matches the scalar abs(f) bit for bit; numpy's
+            # vectorised complex abs differs in the last bit on some CPUs
             _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
-                       ([p, *bundle.grid.points[p], abs(f), np.angle(f)]
-                        for p, f in enumerate(field)))
+                       ([p, *pt, a, phi] for p, (pt, a, phi) in enumerate(
+                           zip(bundle.grid.points.tolist(),
+                               np.hypot(f.real, f.imag).tolist(),
+                               np.angle(f).tolist()))))
         elif kind == "chern_number":
             _write_csv(args.csv, ["plaquette", "flux"],
                        enumerate(result.diagnostics["fluxes"]))

@@ -468,7 +468,7 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise InputError("the chiral winding needs an imaginary generator")
     K = _generator_matrix(K1, bundle.space.dim)
     F = bundle.frames
-    bad = np.flatnonzero(_pseudo_deviations(K, F) > ALG_TOL)
+    bad = np.flatnonzero(_pseudo_deviations([K], F) > ALG_TOL)
     if bad.size:
         shown = ", ".join(str(b) for b in bad[:4])
         raise ValidationError(

@@ -151,21 +151,24 @@ def _spectral_norms(X: np.ndarray) -> np.ndarray:
     return np.linalg.svd(X, compute_uv=False)[..., 0]
 
 
-def _pseudo_deviations(J, frames: np.ndarray) -> np.ndarray:
-    """:func:`pseudo_check` of one generator at every frame of a stack.
+def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:
+    """Largest :func:`pseudo_check` over ``gens`` at every frame of a stack.
 
     ``frames`` is a (P, d, m) array of orthonormal frames; J Pi J^dagger is
-    formed as (J F)(J F)^dagger.
+    formed as (J F)(J F)^dagger, and 1 - Pi once per block for all
+    generators.  No generators give zero deviations.
     """
     d = frames.shape[1]
-    M = _generator_matrix(J, d)
+    mats = [_generator_matrix(J, d) for J in gens]
     eye = np.eye(d)
-    out = np.empty(len(frames))
+    out = np.zeros(len(frames))
     for blk in _blocks(len(frames), 16 * d * d):
         F = frames[blk]
-        MF = M @ F
-        out[blk] = np.abs(MF @ _dagger(MF) - (eye - F @ _dagger(F))
-                          ).max(axis=(1, 2))
+        comp = eye - F @ _dagger(F)
+        for M in mats:
+            MF = M @ F
+            out[blk] = np.maximum(out[blk], np.abs(MF @ _dagger(MF) - comp
+                                                   ).max(axis=(1, 2)))
     return out
 
 

@@ -103,8 +103,7 @@ class SuspensionInput:
                     f"consumed generator does not anti-commute with "
                     f"generator {m} (deviation {dev:.3e})")
         checked = [K] if self.i_index is None else [K, gens[self.i_index]]
-        devs = np.max([_pseudo_deviations(g, self.bundle.frames)
-                       for g in checked], axis=0)
+        devs = _pseudo_deviations(checked, self.bundle.frames)
         bad = [(p, devs[p]) for p in np.flatnonzero(devs > ALG_TOL)]
         if bad:
             head = ", ".join(f"{p} ({dev:.3e})" for p, dev in bad[:4])

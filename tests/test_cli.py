@@ -1,18 +1,22 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from fermibundle.bundles import Bundle, make_sphere_grid, serialize_bundle
+from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
+                                 make_sphere_grid, serialize_bundle)
 from fermibundle.cli import main
-from fermibundle.invariants import chern_number, component_index_ai
+from fermibundle.invariants import (chern_number, component_index_ai,
+                                    kane_mele_z2)
 from fermibundle.nambu import make_nambu
 from fermibundle.planes import vacuum_plane
-from fermibundle.suspension import (SuspensionInput, example_kitaev_chain,
-                                    suspend)
+from fermibundle.suspension import (SuspensionInput, example_dIII,
+                                    example_kitaev_chain, suspend)
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   true_symmetries)
+from helpers import random_suspension_inputs, regauge
 
 
 def run(*argv):
@@ -370,3 +374,135 @@ def test_tolerance_environment_override(tmp_path, monkeypatch):
     assert run("validate", "--input", out) == 2
     monkeypatch.setenv("FERMIBUNDLE_TOL", "abc")
     assert run("validate", "--input", out) == 2
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+@pytest.mark.parametrize("content", [
+    b'{"n": "\xff"}', b"[" * 100_000, b'{"n": 1' + b"0" * 5000 + b"}",
+], ids=["invalid utf-8", "deep nesting", "5001-digit integer"])
+def test_undecodable_files_exit_2(tmp_path, capsys, content, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    capsys.readouterr()
+    assert run("validate", flag, bad) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, fragment", [
+    ("fiber", "fibers[2].frame: entry (0, 0) is too large"),
+    ("generator", "class.generators[0].matrix: entry (0, 1) is too large"),
+])
+def test_oversized_integer_entries_exit_2(tmp_path, capsys, where, fragment):
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", out)
+    data = _load(out)
+    if where == "fiber":
+        data["fibers"][2]["frame"][0][0] = [10**400, 0]
+    else:
+        data["class"]["generators"][0]["matrix"][0][1] = [10**400, 0]
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def _bits(frames):
+    """Frames as raw 64-bit words, so that the sign of zero counts."""
+    return np.ascontiguousarray(frames).view(np.int64)
+
+
+def _read_bundle(path):
+    return deserialize_bundle(json.loads(path.read_text()))
+
+
+def test_cli_files_round_trip_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(29)
+    pairs = []
+    for i, inp in enumerate(random_suspension_inputs(rng, copies=1)):
+        src, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}.json"
+        src.write_text(json.dumps(serialize_bundle(inp.bundle)))
+        argv = ["suspend", "--input", src, "--k-index", inp.k_index,
+                "--points", 8, "--output", out]
+        if inp.i_index is not None:
+            argv += ["--i-index", inp.i_index]
+        assert run(*argv) == 0
+        pairs += [(inp.bundle, _read_bundle(src)),
+                  (suspend(inp, points=8), _read_bundle(out))]
+    chain, doubled = tmp_path / "chain.json", tmp_path / "doubled.json"
+    assert run("example", "--name", "kitaev_chain", "--n", 8,
+               "--n-plus", 3, "--N", 16, "--output", chain) == 0
+    assert run("doubling", "--input", chain, "--output", doubled) == 0
+    ref = example_kitaev_chain(8, 3, N=16)
+    pairs += [(ref, _read_bundle(chain)),
+              (double_bundle(ref), _read_bundle(doubled))]
+    negative_zeros = 0
+    for want, got in pairs:
+        assert np.array_equal(_bits(got.frames), _bits(want.frames))
+        for g, h in zip(want.cset.generators, got.cset.generators):
+            assert np.array_equal(_bits(h.matrix), _bits(g.matrix))
+        parts = want.frames.view(float)
+        negative_zeros += np.count_nonzero((parts == 0) & np.signbit(parts))
+    assert negative_zeros > 0
+
+
+def test_indented_files_load_bit_for_bit(tmp_path):
+    bundle = suspend(random_suspension_inputs(
+        np.random.default_rng(31), copies=1)[3], points=8)
+    path = tmp_path / "indented.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(serialize_bundle(bundle), fh, indent=2)
+        fh.write("\n")
+    assert run("validate", "--input", path) == 0
+    assert np.array_equal(_bits(_read_bundle(path).frames),
+                          _bits(bundle.frames))
+
+
+def _set_cell(r, c, value):
+    def mangle(entry):
+        entry["frame"][r][c] = value
+    return mangle
+
+
+@pytest.mark.parametrize("mangle, fragment", [
+    (_set_cell(0, 0, [True, 0.0]), "fibers[63].frame: entry (0, 0)"),
+    (_set_cell(1, 1, ["0.5", 0.0]), "fibers[63].frame: entry (1, 1)"),
+    (_set_cell(2, 0, [None, 0.0]), "fibers[63].frame: entry (2, 0)"),
+    (_set_cell(3, 1, [0.0, 0.0, 0.0]), "fibers[63].frame: entry (3, 1)"),
+    (lambda e: e["frame"][3].pop(), "fibers[63].frame: row 3 has length 1"),
+    (lambda e: e["frame"][0].__setitem__(
+        0, [[x] for x in e["frame"][0][0]]), "fibers[63].frame: entry (0, 0)"),
+    (lambda e: e.update(rank=1), "fibers[63].frame: shape (4, 2)"),
+    (lambda e: e.update(rank=1, frame=[[[1.0, 0.0]], [[0.0, 0.0]],
+                                       [[0.0, 0.0]], [[0.0, 0.0]]]),
+     "fibers have mixed ranks [1, 2]"),
+], ids=["boolean", "string", "null", "triple", "ragged row",
+        "extra nesting", "rank field", "mixed rank"])
+def test_malformed_last_fiber_exits_2(tmp_path, capsys, mangle, fragment):
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 1,
+        "--N", 64, "--output", out)
+    data = _load(out)
+    mangle(data["fibers"][63])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_kane_mele_csv_pins_the_scalar_abs_and_angle(tmp_path, capsys):
+    # a random gauge gives the Pfaffian field generic phases; numpy's
+    # vectorised complex abs differs from the scalar one on some of them
+    bundle = regauge(example_dIII(N=16), np.random.default_rng(5))
+    path, table = tmp_path / "diii.json", tmp_path / "km.csv"
+    path.write_text(json.dumps(serialize_bundle(bundle)))
+    assert run("invariant", "--input", path, "--kind", "kane_mele_z2",
+               "--csv", table) == 0
+    field = kane_mele_z2(bundle, bundle.cset.generators[0]
+                         ).diagnostics["field"]
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(field)
+    for row, f in zip(rows, field):
+        assert row["abs_pf"] == repr(float(abs(f)))
+        assert row["arg_pf"] == repr(float(np.angle(f)))
