@@ -9,8 +9,8 @@ neighboring fibers stay close.
 
 from __future__ import annotations
 
+import base64
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .nambu import CliffordSet, Generator, NambuSpace, _frozen, make_nambu
+from .nambu import (CliffordSet, Generator, NambuSpace, _frozen,
+                    _require_finite, make_nambu)
 from .planes import (Plane, _blocks, _check_frames, _dagger,
                      _pseudo_deviations, _spectral_norms)
-from .symmetry import CLASS_TABLE, double_one_one, lift_plane
+from .symmetry import CLASS_TABLE, double_one_one, lift_frames
 from .tolerances import ALG_TOL, CONTINUITY_TOL
 
 
@@ -136,18 +137,11 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
                             _frozen(anti), edges, trims)
     ks = _circle_angles(N)
     ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
-    pts = np.zeros((size, 2))
-    for j in range(M):
-        pts[j * N:(j + 1) * N, 0] = ks
-        pts[j * N:(j + 1) * N, 1] = ts[j]
     south, north = N * M, N * M + 1
-    pts[south] = (0.0, -math.pi / 2)
-    pts[north] = (0.0, math.pi / 2)
-    anti = np.empty(size, dtype=int)
-    for j in range(M):
-        for i in range(N):
-            anti[j * N + i] = (M - 1 - j) * N + (N - i) % N
-    anti[south], anti[north] = north, south
+    pts = np.vstack([np.column_stack([np.tile(ks, M), np.repeat(ts, N)]),
+                     [(0.0, -math.pi / 2), (0.0, math.pi / 2)]])
+    j, i = np.divmod(np.arange(N * M), N)
+    anti = np.append((M - 1 - j) * N + (N - i) % N, [north, south])
     edges = []
     for j in range(M):
         edges.extend(((j * N + i, j * N + (i + 1) % N) for i in range(N)))
@@ -274,12 +268,10 @@ class BundleReport:
 
     def rows(self, grid: MomentumGrid):
         """Per-point report rows (index, coordinates..., pseudo, fermi)."""
-        out = []
-        for p in range(grid.size):
-            coords = tuple(grid.points[p])
-            fermi = float("nan") if self.fermi_max is None else self.fermi_max[p]
-            out.append((p, *coords, self.pseudo_max[p], fermi))
-        return out
+        fermi = (np.full(grid.size, np.nan) if self.fermi_max is None
+                 else self.fermi_max)
+        return [(p, *grid.points[p], self.pseudo_max[p], fermi[p])
+                for p in range(grid.size)]
 
 
 def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
@@ -376,10 +368,16 @@ def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
 
 
 def serialize_bundle(bundle: Bundle) -> dict:
-    """Encode a bundle as a JSON-compatible dict (version 1 layout)."""
+    """Encode a bundle as a JSON-compatible dict (version 2 layout).
+
+    ``frames`` is ``{"dtype": "<c16", "shape": [P, 2n, m], "base64": ...}``,
+    the frame array's little-endian complex128 bytes in C order, so every
+    float reads back exactly; generator matrices are ``[re, im]`` pairs.
+    """
     grid = bundle.grid
+    frames = np.ascontiguousarray(bundle.frames, dtype="<c16")
     return {
-        "version": 1,
+        "version": 2,
         "class": {
             "label": bundle.label,
             "s": len(bundle.cset),
@@ -391,10 +389,8 @@ def serialize_bundle(bundle: Bundle) -> dict:
         },
         "n": bundle.space.n,
         "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
-        "fibers": [
-            {"rank": bundle.rank, "frame": F}
-            for F in _complex_to_json(bundle.frames)
-        ],
+        "frames": {"dtype": "<c16", "shape": list(frames.shape),
+                   "base64": base64.b64encode(frames).decode("ascii")},
     }
 
 
@@ -412,56 +408,60 @@ def _need(data, key, path, kind=None):
     return val
 
 
-def _frames_from_json(fdata, dim):
-    """All fiber frames of a well-formed ``fibers`` list, in one batch.
-
-    Returns the (P, dim, m) complex array, bit-identical to decoding each
-    entry with :func:`_complex_from_json`, when every entry is an object
-    whose ``rank`` is the same integer m in [1, dim - 1] and whose
-    ``frame`` is a dim x m list of [re, im] pairs of JSON numbers
-    (exactly ``int`` or ``float``).  Returns None otherwise; the
-    per-fiber decoder then names the first bad entry, or decodes the
-    other number types a Python caller may pass.
-    """
-    rank = fdata[0].get("rank") if isinstance(fdata[0], dict) else None
-    if type(rank) is not int or not 1 <= rank <= dim - 1:
-        return None
+def _frames_v1(data, size, dim):
+    """The frame array of a version-1 ``fibers`` list, fiber by fiber."""
+    fdata = _need(data, "fibers", "", list)
+    if len(fdata) != size:
+        raise InputError(
+            f"fibers: expected {size} entries, got {len(fdata)}")
     frames = []
-    for entry in fdata:
-        if not isinstance(entry, dict) or type(entry.get("rank")) is not int \
-                or entry["rank"] != rank:
-            return None
-        frames.append(entry.get("frame"))
-    chain = itertools.chain.from_iterable
-    if set(map(type, frames)) != {list} or set(map(len, frames)) != {dim}:
-        return None
-    rows = list(chain(frames))
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {rank}:
-        return None
-    cells = list(chain(rows))
-    if set(map(type, cells)) != {list} or set(map(len, cells)) != {2}:
-        return None
-    # JSON numbers decode to exactly int and float; bool, str, None and
-    # lists fall through to the per-fiber decoder
-    leaves = list(chain(cells))
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
+    for p, entry in enumerate(fdata):
+        path = f"fibers[{p}]"
+        rank = _need(entry, "rank", path, int)
+        if not 1 <= rank <= dim - 1:
+            raise InputError(f"{path}.rank: out of range value {rank}")
+        frames.append(_complex_from_json(
+            _need(entry, "frame", path, list), f"{path}.frame", dim, rank))
+    ranks = sorted({F.shape[1] for F in frames})
+    if len(ranks) != 1:
+        raise InputError(f"fibers have mixed ranks {ranks}")
+    return np.stack(frames)
+
+
+def _frames_v2(data, size, dim):
+    """The frame array of a version-2 base64 ``frames`` payload."""
+    fdata = _need(data, "frames", "", dict)
+    dtype = _need(fdata, "dtype", "frames", str)
+    if dtype != "<c16":
+        raise InputError(f"frames.dtype: expected '<c16', got {dtype!r}")
+    shape = _need(fdata, "shape", "frames", list)
+    # exact ints: JSON true/false decode to bool, a subclass of int
+    if ([type(v) for v in shape] != [int] * 3 or shape[:2] != [size, dim]
+            or not 1 <= shape[2] < dim):
+        raise InputError(f"frames.shape: expected [{size}, {dim}, m] with "
+                         f"1 <= m < {dim}, got {shape!r}")
+    text = _need(fdata, "base64", "frames", str)
     try:
-        values = np.array(leaves, dtype=float)
-    except OverflowError:
-        return None
-    return values.view(complex).reshape(len(frames), dim, rank)
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:       # binascii.Error, or a non-ASCII str
+        raise InputError(f"frames.base64: not valid base64: {exc}") from exc
+    if len(raw) != 16 * math.prod(shape):
+        raise InputError(f"frames.base64: {len(raw)} bytes do not fill {shape}")
+    frames = np.frombuffer(raw, dtype="<c16").reshape(shape)
+    _require_finite(frames, "frames.base64")
+    return frames
 
 
 def deserialize_bundle(data: dict) -> Bundle:
-    """Rebuild a bundle from its dict encoding.
+    """Rebuild a bundle from its dict encoding, version 2 or version 1.
 
-    Raises ``InputError`` naming the offending path for structural
-    problems.  Mathematically invalid content (a non-unitary generator, a
-    skew frame) surfaces as ``ValidationError`` from the constructors.
+    Version 1 holds one ``{"rank", "frame"}`` object per grid point and is
+    decoded fiber by fiber.  Structural problems raise ``InputError`` naming
+    the offending path, before the grid is built; invalid content (a skew
+    frame) raises ``ValidationError`` from the constructors.
     """
     version = _need(data, "version", "", int)
-    if version != 1:
+    if version not in (1, 2):
         raise InputError(f"version: unsupported value {version}")
     n = _need(data, "n", "", int)
     if n < 1:
@@ -502,36 +502,18 @@ def deserialize_bundle(data: dict) -> Bundle:
             f"class.signature: declares {sig}, generators give "
             f"{list(cset.signature)}")
 
-    fdata = _need(data, "fibers", "", list)
-    if len(fdata) != size:
-        raise InputError(
-            f"fibers: expected {size} entries, got {len(fdata)}")
-    grid = make_sphere_grid(d, N, M)
-    frames = _frames_from_json(fdata, dim)
-    if frames is None:
-        frames = []
-        for p, entry in enumerate(fdata):
-            path = f"fibers[{p}]"
-            rank = _need(entry, "rank", path, int)
-            if not 1 <= rank <= dim - 1:
-                raise InputError(f"{path}.rank: out of range value {rank}")
-            frames.append(_complex_from_json(
-                _need(entry, "frame", path, list), f"{path}.frame", dim, rank))
-        ranks = sorted({F.shape[1] for F in frames})
-        if len(ranks) != 1:
-            raise InputError(f"fibers have mixed ranks {ranks}")
-        frames = np.stack(frames)
-    return Bundle(space, cset, grid, frames, label)
+    frames = (_frames_v1 if version == 1 else _frames_v2)(data, size, dim)
+    return Bundle(space, cset, make_sphere_grid(d, N, M), frames, label)
 
 
 def double_bundle(bundle: Bundle) -> Bundle:
     """Apply (1,1)-doubling to every part of a bundle.
 
     The space doubles, the Clifford set is extended by the copy-swap and
-    copy-sign generators, and each fiber is lifted.  The class label (when
-    present) is unchanged: doubling shifts the signature by (1,1) and
-    therefore stays in the same class.
+    copy-sign generators, and all fibers are lifted in one batch.  The
+    class label (when present) is unchanged: doubling shifts the
+    signature by (1,1) and therefore stays in the same class.
     """
     doubled, big = double_one_one(bundle.space, bundle.cset)
-    fibers = tuple(lift_plane(A) for A in bundle.fibers)
-    return Bundle(doubled, big, bundle.grid, fibers, bundle.label)
+    _, frames = lift_frames(bundle.space, bundle.frames)
+    return Bundle(doubled, big, bundle.grid, frames, bundle.label)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -117,7 +118,6 @@ def _tolerance(explicit):
         except ValueError as exc:
             raise InputError(
                 f"FERMIBUNDLE_TOL={raw!r} is not a number") from exc
-    explicit = float(explicit)
     if not 0.0 < explicit <= 1e-3:
         raise InputError(f"tolerance {explicit} is outside (0, 1e-3]")
     return explicit
@@ -143,7 +143,20 @@ def _apply_config(args):
         cfg = data
     for key, hard in defaults.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, cfg.get(key, hard))
+            value, flag = cfg.get(key), args._flags[key]
+            if value is not None and not _fits(value, flag):
+                raise InputError(f"config key {key!r}: {value!r} is not a "
+                                 f"valid {flag.option_strings[0]} value")
+            setattr(args, key, hard if value is None else value)
+
+
+def _fits(value, flag):
+    """Whether a config value is one that the flag's parser could produce."""
+    if flag.nargs == 0:             # a store_true switch
+        return type(value) is bool
+    if flag.type is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is (flag.type or str)
 
 
 # ------------------------------------------------------------ subcommands
@@ -153,14 +166,11 @@ def _cmd_example(args):
     _require(args, "name", "output")
     name = str(args.name).lower().replace("-", "_")
     if name == "majorana":
-        bundle = example_majorana(occupied_at_zero=not args.trivial,
-                                  N=int(args.N))
+        bundle = example_majorana(not args.trivial, N=args.N)
     elif name == "diii":
-        rows = None if args.M is None else int(args.M)
-        bundle = example_dIII(N=int(args.N), rows=rows)
+        bundle = example_dIII(N=args.N, rows=args.M)
     elif name == "kitaev_chain":
-        bundle = example_kitaev_chain(int(args.n), int(args.n_plus),
-                                      N=int(args.N))
+        bundle = example_kitaev_chain(args.n, args.n_plus, N=args.N)
     else:
         raise InputError(f"unknown example {args.name!r}")
     _write_json(args.output, serialize_bundle(bundle))
@@ -192,10 +202,8 @@ def _cmd_validate(args):
 def _cmd_suspend(args):
     _require(args, "input", "output", "k_index")
     bundle = _load_bundle(args.input)
-    i_index = None if args.i_index is None else int(args.i_index)
-    inp = SuspensionInput(bundle, int(args.k_index), i_index)
-    rows = None if args.rows is None else int(args.rows)
-    out = suspend(inp, points=int(args.points), rows=rows)
+    inp = SuspensionInput(bundle, args.k_index, args.i_index)
+    out = suspend(inp, points=args.points, rows=args.rows)
     _write_json(args.output, serialize_bundle(out))
     print(f"wrote {args.output} (class {out.label}, d={out.grid.d}, "
           f"{out.grid.size} points)")
@@ -203,7 +211,6 @@ def _cmd_suspend(args):
 
 
 def _pick(items, index, what):
-    index = int(index)
     if not 0 <= index < len(items):
         raise InputError(
             f"{what} index {index} out of range for {len(items)} {what}s")
@@ -273,6 +280,8 @@ def _cmd_doubling(args):
 # ----------------------------------------------------------- entry point
 
 
+# parse_args leaves the parser unchanged, so one serves every main() call
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fermibundle",
@@ -284,7 +293,9 @@ def _build_parser():
         p.add_argument("--config", help="JSON object of option values; "
                                         "explicit flags win")
         build(p)
-        p.set_defaults(func=func, _defaults=defaults)
+        flags = {action.dest: action for action in p._actions}
+        p.set_defaults(func=func, _defaults=defaults,
+                       _flags={key: flags[key] for key in defaults})
 
     def build_example(p):
         p.add_argument("--name",

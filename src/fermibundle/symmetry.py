@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, ValidationError
 from .nambu import CliffordSet, Generator, NambuSpace, make_nambu
-from .planes import Plane, complement, plane_distance
+from .planes import Plane, plane_distance
 from .tolerances import ALG_TOL, RANK_TOL
 
 _SIGMA = (
@@ -299,6 +299,24 @@ def double_one_one(space: NambuSpace, cset: CliffordSet):
     return doubled, CliffordSet(doubled, tuple(gens))
 
 
+def lift_frames(space: NambuSpace, frames: np.ndarray):
+    """Lift a (P, 2n, n) frame stack as :func:`lift_plane` lifts a frame;
+    returns the doubled space and the (P, 4n, 2n) lifted frames."""
+    nb = space.n
+    if frames.shape[2] != nb:
+        raise InputError(
+            f"lift needs a rank-{nb} plane, got rank {frames.shape[2]}")
+    doubled = make_nambu(2 * nb)
+    idx1, idx2 = copy_indices(doubled)
+    Fc = np.linalg.svd(frames, full_matrices=True)[0][:, :, nb:]
+    out = np.zeros((len(frames), doubled.dim, 2 * nb), dtype=complex)
+    out[:, idx1, :nb] = frames / np.sqrt(2)
+    out[:, idx2, :nb] = frames / np.sqrt(2)
+    out[:, idx1, nb:] = Fc / np.sqrt(2)
+    out[:, idx2, nb:] = -Fc / np.sqrt(2)
+    return doubled, out
+
+
 def lift_plane(A: Plane) -> Plane:
     """Lift a half-rank plane through the doubling bijection.
 
@@ -307,19 +325,8 @@ def lift_plane(A: Plane) -> Plane:
     every extended pseudo-symmetry, and it satisfies the Fermi constraint
     whenever A does.
     """
-    nb = A.space.n
-    if A.rank != nb:
-        raise InputError(f"lift needs a rank-{nb} plane, got rank {A.rank}")
-    doubled = make_nambu(2 * nb)
-    idx1, idx2 = copy_indices(doubled)
-    F = A.frame
-    Fc = complement(A).frame
-    out = np.zeros((doubled.dim, 2 * nb), dtype=complex)
-    out[idx1, :nb] = F / np.sqrt(2)
-    out[idx2, :nb] = F / np.sqrt(2)
-    out[idx1, nb:] = Fc / np.sqrt(2)
-    out[idx2, nb:] = -Fc / np.sqrt(2)
-    return Plane(doubled, out)
+    doubled, out = lift_frames(A.space, A.frame[None])
+    return Plane(doubled, out[0])
 
 
 def unlift_plane(At: Plane) -> Plane:

@@ -7,7 +7,8 @@ calling test controls the seed.
 import numpy as np
 from scipy.linalg import expm
 
-from fermibundle.bundles import Bundle, double_bundle, make_sphere_grid
+from fermibundle.bundles import (Bundle, _complex_to_json, double_bundle,
+                                 make_sphere_grid)
 from fermibundle.nambu import CliffordSet, make_nambu
 from fermibundle.planes import Plane, vacuum_plane
 from fermibundle.suspension import SuspensionInput, suspend
@@ -116,3 +117,27 @@ def random_suspension_inputs(rng, copies=20):
         ring2 = suspend(SuspensionInput(d2, 1, 0), points=8)
         inputs.append(SuspensionInput(double_bundle(ring2), 2, 1))
     return inputs
+
+
+def v1_document(bundle):
+    """The version-1 dict encoding of a bundle: one ``{"rank", "frame"}``
+    object per grid point, every complex entry an ``[re, im]`` pair."""
+    grid = bundle.grid
+    return {
+        "version": 1,
+        "class": {
+            "label": bundle.label,
+            "s": len(bundle.cset),
+            "signature": list(bundle.cset.signature),
+            "generators": [
+                {"matrix": _complex_to_json(g.matrix), "parity": g.parity}
+                for g in bundle.cset.generators
+            ],
+        },
+        "n": bundle.space.n,
+        "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
+        "fibers": [
+            {"rank": bundle.rank, "frame": F}
+            for F in _complex_to_json(bundle.frames)
+        ],
+    }

@@ -1,5 +1,8 @@
+import base64
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,14 +15,16 @@ from fermibundle.bundles import (
     serialize_bundle,
     validate_bundle,
 )
-from helpers import nudge, random_suspension_inputs
+from helpers import nudge, random_suspension_inputs, regauge, v1_document
 
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
-from fermibundle.planes import Plane, plane_distance, pseudo_check, vacuum_plane
+from fermibundle.planes import (Plane, complement, plane_distance, pseudo_check,
+                               vacuum_plane)
 from fermibundle.suspension import (example_kitaev_chain, example_majorana,
                                     suspend)
-from fermibundle.symmetry import imaginary_realization
+from fermibundle.symmetry import (copy_indices, imaginary_realization,
+                                  lift_plane)
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +364,22 @@ def test_serialize_round_trip_is_exact():
 
 def test_serialize_layout():
     data = serialize_bundle(_constant_creator_bundle(N=4))
-    assert data["version"] == 1
+    assert set(data) == {"version", "class", "n", "grid", "frames"}
+    assert data["version"] == 2
     assert data["n"] == 1
     assert data["grid"] == {"d": 1, "N": 4, "M": None}
     assert data["class"]["s"] == 1
     assert data["class"]["signature"] == [0, 1]
-    entry = data["fibers"][0]
-    assert entry["rank"] == 1
-    assert entry["frame"] == [[[0.0, 0.0]], [[1.0, 0.0]]]
+    # every fiber is the frame [[0], [1]]: little-endian (re, im) doubles
+    fiber = struct.pack("<4d", 0.0, 0.0, 1.0, 0.0)
+    assert data["frames"] == {
+        "dtype": "<c16", "shape": [4, 2, 1],
+        "base64": base64.b64encode(fiber * 4).decode("ascii")}
 
 
 @pytest.mark.parametrize("mangle, fragment", [
     (lambda d: d.pop("fibers"), "fibers"),
-    (lambda d: d.update(version=2), "version"),
+    (lambda d: d.update(version=3), "version"),
     (lambda d: d["class"]["generators"][0].update(parity="odd"), "parity"),
     (lambda d: d["fibers"].pop(), "fibers"),
     (lambda d: d["fibers"][2]["frame"][0].pop(), "fibers[2].frame"),
@@ -379,7 +387,7 @@ def test_serialize_layout():
     (lambda d: d["grid"].pop("d"), "grid.d"),
 ])
 def test_deserialize_reports_offending_path(mangle, fragment):
-    data = serialize_bundle(_constant_creator_bundle(N=4))
+    data = v1_document(_constant_creator_bundle(N=4))
     mangle(data)
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
@@ -392,15 +400,27 @@ def test_deserialize_checks_fiber_count_before_building_the_grid(
         raise AssertionError("grid built before the fiber count check")
 
     monkeypatch.setattr("fermibundle.bundles.make_sphere_grid", refuse)
-    data = serialize_bundle(_constant_creator_bundle(N=4))
+    data = v1_document(_constant_creator_bundle(N=4))
     data["grid"] = {"d": 2, "N": 10**6, "M": 10**6}
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
     assert "fibers" in str(err.value)
 
 
-def test_deserialize_rejects_skew_frame():
+def test_v2_shape_is_checked_before_building_the_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("grid built before the frame shape check")
+
+    monkeypatch.setattr("fermibundle.bundles.make_sphere_grid", refuse)
     data = serialize_bundle(_constant_creator_bundle(N=4))
+    data["grid"] = {"d": 2, "N": 10**6, "M": 10**6}
+    with pytest.raises(InputError) as err:
+        deserialize_bundle(data)
+    assert str(err.value).startswith("frames.shape: expected [1000000000002")
+
+
+def test_deserialize_rejects_skew_frame():
+    data = v1_document(_constant_creator_bundle(N=4))
     data["fibers"][0]["frame"][0] = [[0.7, 0.0]]
     with pytest.raises(ValidationError):
         deserialize_bundle(data)
@@ -419,3 +439,72 @@ def test_double_bundle_lifts_everything():
     assert bb.label == "BDI"
     report = validate_bundle(bb)
     assert report.ok
+
+
+def _bits(frames):
+    """Frames as raw 64-bit words, so that the sign of zero counts."""
+    return np.ascontiguousarray(frames).view(np.int64)
+
+
+def _reference_lift(A):
+    """The lift of one plane, from its own complement SVD."""
+    nb = A.space.n
+    idx1, idx2 = copy_indices(make_nambu(2 * nb))
+    F, Fc = A.frame, complement(A).frame
+    out = np.zeros((4 * nb, 2 * nb), dtype=complex)
+    out[idx1, :nb] = F / np.sqrt(2)
+    out[idx2, :nb] = F / np.sqrt(2)
+    out[idx1, nb:] = Fc / np.sqrt(2)
+    out[idx2, nb:] = -Fc / np.sqrt(2)
+    return out
+
+
+@pytest.mark.parametrize("n, n_plus, N, gauge", [
+    (8, 3, 128, False), (1, 1, 64, False), (8, 8, 32, False),
+    (3, 2, 16, True)])
+def test_double_bundle_matches_the_per_fiber_lift(n, n_plus, N, gauge):
+    b = example_kitaev_chain(n, n_plus, N=N)
+    if gauge:       # generic frame entries, not only 0, 1 and cos/sin
+        b = regauge(b, np.random.default_rng(3))
+    batched = _bits(double_bundle(b).frames)
+    assert np.array_equal(batched, _bits(np.stack(
+        [lift_plane(A).frame for A in b.fibers])))
+    assert np.array_equal(batched, _bits(np.stack(
+        [_reference_lift(A) for A in b.fibers])))
+
+
+def test_double_bundle_refuses_the_rank_lift_plane_refuses():
+    sp = make_nambu(2)
+    b = Bundle(sp, CliffordSet(sp, ()), make_sphere_grid(0),
+               np.eye(4, dtype=complex)[None, :, :1].repeat(2, axis=0))
+    with pytest.raises(InputError) as batched:
+        double_bundle(b)
+    with pytest.raises(InputError) as single:
+        lift_plane(b.fibers[0])
+    assert str(batched.value) == str(single.value) == (
+        "lift needs a rank-2 plane, got rank 1")
+
+
+# ---------------------------------------------------------------------------
+# version-1 files written before the version-2 layout
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name, bundle", [
+    ("kitaev_chain_2_1_N8_v1.json", example_kitaev_chain(2, 1, N=8)),
+    ("kitaev_chain_2_1_N8_v1_indented.json", example_kitaev_chain(2, 1, N=8)),
+    ("majorana_N8_v1.json", example_majorana(N=8)),
+])
+def test_checked_in_v1_files_load_bit_for_bit(name, bundle):
+    data = json.loads((DATA / name).read_text())
+    assert data["version"] == 1 and "fibers" in data
+    back = deserialize_bundle(data)
+    assert np.array_equal(_bits(back.frames), _bits(bundle.frames))
+    assert len(back.cset) == len(bundle.cset)
+    for g, h in zip(bundle.cset.generators, back.cset.generators):
+        assert np.array_equal(_bits(h.matrix), _bits(g.matrix))
+        assert h.parity == g.parity
+    assert (back.label, back.grid.d, back.grid.N) == (
+        bundle.label, bundle.grid.d, bundle.grid.N)

@@ -1,6 +1,8 @@
+import base64
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from fermibundle.suspension import (SuspensionInput, example_dIII,
                                     example_kitaev_chain, suspend)
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   true_symmetries)
-from helpers import random_suspension_inputs, regauge
+from helpers import random_suspension_inputs, regauge, v1_document
 
 
 def run(*argv):
@@ -33,7 +35,7 @@ def test_example_writes_a_bundle(tmp_path, capsys):
                "--output", out) == 0
     assert "wrote" in capsys.readouterr().out
     data = _load(out)
-    assert data["version"] == 1
+    assert data["version"] == 2
     assert data["grid"]["N"] == 16
     assert data["class"]["label"] == "D"
 
@@ -78,7 +80,7 @@ def test_validate_clean_bundle(tmp_path, capsys):
 def test_validate_flags_a_corrupted_fiber(tmp_path, capsys):
     out = tmp_path / "maj.json"
     run("example", "--name", "majorana", "--N", 16, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     data["fibers"][3]["frame"] = [[[1.0, 0.0]], [[0.0, 0.0]]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -228,7 +230,7 @@ def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     if where == "fiber":
         data["fibers"][3]["frame"][0][0] = [bad, 0.0]
     else:
@@ -248,7 +250,7 @@ def test_booleans_are_not_integers(tmp_path, mangle):
     sp = make_nambu(1)
     pair = Bundle(sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
                   (vacuum_plane(sp),) * 2, "BDI")
-    data = serialize_bundle(pair)
+    data = v1_document(pair)
     out = tmp_path / "pair.json"
     out.write_text(json.dumps(data))
     assert run("validate", "--input", out) == 0
@@ -272,7 +274,7 @@ def test_invariant_parity_of_the_majorana_zero_fiber(tmp_path, capsys):
 def test_exit_code_for_validation_errors(tmp_path, capsys):
     out = tmp_path / "maj.json"
     run("example", "--name", "majorana", "--N", 8, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     # span{(c + c^dagger)/sqrt(2)} is a unit line but not Lagrangian
     data["fibers"][4]["frame"] = [[[math.sqrt(0.5), 0.0]],
                                   [[math.sqrt(0.5), 0.0]]]
@@ -331,7 +333,7 @@ def test_bad_frames_exit_codes(tmp_path, capsys, frame, code, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     data["fibers"][5]["frame"] = frame
     out.write_text(json.dumps(data))
     capsys.readouterr()
@@ -396,7 +398,7 @@ def test_oversized_integer_entries_exit_2(tmp_path, capsys, where, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     if where == "fiber":
         data["fibers"][2]["frame"][0][0] = [10**400, 0]
     else:
@@ -482,7 +484,7 @@ def test_malformed_last_fiber_exits_2(tmp_path, capsys, mangle, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 1,
         "--N", 64, "--output", out)
-    data = _load(out)
+    data = v1_document(_read_bundle(out))
     mangle(data["fibers"][63])
     out.write_text(json.dumps(data))
     capsys.readouterr()
@@ -506,3 +508,188 @@ def test_kane_mele_csv_pins_the_scalar_abs_and_angle(tmp_path, capsys):
     for row, f in zip(rows, field):
         assert row["abs_pf"] == repr(float(abs(f)))
         assert row["arg_pf"] == repr(float(np.angle(f)))
+
+
+# ---------------------------------------------------------------------------
+# version-2 frame payloads
+
+
+def _chain_file(tmp_path):
+    out = tmp_path / "chain.json"
+    assert run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+               "--N", 8, "--output", out) == 0
+    return out
+
+
+def _payload(frames):
+    return base64.b64encode(np.ascontiguousarray(frames, "<c16")).decode()
+
+
+def _with_frame(p, frame):
+    def mangle(f):
+        F = np.frombuffer(base64.b64decode(f["base64"]), "<c16").reshape(
+            f["shape"]).copy()
+        F[p] = frame
+        f["base64"] = _payload(F)
+    return mangle
+
+
+@pytest.mark.parametrize("mangle, fragment", [
+    (lambda f: f.update(base64="*" + f["base64"][1:]), "frames.base64: not"),
+    (lambda f: f.update(base64=f["base64"][:4] + "!\n!!" + f["base64"][4:]),
+     "frames.base64: not"),
+    (lambda f: f.update(base64="é" + f["base64"][1:]), "frames.base64: not"),
+    (lambda f: f.update(base64=f["base64"][:-1]), "frames.base64: not"),
+    (lambda f: f.update(base64=_payload(np.zeros(17))),
+     "frames.base64: 272 bytes do not fill [8, 2, 1]"),
+    (lambda f: f.update(base64=_payload(np.zeros(15))),
+     "frames.base64: 240 bytes"),
+    (lambda f: f.update(base64=list(f["base64"])), "frames.base64: wrong"),
+    (lambda f: f.pop("base64"), "frames.base64: missing"),
+    (lambda f: f.update(dtype="<c8"), "frames.dtype: expected '<c16'"),
+    (lambda f: f.update(dtype=">c16"), "frames.dtype: expected '<c16'"),
+    (lambda f: f.pop("dtype"), "frames.dtype: missing"),
+    (lambda f: f.update(shape=[8, 4, 1]), "frames.shape: expected [8, 2, m]"),
+    (lambda f: f.update(shape=[16, 2, 1]), "frames.shape: expected [8, 2, m]"),
+    (lambda f: f.update(shape=[8, 2, 2]), "frames.shape: expected [8, 2, m]"),
+    (lambda f: f.update(shape=[8, 2, True]), "frames.shape: expected"),
+    (lambda f: f.update(shape=[8.0, 2, 1]), "frames.shape: expected"),
+    (lambda f: f.update(shape=[8, 2]), "frames.shape: expected"),
+    (lambda f: f.update(shape="8,2,1"), "frames.shape: wrong type str"),
+    (_with_frame(3, [[float("nan")], [0.0]]),
+     "frames.base64 has non-finite entries"),
+    (_with_frame(6, [[0.0], [float("-inf")]]),
+     "frames.base64 has non-finite entries"),
+], ids=["non-base64 character", "inserted non-base64 characters",
+        "non-ascii character", "bad padding",
+        "too many bytes", "too few bytes", "payload not a string",
+        "payload missing", "dtype <c8", "dtype >c16", "dtype missing",
+        "shape against n", "shape against grid", "rank out of range",
+        "bool in shape", "float in shape", "two-entry shape", "string shape",
+        "nan", "inf"])
+def test_malformed_v2_frames_exit_2(tmp_path, capsys, mangle, fragment):
+    out = _chain_file(tmp_path)
+    data = _load(out)
+    mangle(data["frames"])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mangle, fragment", [
+    (lambda d: d.pop("frames"), "frames: missing"),
+    (lambda d: d.update(frames=[]), "frames: wrong type list"),
+    (lambda d: d.update(frames=None), "frames: wrong type NoneType"),
+], ids=["missing", "list", "null"])
+def test_v2_frames_must_be_an_object(tmp_path, capsys, mangle, fragment):
+    out = _chain_file(tmp_path)
+    data = _load(out)
+    mangle(data)
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_skew_v2_frame_is_a_validation_error(tmp_path, capsys):
+    out = _chain_file(tmp_path)
+    data = _load(out)
+    _with_frame(5, [[0.7], [0.0]])(data["frames"])
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run("validate", "--input", out) == 1
+    assert "not orthonormal at point 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_v2_files_keep_negative_zeros(tmp_path, capsys, indent):
+    chain = example_kitaev_chain(2, 1, N=8)
+    # -F spans the same plane as F; every +0.0 entry becomes -0.0
+    bundle = Bundle(chain.space, chain.cset, chain.grid, -chain.frames,
+                    chain.label)
+    parts = bundle.frames.view(float)
+    assert np.count_nonzero((parts == 0) & np.signbit(parts)) > 0
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(serialize_bundle(bundle), indent=indent))
+    assert (len(path.read_text().splitlines()) == 1) == (indent is None)
+    assert run("validate", "--input", path) == 0
+    doubled = tmp_path / "doubled.json"
+    assert run("doubling", "--input", path, "--output", doubled) == 0
+    for want, got in ((bundle, _read_bundle(path)),
+                      (double_bundle(bundle), _read_bundle(doubled))):
+        assert _load(doubled)["version"] == 2
+        assert np.array_equal(_bits(got.frames), _bits(want.frames))
+        for g, h in zip(want.cset.generators, got.cset.generators):
+            assert np.array_equal(_bits(h.matrix), _bits(g.matrix))
+
+
+def test_checked_in_v1_file_through_the_cli(tmp_path, capsys):
+    v1 = Path(__file__).parent / "data" / "kitaev_chain_2_1_N8_v1.json"
+    assert run("validate", "--input", v1) == 0
+    out = tmp_path / "doubled.json"
+    assert run("doubling", "--input", v1, "--output", out) == 0
+    assert _load(out)["version"] == 2
+    assert np.array_equal(
+        _bits(_read_bundle(out).frames),
+        _bits(double_bundle(example_kitaev_chain(2, 1, N=8)).frames))
+
+
+# ---------------------------------------------------------------------------
+# config value types
+
+
+@pytest.mark.parametrize("argv, text, key", [
+    (["validate", "--input", "{bundle}"], '{"tol": "x"}', "'tol'"),
+    (["validate", "--input", "{bundle}"], '{"tol": [1]}', "'tol'"),
+    (["validate", "--input", "{bundle}"], '{"tol": true}', "'tol'"),
+    (["validate", "--input", "{bundle}"], '{"tol": NaN}', "'tol'"),
+    (["validate", "--input", "{bundle}"], '{"tol": 1e400}', "'tol'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"N": "abc"}', "'N'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"N": [8]}', "'N'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"N": 1e400}', "'N'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"N": 8.0}', "'N'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"N": true}', "'N'"),
+    (["example", "--name", "dIII", "--output", "{out}"],
+     '{"M": "q"}', "'M'"),
+    (["example", "--name", "majorana", "--output", "{out}"],
+     '{"trivial": 1}', "'trivial'"),
+    (["example", "--output", "{out}"], '{"name": 7}', "'name'"),
+    (["invariant", "--input", "{bundle}", "--kind", "parity"],
+     '{"point_index": "z"}', "'point_index'"),
+    (["invariant", "--input", "{bundle}", "--kind", "parity"],
+     '{"point_index": 1.5}', "'point_index'"),
+    (["validate"], '{"input": 5}', "'input'"),
+], ids=["tol string", "tol list", "tol bool", "tol nan", "tol overflow",
+        "N string", "N list", "N overflow", "N float", "N bool", "M string",
+        "trivial int", "name int", "point_index string",
+        "point_index float", "input int"])
+def test_config_values_must_fit_their_flag(tmp_path, capsys, argv, text,
+                                           key):
+    bundle, out = tmp_path / "maj.json", tmp_path / "out.json"
+    assert run("example", "--name", "majorana", "--N", 8,
+               "--output", bundle) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    capsys.readouterr()
+    argv = [a.format(bundle=bundle, out=out) for a in argv]
+    assert run(*argv, "--config", cfg) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_null_means_the_default_and_does_not_persist(tmp_path):
+    out = tmp_path / "maj.json"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "majorana", "N": 16, "M": None,
+                               "output": str(out)}))
+    assert run("example", "--config", cfg) == 0
+    assert _load(out)["grid"]["N"] == 16
+    # one parser serves every call; the config must not leak into the next
+    assert run("example", "--name", "majorana", "--output", out) == 0
+    assert _load(out)["grid"]["N"] == 64
