@@ -28,12 +28,31 @@ from .tolerances import ALG_TOL, CONTINUITY_TOL
 
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
-    """A finite point set on S^d with antipodal and adjacency structure.
+    """A finite point set on S^d with antipodal and adjacency tables.
 
-    ``points`` holds one coordinate row per grid point: the suspension
+    Every table but the tuple ``trims`` is a read-only array.  ``points``
+    (P, 1 or 2) holds the coordinates of each point: the suspension
     parameter for d = 0, the momentum k for d = 1, and (k, t) for d = 2
-    where t is the polar coordinate of the suspension sphere.  ``antipode``
-    maps each point index to the index of the momentum-reversed point.
+    where t is the polar coordinate of the suspension sphere.  Sphere point
+    j N + i sits in column i of latitude row j, rows running south to
+    north, and the south then the north pole come last.  ``antipode`` (P,)
+    maps a point to the momentum-reversed point, and ``trims`` lists its
+    fixed points.
+
+    ``edges`` (E, 2) are the neighbor pairs, columns taken mod N: (i, i + 1)
+    on the circle; on the sphere the ring edges row by row, the vertical
+    edges, the south spokes (south, i), then the north spokes (i, north).
+    ``plaquettes`` (Q, 4), empty off the sphere, are the oriented faces:
+    for each column i, the south triangle, the quads going north and the
+    north triangle, so face q = i (M + 1) + r lies between rows r - 1 and
+    r, the poles counting as rows -1 and M.  A triangle repeats its first
+    corner last; face q has the edges plaquettes[q, c] to
+    plaquettes[q, (c + 1) % 4], a triangle's fourth being degenerate.
+    ``plaquette_antipode`` (Q,) maps a face to the face on the antipodal
+    corners.  ``links`` (E, 2) and ``slots`` (Q, 4) are the
+    Fukui-Hatsugai-Suzuki link tables: each distinct face edge in the
+    orientation of its first traversal, and the link e of each face edge,
+    e + E when it runs against links[e], 2 E when it is degenerate.
     """
 
     d: int
@@ -41,9 +60,12 @@ class MomentumGrid:
     M: int | None
     points: np.ndarray
     antipode: np.ndarray
-    edges: tuple
+    edges: np.ndarray
     trims: tuple
-    plaquettes: tuple = ()
+    plaquettes: np.ndarray
+    plaquette_antipode: np.ndarray
+    links: np.ndarray
+    slots: np.ndarray
 
     @property
     def size(self) -> int:
@@ -55,42 +77,21 @@ class MomentumGrid:
             raise InputError("poles exist only on the d = 2 grid")
         return self.N * self.M, self.N * self.M + 1
 
-    @functools.cached_property
-    def edge_array(self) -> np.ndarray:
-        """``edges`` as an (E, 2) int array."""
-        return _frozen(np.array(self.edges, dtype=int).reshape(-1, 2))
 
-    @functools.cached_property
-    def plaquette_links(self):
-        """Corner and edge tables of the plaquettes, as int arrays.
-
-        Returns ``(corners, links, slots)``.  ``corners`` is (Q, 4), a
-        triangle repeating its first corner last, so the edges of plaquette
-        q run from corners[q, i] to corners[q, (i + 1) % 4] and a
-        triangle's fourth edge is degenerate.  ``links`` is (E, 2): every
-        distinct edge in the orientation of its first traversal.  ``slots``
-        is (Q, 4): an edge equal to links[e] has slot e, its reverse
-        e + E, and a degenerate edge 2 E.
-        """
-        corners = np.array([cyc + cyc[:1] * (4 - len(cyc))
-                            for cyc in self.plaquettes],
-                           dtype=int).reshape(-1, 4)
-        first = {}
-        codes = []
-        for cyc in corners.tolist():
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                if a == b:
-                    codes.append((None, 0))
-                elif (b, a) in first:
-                    codes.append((first[(b, a)], 1))
-                else:
-                    codes.append((first.setdefault((a, b), len(first)), 0))
-        E = len(first)
-        slots = np.array([2 * E if e is None else e + flip * E
-                          for e, flip in codes], dtype=int)
-        links = np.array(list(first), dtype=int).reshape(-1, 2)
-        return (_frozen(corners), _frozen(links),
-                _frozen(slots.reshape(-1, 4)))
+def _link_tables(plaquettes):
+    """``links`` and ``slots`` of a (Q, 4) corner table, see MomentumGrid."""
+    a = plaquettes.ravel()
+    b = np.roll(plaquettes, -1, axis=1).ravel()
+    real = np.flatnonzero(a != b)
+    key = (np.minimum(a, b) * (a.max(initial=0) + 1) + np.maximum(a, b))[real]
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    # number the links in order of first traversal, not of key
+    order = np.argsort(first)
+    link = np.argsort(order)[inv]
+    links = np.column_stack([a[real[first[order]]], b[real[first[order]]]])
+    slots = np.full(a.shape, 2 * len(links))
+    slots[real] = link + len(links) * (a[real] != links[link, 0])
+    return links, slots.reshape(-1, 4)
 
 
 def _circle_angles(N):
@@ -120,46 +121,48 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     d = 0 is the fixed two point set {0, pi}.  d = 1 is a circle of N
     points k_i = -pi + 2 pi i / N.  d = 2 has N columns times M interior
     latitude rows plus two poles; the rows sit at
-    t_j = -pi/2 + pi (j+1)/(M+1) from south to north, and the point (i, j)
-    has index j N + i, followed by the south then north pole.
+    t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
     """
-    size = _grid_size(d, N, M)
+    _grid_size(d, N, M)
+    plaq = np.zeros((0, 4), dtype=int)
+    plaq_anti = np.zeros(0, dtype=int)
     if d == 0:
         pts = np.array([[0.0], [math.pi]])
-        return MomentumGrid(0, None, None, _frozen(pts),
-                            _frozen(np.array([0, 1])), (), (0, 1))
-    if d == 1:
+        anti = np.array([0, 1])
+        edges = np.zeros((0, 2), dtype=int)
+    elif d == 1:
+        pts = _circle_angles(N)[:, None]
+        anti = -np.arange(N) % N
+        edges = np.column_stack([np.arange(N), np.roll(np.arange(N), -1)])
+    else:
         ks = _circle_angles(N)
-        anti = np.array([(N - i) % N for i in range(N)])
-        edges = tuple((i, (i + 1) % N) for i in range(N))
-        trims = tuple(i for i in range(N) if anti[i] == i)
-        return MomentumGrid(1, N, None, _frozen(ks[:, None]),
-                            _frozen(anti), edges, trims)
-    ks = _circle_angles(N)
-    ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
-    south, north = N * M, N * M + 1
-    pts = np.vstack([np.column_stack([np.tile(ks, M), np.repeat(ts, N)]),
-                     [(0.0, -math.pi / 2), (0.0, math.pi / 2)]])
-    j, i = np.divmod(np.arange(N * M), N)
-    anti = np.append((M - 1 - j) * N + (N - i) % N, [north, south])
-    edges = []
-    for j in range(M):
-        edges.extend(((j * N + i, j * N + (i + 1) % N) for i in range(N)))
-    for j in range(M - 1):
-        edges.extend(((j * N + i, (j + 1) * N + i) for i in range(N)))
-    edges.extend(((south, i) for i in range(N)))
-    edges.extend((((M - 1) * N + i, north) for i in range(N)))
-    trims = tuple(i for i in range(size) if anti[i] == i)
-    plaq = []
-    for i in range(N):
-        ip = (i + 1) % N
-        plaq.append((south, ip, i))
-        for j in range(M - 1):
-            plaq.append((j * N + i, j * N + ip,
-                         (j + 1) * N + ip, (j + 1) * N + i))
-        plaq.append(((M - 1) * N + i, (M - 1) * N + ip, north))
-    return MomentumGrid(2, N, M, _frozen(pts), _frozen(anti),
-                        tuple(edges), trims, tuple(plaq))
+        ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
+        south, north = N * M, N * M + 1
+        pts = np.vstack([np.column_stack([np.tile(ks, M), np.repeat(ts, N)]),
+                         [(0.0, -math.pi / 2), (0.0, math.pi / 2)]])
+        j, i = np.divmod(np.arange(N * M), N)
+        anti = np.append((M - 1 - j) * N + (N - i) % N, [north, south])
+        # rows[r, i]: column i of row r, the poles standing in as rows 0
+        # and M + 1; nxt[r, i] is its neighbor in column i + 1
+        rows = np.vstack([np.full(N, south), np.arange(N * M).reshape(M, N),
+                          np.full(N, north)])
+        nxt = np.roll(rows, -1, axis=1)
+        up = np.stack([rows[:-1], rows[1:]], axis=-1)
+        # rings, vertical edges, south spokes, north spokes
+        edges = np.concatenate([np.stack([rows[1:-1], nxt[1:-1]], axis=-1),
+                                up[1:M], up[:1], up[M:]]).reshape(-1, 2)
+        plaq = np.stack([rows[:-1], nxt[:-1], nxt[1:], rows[1:]],
+                        axis=-1).swapaxes(0, 1)
+        plaq[:, 0] = np.roll(plaq[:, 0], -1, axis=1)  # (south, i+1, i, south)
+        plaq[:, M, 3] = plaq[:, M, 0]                 # (a, b, north, a)
+        plaq = plaq.reshape(-1, 4)
+        col, row = np.divmod(np.arange(N * (M + 1)), M + 1)
+        plaq_anti = (N - 1 - col) % N * (M + 1) + (M - row)
+    trims = tuple(np.flatnonzero(anti == np.arange(len(anti))).tolist())
+    links, slots = _link_tables(plaq)
+    return MomentumGrid(d, N, M, _frozen(pts), _frozen(anti), _frozen(edges),
+                        trims, _frozen(plaq), _frozen(plaq_anti),
+                        _frozen(links), _frozen(slots))
 
 
 class _Fibers(Sequence):
@@ -267,11 +270,12 @@ class BundleReport:
     messages: tuple = ()
 
     def rows(self, grid: MomentumGrid):
-        """Per-point report rows (index, coordinates..., pseudo, fermi)."""
+        """Per-point rows (index, coordinates..., pseudo, fermi) of Python
+        scalars."""
         fermi = (np.full(grid.size, np.nan) if self.fermi_max is None
                  else self.fermi_max)
-        return [(p, *grid.points[p], self.pseudo_max[p], fermi[p])
-                for p in range(grid.size)]
+        return [(p, *row) for p, row in enumerate(np.column_stack(
+            [grid.points, self.pseudo_max, fermi]).tolist())]
 
 
 def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
@@ -310,7 +314,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
             messages.append(
                 f"Fermi pairing violated at point {p} (deviation {fermi[p]:.3e})")
     # for planes of equal rank, |Pi_a - Pi_b| = |(1 - Pi_a) F_b|
-    edges = grid.edge_array
+    edges = grid.edges
     dist = np.empty(len(edges))
     for blk in _blocks(len(edges), 16 * dim * m):
         Fa, Fb = frames[edges[blk, 0]], frames[edges[blk, 1]]

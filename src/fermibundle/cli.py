@@ -68,13 +68,11 @@ def _write_json(path, data):
 
 
 def _write_csv(path, header, rows):
-    """Write CSV rows, floats as repr so they read back exactly."""
+    """Write CSV rows of Python scalars (csv writes a float as its repr)."""
     with _writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+        writer.writerows(rows)
 
 
 def _load_bundle(path):
@@ -255,7 +253,7 @@ def _cmd_invariant(args):
                                np.angle(f).tolist()))))
         elif kind == "chern_number":
             _write_csv(args.csv, ["plaquette", "flux"],
-                       enumerate(result.diagnostics["fluxes"]))
+                       enumerate(result.diagnostics["fluxes"].tolist()))
         else:
             raise InputError(f"no CSV output is defined for kind {kind!r}")
     return 0

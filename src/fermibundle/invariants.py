@@ -249,7 +249,7 @@ def _link_variables(bundle):
     distinct edge is computed once, in the orientation of its first
     traversal; its reverse is the complex conjugate.
     """
-    _, links, slots = bundle.grid.plaquette_links
+    links, slots = bundle.grid.links, bundle.grid.slots
     F = bundle.frames
     o = np.linalg.det(_dagger(F[links[:, 0]]) @ F[links[:, 1]])
     return (np.concatenate([o, o.conj(), [1.0]])[slots],
@@ -278,14 +278,16 @@ def _plaquette_zeros(bundle, grid, p):
     A plaquette with an exact zero on a corner cannot support phase
     winding and is marked as crossing; so is one with an ambiguous phase
     step.  Otherwise the gauge-compensated winding of p around the
-    plaquette is computed and nonzero windings are recorded.
+    plaquette is computed and nonzero windings are recorded.  Returns the
+    zero mask of the points, the sorted indices of crossing and vortex
+    plaquettes, and the vortex windings by plaquette.
     """
     absp = np.abs(p)
     zero = absp < _ZERO_REL * absp.max()
-    corners = grid.plaquette_links[0]
-    on_zero = zero[corners].any(axis=1)
+    corners = grid.plaquettes
+    flagged = zero[corners].any(axis=1)
     L, edge = _link_variables(bundle)
-    rows = np.flatnonzero(~on_zero)
+    rows = np.flatnonzero(~flagged)
     _check_overlaps(L, rows)
     L, edge = L[rows], edge[rows]
     a = corners[rows]
@@ -295,24 +297,56 @@ def _plaquette_zeros(bundle, grid, p):
     ambiguous = (np.abs(steps) > np.pi - _PHASE_MARGIN_ZEROS).any(axis=1)
     nu = np.rint((steps.sum(axis=1) + np.angle(_loop_products(L, edge)))
                  / (2.0 * np.pi)).astype(int)
-    crossing = set(np.flatnonzero(on_zero).tolist())
-    crossing.update(rows[ambiguous].tolist())
-    vortices = {int(q): int(v) for q, v, amb in zip(rows, nu, ambiguous)
-                if v and not amb}
-    return set(np.flatnonzero(zero).tolist()), crossing, vortices
+    flagged[rows[ambiguous | (nu != 0)]] = True
+    vortex = (nu != 0) & ~ambiguous
+    return (zero, np.flatnonzero(flagged),
+            dict(zip(rows[vortex].tolist(), nu[vortex].tolist())))
 
 
-def _component_representative(members, grid, absp, poles):
-    """A representative grid index: non-pole, smallest |p|, smallest index."""
-    points = sorted(z for kind, z in members if kind == "p")
+def _components(grid, ids):
+    """Connected components of the zero elements ``ids``.
+
+    Point p has element number p and plaquette q number P + q, P being
+    the point count.  A zero plaquette is joined to its zero corners and
+    to every zero plaquette sharing a corner with it.  Two zero points on
+    an edge are joined through a plaquette on that edge, which has a zero
+    corner and so is a zero plaquette.  Returns, over all elements, the
+    smallest element of each zero element's component, and -1 elsewhere.
+    """
+    P = grid.size
+    plaqs = ids[ids >= P]
+    corners = grid.plaquettes[plaqs - P].ravel()
+    owner = np.repeat(plaqs, 4)
+    on_zero = np.isin(corners, ids)
+    _, first, inv = np.unique(corners, return_index=True, return_inverse=True)
+    pairs = np.concatenate([
+        np.column_stack([owner[on_zero], corners[on_zero]]),
+        np.column_stack([owner[first][inv], owner])])
+    parent = {x: x for x in ids.tolist()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs.tolist():
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    root = np.full(P + len(grid.plaquettes), -1)
+    root[ids] = [find(x) for x in ids.tolist()]
+    return root
+
+
+def _representative(grid, members, absp):
+    """A component's grid index: non-pole, smallest |p|, smallest index,
+    among its zero points or else the corners of its plaquettes."""
+    P = grid.size
+    points = [x for x in members if x < P]
     if not points:
-        corners = set()
-        for kind, qi in members:
-            if kind == "q":
-                corners.update(grid.plaquettes[qi])
-        points = sorted(corners)
-    ranked = sorted(points, key=lambda z: (z in poles, absp[z], z))
-    return ranked[0]
+        points = np.unique(grid.plaquettes[np.array(members) - P]).tolist()
+    poles = grid.pole_indices()
+    return min(points, key=lambda z: (z in poles, absp[z], z))
 
 
 def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
@@ -332,81 +366,44 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     if bundle.rank != n or n % 2:
         raise InputError("rank-n fibers with n even are required")
     p = pfaffian_field(bundle, J1)
-    scale = float(np.abs(p).max())
-    if scale < 1e-12:
-        raise NumericError("Pfaffian field vanishes identically on the grid")
     absp = np.abs(p)
+    if absp.max() < 1e-12:
+        raise NumericError("Pfaffian field vanishes identically on the grid")
 
-    zero_set, crossing, vortices = _plaquette_zeros(bundle, grid, p)
-    trim_set = set(grid.trims)
-    for z in sorted(zero_set):
-        if int(grid.antipode[z]) not in zero_set:
-            raise ValidationError(f"unpaired Pfaffian zero at point {z}")
-        if z in trim_set:
+    zero, plaqs, vortices = _plaquette_zeros(bundle, grid, p)
+    anti = grid.antipode
+    zeros = np.flatnonzero(zero)
+    bad = zeros[~zero[anti[zeros]] | (anti[zeros] == zeros)]
+    if bad.size:
+        z = int(bad[0])
+        if anti[z] == z:
             raise ValidationError(
                 f"Pfaffian zero at a self-antipodal momentum (point {z})")
-
-    elements = [("p", z) for z in sorted(zero_set)]
-    elements += [("q", qi) for qi in sorted(crossing | set(vortices))]
+        raise ValidationError(f"unpaired Pfaffian zero at point {z}")
     # spectral distance from 1 - Pi_z to Pi_{-z}; for rank-n planes it is
     # |Pi_z F_{-z}| = |F_z^H F_{-z}|
     band_max = 0.0
-    if zero_set:
-        z = np.array(sorted(zero_set))
+    if zeros.size:
         F = bundle.frames
         band_max = float(_spectral_norms(
-            _dagger(F[z]) @ F[grid.antipode[z]]).max())
+            _dagger(F[zeros]) @ F[anti[zeros]]).max())
 
-    parent = {e: e for e in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in grid.edges:
-        if a in zero_set and b in zero_set:
-            union(("p", a), ("p", b))
-    zero_plaqs = sorted(crossing | set(vortices))
-    corner_map = {}
-    for qi in zero_plaqs:
-        for c in grid.plaquettes[qi]:
-            if c in zero_set:
-                union(("q", qi), ("p", c))
-            corner_map.setdefault(c, []).append(qi)
-    for shared in corner_map.values():
-        for qi in shared[1:]:
-            union(("q", shared[0]), ("q", qi))
-
-    plaq_lookup = {frozenset(cyc): qi
-                   for qi, cyc in enumerate(grid.plaquettes)}
-    zero_plaq_set = set(zero_plaqs)
-
-    def sigma(e):
-        kind, idx = e
-        if kind == "p":
-            return ("p", int(grid.antipode[idx]))
-        image = frozenset(int(grid.antipode[c])
-                          for c in grid.plaquettes[idx])
-        qj = plaq_lookup[image]
-        if qj not in zero_plaq_set:
-            raise ValidationError(
-                f"unpaired Pfaffian zero near plaquette {idx}")
-        return ("q", qj)
-
+    # components are keyed by their root and ordered by their first
+    # element; a component's mate holds the image of its first element
+    P = grid.size
+    ids = np.concatenate([zeros, P + plaqs])
+    root = _components(grid, ids)
+    image = np.concatenate([anti, P + grid.plaquette_antipode])
     comps = {}
-    for e in elements:
-        comps.setdefault(find(e), []).append(e)
-    sigma_root = {r: find(sigma(members[0]))
-                  for r, members in comps.items()}
+    for x in ids.tolist():
+        comps.setdefault(int(root[x]), []).append(x)
+    mates = {}
+    for r, members in comps.items():
+        mates[r] = int(root[image[members[0]]])
+        if mates[r] < 0:
+            raise ValidationError(
+                f"unpaired Pfaffian zero near plaquette {members[0] - P}")
 
-    poles = set(grid.pole_indices())
     pairs = []
     pair_count = 0
     fixed = 0
@@ -414,37 +411,30 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     for r, members in comps.items():
         if r in seen:
             continue
-        rep = _component_representative(members, grid, absp, poles)
-        if sigma_root[r] == r:
-            seen.add(r)
+        s = mates[r]
+        seen.update((r, s))
+        rep = _representative(grid, members, absp)
+        if s == r:
             fixed += 1
-            mate = int(grid.antipode[rep])
-            pairs.append({
-                "points": (tuple(map(float, grid.points[rep])),
-                           tuple(map(float, grid.points[mate]))),
-                "count": 1, "self_antipodal": True})
-            pair_count += 1
+            mate, count = int(anti[rep]), 1
         else:
-            s = sigma_root[r]
-            seen.update((r, s))
-            nu = abs(sum(vortices.get(idx, 0)
-                         for kind, idx in members if kind == "q"))
-            count = max(1, nu)
-            rep_s = _component_representative(comps[s], grid, absp, poles)
-            pairs.append({
-                "points": (tuple(map(float, grid.points[rep])),
-                           tuple(map(float, grid.points[rep_s]))),
-                "count": count, "self_antipodal": False})
-            pair_count += count
+            mate = _representative(grid, comps[s], absp)
+            count = max(1, abs(sum(vortices.get(x - P, 0)
+                                   for x in members if x >= P)))
+        pairs.append({
+            "points": (tuple(map(float, grid.points[rep])),
+                       tuple(map(float, grid.points[mate]))),
+            "count": count, "self_antipodal": s == r})
+        pair_count += count
 
     return InvariantResult("z2_bit", pair_count % 2, {
         "pairs": tuple(pairs),
         "pair_count": pair_count,
         "components": len(comps),
         "self_antipodal_components": fixed,
-        "zero_points": tuple(sorted(zero_set)),
+        "zero_points": tuple(zeros.tolist()),
         "vortex_plaquettes": dict(sorted(vortices.items())),
-        "crossing_plaquettes": tuple(zero_plaqs),
+        "crossing_plaquettes": tuple(plaqs.tolist()),
         "total_vorticity": int(sum(vortices.values())),
         "band_inversion_max": band_max,
         "field": p})

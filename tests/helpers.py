@@ -141,3 +141,50 @@ def v1_document(bundle):
             for F in _complex_to_json(bundle.frames)
         ],
     }
+
+
+def reference_sphere_tables(N, M):
+    """The sphere grid's tables, built one entry at a time in loops.
+
+    Returns ``(edges, corners, links, slots, plaquette_antipode)`` as
+    lists: the edge and plaquette tuples in grid order, each plaquette
+    padded to four corners by repeating its first, the link table from a
+    per-corner dict of first traversals, and the antipode of each
+    plaquette found by looking up the set of its antipodal corners.
+    """
+    south, north = N * M, N * M + 1
+    edges = []
+    for j in range(M):
+        edges.extend((j * N + i, j * N + (i + 1) % N) for i in range(N))
+    for j in range(M - 1):
+        edges.extend((j * N + i, (j + 1) * N + i) for i in range(N))
+    edges.extend((south, i) for i in range(N))
+    edges.extend(((M - 1) * N + i, north) for i in range(N))
+    plaquettes = []
+    for i in range(N):
+        ip = (i + 1) % N
+        plaquettes.append((south, ip, i))
+        for j in range(M - 1):
+            plaquettes.append((j * N + i, j * N + ip,
+                               (j + 1) * N + ip, (j + 1) * N + i))
+        plaquettes.append(((M - 1) * N + i, (M - 1) * N + ip, north))
+    corners = [list(cyc + cyc[:1] * (4 - len(cyc))) for cyc in plaquettes]
+    first = {}
+    codes = []
+    for cyc in corners:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if a == b:
+                codes.append((None, 0))
+            elif (b, a) in first:
+                codes.append((first[(b, a)], 1))
+            else:
+                codes.append((first.setdefault((a, b), len(first)), 0))
+    E = len(first)
+    slots = [2 * E if e is None else e + flip * E for e, flip in codes]
+    slots = [slots[q:q + 4] for q in range(0, len(slots), 4)]
+    j, i = np.divmod(np.arange(N * M), N)
+    anti = list(np.append((M - 1 - j) * N + (N - i) % N, [north, south]))
+    lookup = {frozenset(cyc): q for q, cyc in enumerate(plaquettes)}
+    plaquette_antipode = [lookup[frozenset(int(anti[c]) for c in cyc)]
+                          for cyc in plaquettes]
+    return edges, corners, [list(e) for e in first], slots, plaquette_antipode

@@ -15,7 +15,8 @@ from fermibundle.bundles import (
     serialize_bundle,
     validate_bundle,
 )
-from helpers import nudge, random_suspension_inputs, regauge, v1_document
+from helpers import (nudge, random_suspension_inputs, reference_sphere_tables,
+                     regauge, v1_document)
 
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
@@ -44,7 +45,7 @@ def test_point_pair_grid():
     assert g.points[:, 0].tolist() == [0.0, math.pi]
     assert g.antipode.tolist() == [0, 1]
     assert g.trims == (0, 1)
-    assert g.edges == ()
+    assert g.edges.shape == (0, 2)
 
 
 def test_circle_grid_layout():
@@ -110,9 +111,10 @@ def test_sphere_edge_set():
 def test_plaquette_orientations_cancel():
     g = make_sphere_grid(2, 6, 3)
     counts = {}
-    for plaq in g.plaquettes:
+    for plaq in g.plaquettes.tolist():
         for a, b in zip(plaq, plaq[1:] + plaq[:1]):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
+            if a != b:      # a triangle's repeated corner
+                counts[(a, b)] = counts.get((a, b), 0) + 1
     for (a, b), c in counts.items():
         assert c == 1
         assert counts.get((b, a), 0) == 1
@@ -121,10 +123,26 @@ def test_plaquette_orientations_cancel():
 def test_plaquette_count_and_coverage():
     N, M = 6, 3
     g = make_sphere_grid(2, N, M)
-    quads = [p for p in g.plaquettes if len(p) == 4]
-    tris = [p for p in g.plaquettes if len(p) == 3]
+    tri = g.plaquettes[:, 3] == g.plaquettes[:, 0]
+    quads = g.plaquettes[~tri]
+    tris = g.plaquettes[tri]
     assert len(quads) == N * (M - 1)
     assert len(tris) == 2 * N
+
+
+@pytest.mark.parametrize("N", [*range(4, 33, 2), 64])
+def test_sphere_tables_match_the_loop_reference(N):
+    for M in (33,) if N == 64 else range(1, 10):
+        g = make_sphere_grid(2, N, M)
+        edges, corners, links, slots, anti = reference_sphere_tables(N, M)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.plaquettes.tolist() == corners
+        assert g.links.tolist() == links
+        assert g.slots.tolist() == slots
+        assert g.plaquette_antipode.tolist() == anti
+        for table in (g.edges, g.plaquettes, g.plaquette_antipode, g.links,
+                      g.slots):
+            assert not table.flags.writeable
 
 
 def test_grid_input_errors():

@@ -372,6 +372,51 @@ def test_kane_mele_detects_an_off_grid_vortex_pair():
         assert abs(abs(point[0]) - np.pi / 2) < 0.7
 
 
+_KM_PINNED = {
+    "dIII": dict(
+        zero_points=(4, 12, 20, 28, 36, 44, 52, 60, 68, 76, 84, 92, 100, 108,
+                     116, 124, 132, 140, 144, 145),
+        crossing_plaquettes=(0, 9, 10, 19, 20, *range(29, 51), 59, 60, 69,
+                             70, 79, 80, 89, 90, 99, 100, *range(109, 131),
+                             139, 140, 149, 150, 159),
+        vortex_plaquettes={}, components=1,
+        pairs=[(((-1.5707963267948966, -1.2566370614359172),
+                 (1.5707963267948966, 1.2566370614359172)), 1, True)]),
+    "vortex": dict(
+        zero_points=(), crossing_plaquettes=(12, 37),
+        vortex_plaquettes={12: 1, 37: -1}, components=2,
+        pairs=[(((-1.8849555921538759, -0.3141592653589793),
+                 (1.2566370614359172, -0.3141592653589793)), 1, False)]),
+    "four-crossings": dict(
+        zero_points=(), crossing_plaquettes=(10, 17, 38, 45, 66, 73, 94, 101),
+        vortex_plaquettes={}, components=4,
+        pairs=[(((-2.356194490192345, -0.2243994752564138),
+                 (2.356194490192345, -0.2243994752564138)), 1, False),
+               (((-0.7853981633974483, -0.2243994752564138),
+                 (0.7853981633974483, -0.2243994752564138)), 1, False)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_KM_PINNED))
+def test_kane_mele_clustering_is_pinned(case):
+    sp = make_nambu(2)
+    if case == "dIII":
+        b = example_dIII(N=16)
+    elif case == "vortex":
+        b, _ = _alpha_bundle(
+            sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)
+    else:
+        b, _ = _alpha_bundle(
+            sp, lambda k, t: np.cos(2 * k) + 1j * np.sin(2 * t), N=16, M=6)
+    diag = kane_mele_z2(b, b.cset.generators[0]).diagnostics
+    want = _KM_PINNED[case]
+    for key in ("zero_points", "crossing_plaquettes", "vortex_plaquettes",
+                "components"):
+        assert diag[key] == want[key], key
+    assert [(pair["points"], pair["count"], pair["self_antipodal"])
+            for pair in diag["pairs"]] == want["pairs"]
+
+
 def test_kane_mele_rejects_unpaired_zeros():
     sp = make_nambu(2)
     b, _ = _alpha_bundle(
