@@ -258,15 +258,41 @@ class Bundle:
     def rank(self) -> int:
         return self.frames.shape[2]
 
+    @functools.cached_property
+    def _link_variables(self):
+        """Fukui-Hatsugai-Suzuki link variables around every plaquette.
+
+        ``(L, edge)``: L is a read-only (Q, 4) array holding det(F_a^H F_b)
+        along the edges of each plaquette in order, a triangle's fourth
+        entry being exactly 1, and ``edge`` marks the entries that are
+        edges.  Each distinct edge is computed once, in the orientation of
+        its first traversal; its reverse is the complex conjugate.  Kept
+        with the bundle, whose frames are read-only, so the Chern and
+        Kane-Mele invariants of one bundle share one table.
+        """
+        links, slots = self.grid.links, self.grid.slots
+        F = self.frames
+        o = np.linalg.det(_dagger(F[links[:, 0]]) @ F[links[:, 1]])
+        return (_frozen(np.concatenate([o, o.conj(), [1.0]])[slots]),
+                _frozen(slots < 2 * len(links)))
+
 
 @dataclass(frozen=True, eq=False)
 class BundleReport:
-    """Outcome of :func:`validate_bundle`, with per-point deviations."""
+    """Outcome of :func:`validate_bundle`, with per-point deviations.
+
+    ``tol`` and ``continuity_tol`` are the thresholds the checks applied.
+    ``continuity_edge`` is the grid edge (a, b) at which the largest jump
+    ``continuity_max`` occurs, or None when no fiber moves along any edge.
+    """
 
     ok: bool
     pseudo_max: np.ndarray
     fermi_max: np.ndarray | None
     continuity_max: float
+    continuity_edge: tuple | None
+    tol: float
+    continuity_tol: float
     messages: tuple = ()
 
     def rows(self, grid: MomentumGrid):
@@ -326,7 +352,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     if cont > continuity_tol:
         messages.append(
             f"fibers jump across edge {worst} (distance {cont:.3f})")
-    return BundleReport(not messages, pseudo, fermi, cont, tuple(messages))
+    return BundleReport(not messages, pseudo, fermi, cont, worst, tol,
+                        continuity_tol, tuple(messages))
 
 
 # ---------------------------------------------------------------------------

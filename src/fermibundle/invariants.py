@@ -240,22 +240,6 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
                            {"parity_bits": bits, "momenta": momenta})
 
 
-def _link_variables(bundle):
-    """Fukui-Hatsugai-Suzuki link variables around every plaquette.
-
-    Returns ``(L, edge)``: L is a (Q, 4) array holding det(F_a^H F_b)
-    along the edges of each plaquette in order, a triangle's fourth entry
-    being exactly 1, and ``edge`` marks the entries that are edges.  Each
-    distinct edge is computed once, in the orientation of its first
-    traversal; its reverse is the complex conjugate.
-    """
-    links, slots = bundle.grid.links, bundle.grid.slots
-    F = bundle.frames
-    o = np.linalg.det(_dagger(F[links[:, 0]]) @ F[links[:, 1]])
-    return (np.concatenate([o, o.conj(), [1.0]])[slots],
-            slots < 2 * len(links))
-
-
 def _check_overlaps(L, rows):
     """NumericError at the first plaquette of ``rows`` with a tiny link."""
     bad = rows[(np.abs(L[rows]) < _OVERLAP_FLOOR).any(axis=1)]
@@ -286,7 +270,7 @@ def _plaquette_zeros(bundle, grid, p):
     zero = absp < _ZERO_REL * absp.max()
     corners = grid.plaquettes
     flagged = zero[corners].any(axis=1)
-    L, edge = _link_variables(bundle)
+    L, edge = bundle._link_variables
     rows = np.flatnonzero(~flagged)
     _check_overlaps(L, rows)
     L, edge = L[rows], edge[rows]
@@ -505,7 +489,7 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d != 2:
         raise InputError("the Chern number lives on S^2")
-    L, edge = _link_variables(bundle)
+    L, edge = bundle._link_variables
     _check_overlaps(L, np.arange(len(L)))
     fluxes = np.angle(_loop_products(L, edge))
     min_overlap = np.abs(L[edge]).min()

@@ -147,8 +147,30 @@ def _dagger(X: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norms(X: np.ndarray) -> np.ndarray:
-    """Spectral norm (largest singular value) of every matrix in a stack."""
-    return np.linalg.svd(X, compute_uv=False)[..., 0]
+    """Spectral norm (largest singular value) of every matrix in a stack.
+
+    The norm of an (r, m) matrix X is the square root of the largest
+    eigenvalue of its m x m Gram matrix G = X^H X.  For m = 1 that is
+    G_00; for m = 2 it is (a + d)/2 + hypot((a - d)/2, |b|) with
+    a = G_00, d = G_11, b = G_01, a sum of non-negative terms; for m > 2
+    it comes from ``eigvalsh``.  The largest eigenvalue of a positive
+    semi-definite matrix is perturbed by at most a few ulps of |G| =
+    |X|^2 when G is formed in floating point, so the norm is accurate to
+    a few ulps relative, as from an SVD.  X itself is formed by the
+    caller, never recovered from a difference like 1 - cos^2.
+
+    Meant for finite entries of order 1: squares of entries below about
+    1e-154 underflow and read as 0, far below every tolerance.
+    """
+    m = X.shape[-1]
+    if m > 2:
+        return np.sqrt(np.linalg.eigvalsh(_dagger(X) @ X)[..., -1])
+    diag = (X.real ** 2 + X.imag ** 2).sum(axis=-2)
+    if m == 1:
+        return np.sqrt(diag[..., 0])
+    a, d = diag[..., 0], diag[..., 1]
+    b = np.abs((X[..., 0].conj() * X[..., 1]).sum(axis=-1))
+    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, b))
 
 
 def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from fermibundle.suspension import (example_kitaev_chain, example_majorana,
                                     suspend)
 from fermibundle.symmetry import (copy_indices, imaginary_realization,
                                   lift_plane)
+from fermibundle.tolerances import CONTINUITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,19 @@ def test_fermi_check_obeys_tol():
     report = validate_bundle(nudged, tol=1e-10)
     assert not report.ok
     assert any("Fermi" in m for m in report.messages)
+    assert (report.tol, report.continuity_tol) == (1e-10, CONTINUITY_TOL)
+    a, c = report.continuity_edge
+    edges = nudged.grid.edges.tolist()
+    assert [a, c] in edges
+    jumps = [plane_distance(fibers[x], fibers[y]) for x, y in edges]
+    assert abs(report.continuity_max - plane_distance(fibers[a], fibers[c])
+               ) < 1e-14
+    assert abs(report.continuity_max - max(jumps)) < 1e-14
+    strict = validate_bundle(nudged, tol=1e-8, continuity_tol=0.0)
+    assert (strict.tol, strict.continuity_tol) == (1e-8, 0.0)
+    assert strict.continuity_edge == (a, c)
+    assert strict.messages == (f"fibers jump across edge {(a, c)} "
+                               f"(distance {report.continuity_max:.3f})",)
     assert validate_bundle(nudged, tol=1e-8).ok
 
 
@@ -359,6 +373,7 @@ def test_report_rows_carry_coordinates():
     assert idx == 0
     assert math.isclose(k, -math.pi)
     assert pseudo < 1e-14 and fermi < 1e-14
+    assert report.continuity_edge is None and report.continuity_max == 0.0
 
 
 # ---------------------------------------------------------------------------

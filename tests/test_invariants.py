@@ -519,6 +519,24 @@ def test_chern_of_suspended_chain():
     assert chern_number(_suspended_chain(0)).value == 0
 
 
+def test_kane_mele_and_chern_share_one_link_table(monkeypatch):
+    s = example_dIII(N=16)
+    fresh = Bundle(s.space, s.cset, s.grid, s.frames, s.label)
+    det, calls = np.linalg.det, []
+
+    def counted(a):
+        if np.ndim(a) == 3:  # a stack of overlaps, not the 2n x 2n form
+            calls.append(len(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    assert kane_mele_z2(s, s.cset.generators[0]).value == 1
+    fluxes = chern_number(s).diagnostics["fluxes"]
+    assert len(calls) == 1
+    assert fluxes.tobytes() == chern_number(fresh).diagnostics["fluxes"].tobytes()
+    assert len(calls) == 2
+
+
 def test_chern_is_gauge_invariant():
     b = _suspended_chain(1, N=16)
     base = chern_number(b).value

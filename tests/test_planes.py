@@ -12,6 +12,7 @@ from fermibundle.planes import (
     j_of,
     plane_distance,
     plane_from_vectors,
+    _spectral_norms,
     pseudo_check,
     vacuum_plane,
 )
@@ -191,3 +192,27 @@ def test_vacuum_plane_is_lagrangian():
     vac = vacuum_plane(sp)
     assert vac.rank == 3
     assert is_lagrangian(vac)
+
+
+def _gaussian(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _norm_cases(r, m, rng):
+    """Generic, zero, rank-one and scaled-identity stacks; for m = 2 the
+    last have the degenerate Gram matrix a = d, b = 0 exactly."""
+    return np.concatenate([
+        _gaussian((40, r, m), rng), np.zeros((3, r, m), dtype=complex),
+        _gaussian((10, r, 1), rng) @ _gaussian((10, 1, m), rng),
+        np.eye(r, m) * rng.uniform(0.5, 2.0, (10, 1, 1))])
+
+
+@pytest.mark.parametrize("r,m", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3),
+                                 (8, 8), (16, 8), (16, 16), (32, 16)])
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-16])
+def test_spectral_norms_match_the_svd(r, m, scale):
+    X = scale * _norm_cases(r, m, np.random.default_rng(r * 100 + m))
+    ref = np.linalg.svd(X, compute_uv=False)[..., 0]
+    got = _spectral_norms(X)
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 1e-13 * ref).all()
