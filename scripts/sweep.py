@@ -1,11 +1,10 @@
 """Time the in-memory pipeline stages of ``example_dIII(N)`` over N.
 
-    python3 scripts/sweep.py                 # N = 32, 64, 128, 256
-    python3 scripts/sweep.py --sizes 32 64   # a quick subset
+    python3 scripts/sweep.py
 
-Each N runs in a fresh Python process, so the grid caches start cold,
-against the ``src/`` tree next to this script.  Every stage is timed best
-of 3, in milliseconds:
+Each N in 32, 64, 128, 256 runs in a fresh Python process, so the grid
+caches start cold, against the ``src/`` tree next to this script.  Every
+stage is timed best of 3, in milliseconds:
 
 - ``grid (cold)``: ``make_sphere_grid(2, N, default_row_count(N))`` with
   its edge, plaquette and link tables, after clearing the grid cache;
@@ -100,14 +99,13 @@ def _git(*args: str) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child is not None:
         print(json.dumps(_stages(args.child)))
         return 0
     sizes = {}
-    for N in args.sizes:
+    for N in SIZES:
         r = subprocess.run([sys.executable, __file__, "--child", str(N)],
                            capture_output=True, text=True, check=True)
         sizes[str(N)] = json.loads(r.stdout)
