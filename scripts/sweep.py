@@ -19,8 +19,9 @@ stage is timed best of 3, in milliseconds:
   (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``.
 
 The result goes to ``bench/BENCH_<sha>.json`` at the repository root,
-with the git commit, whether ``src/`` differs from it, and the Python,
-numpy and platform versions.
+with the git commit, whether ``src/`` differs from it, ``src_lines`` (the
+total line count of ``src/fermibundle/*.py``, as ``wc -l`` counts it),
+and the Python, numpy and platform versions.
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ def _git(*args: str) -> str:
     return r.stdout.strip() if r.returncode == 0 else ""
 
 
+def _src_lines() -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for path in (ROOT / "src" / "fermibundle").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--child", type=int, help=argparse.SUPPRESS)
@@ -115,6 +121,7 @@ def main(argv=None) -> int:
     result = {
         "sha": sha,
         "src_modified": bool(_git("status", "--porcelain", "--", "src")),
+        "src_lines": _src_lines(),
         "python": platform.python_version(),
         "numpy": numpy_version,
         "platform": platform.platform(),

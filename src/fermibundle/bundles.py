@@ -12,14 +12,13 @@ from __future__ import annotations
 import base64
 import functools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen,
-                    _require_finite, make_nambu)
+                    _require_finite, _require_tolerance, make_nambu)
 from .planes import (Plane, _blocks, _check_frames, _dagger,
                      _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
@@ -165,73 +164,46 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
                         _frozen(links), _frozen(slots))
 
 
-class _Fibers(Sequence):
-    """Read-only sequence of the planes of a checked frame stack.
-
-    Each :class:`Plane` is built from its frame on first access, without
-    repeating the checks the stack passed, and kept; indexing, slicing (to
-    a tuple), iteration and ``len`` behave as on a tuple of planes.
-    """
-
-    def __init__(self, space, frames, planes=None):
-        self._space = space
-        self._frames = frames
-        self._planes = list(planes) if planes else [None] * len(frames)
-
-    def __len__(self):
-        return len(self._planes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[p] for p in range(len(self))[index])
-        p = range(len(self))[index]
-        if self._planes[p] is None:
-            self._planes[p] = Plane._prechecked(self._space, self._frames[p])
-        return self._planes[p]
-
-
-def _frame_stack(space, fibers, size):
+def _frame_stack(space, frames, size):
     """Checked (P, 2n, m) frame array of a plane sequence or an array.
 
-    Planes were checked when they were built and are only stacked; an
-    array is checked here, once for the whole batch, with the errors of
-    :class:`Plane`.  Returns the frames and the planes given, if any.
+    A plane sequence is first checked entry by entry (a :class:`Plane`
+    of ``space``, one common rank) and stacked.  Either stack then gets
+    the same checks, once for the whole batch, with the errors of
+    :class:`Plane`.
     """
-    if isinstance(fibers, np.ndarray):
-        F = np.array(fibers, dtype=complex)
-        d = space.dim
-        if F.ndim != 3 or F.shape[1] != d:
-            raise InputError(
-                f"frames have shape {F.shape}, expected (points, {d}, m)")
-        if len(F) != size:
-            raise InputError(
-                f"grid has {size} points but {len(F)} fibers were given")
-        _check_frames(F)
-        return F, None
-    fibers = tuple(fibers)
-    if len(fibers) != size:
+    if not isinstance(frames, np.ndarray):
+        planes = tuple(frames)
+        ranks = set()
+        for p, A in enumerate(planes):
+            if not isinstance(A, Plane):
+                raise InputError(f"fiber {p} is not a Plane")
+            if A.space.n != space.n:
+                raise InputError(f"fiber {p} lives on the wrong space")
+            ranks.add(A.rank)
+        if len(ranks) > 1:
+            raise InputError(f"fibers have mixed ranks {sorted(ranks)}")
+        frames = [A.frame for A in planes]
+    F = np.array(frames, dtype=complex)
+    d = space.dim
+    if F.ndim != 3 or F.shape[1] != d:
         raise InputError(
-            f"grid has {size} points but {len(fibers)} fibers were given")
-    ranks = set()
-    for p, A in enumerate(fibers):
-        if not isinstance(A, Plane):
-            raise InputError(f"fiber {p} is not a Plane")
-        if A.space.n != space.n:
-            raise InputError(f"fiber {p} lives on the wrong space")
-        ranks.add(A.rank)
-    if len(ranks) != 1:
-        raise InputError(f"fibers have mixed ranks {sorted(ranks)}")
-    return np.stack([A.frame for A in fibers]), fibers
+            f"frames have shape {F.shape}, expected (points, {d}, m)")
+    if len(F) != size:
+        raise InputError(
+            f"grid has {size} points but {len(F)} fibers were given")
+    _check_frames(F)
+    return F
 
 
 @dataclass(frozen=True, eq=False)
 class Bundle:
     """Planes over a momentum grid, tied to a Clifford set.
 
-    ``fibers`` may be given as a sequence of :class:`Plane` objects or as
-    a (P, 2n, m) array of orthonormal frames, one per grid point.  The
-    stored state is ``frames``, a read-only complex array of that shape;
-    ``fibers`` reads as a sequence of planes built from it on demand.
+    ``frames`` may be given as a sequence of :class:`Plane` objects or as
+    a (P, 2n, m) array of orthonormal frames, one per grid point, and is
+    stored as a read-only complex array of that shape.  ``fibers`` is the
+    tuple of planes over it, built on first access.
 
     ``label`` optionally names the symmetry class the Clifford set was
     built from; it is informational and carried through serialization.
@@ -240,19 +212,21 @@ class Bundle:
     space: NambuSpace
     cset: CliffordSet
     grid: MomentumGrid
-    fibers: Sequence
+    frames: np.ndarray
     label: str | None = None
-    frames: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.cset.space.n != self.space.n:
             raise InputError("Clifford set and bundle space disagree")
-        frames, planes = _frame_stack(self.space, self.fibers, self.grid.size)
-        object.__setattr__(self, "frames", _frozen(frames))
-        object.__setattr__(self, "fibers",
-                           _Fibers(self.space, self.frames, planes))
+        object.__setattr__(self, "frames", _frozen(
+            _frame_stack(self.space, self.frames, self.grid.size)))
         if self.label is not None and str(self.label).upper() not in CLASS_TABLE:
             raise InputError(f"unknown class label {self.label!r}")
+
+    @functools.cached_property
+    def fibers(self) -> tuple:
+        """The fiber at every grid point as a :class:`Plane` on its frame."""
+        return tuple(Plane._prechecked(self.space, F) for F in self.frames)
 
     @property
     def rank(self) -> int:
@@ -314,6 +288,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     (reported as ``None``) otherwise.  Continuity is the largest spectral
     distance between the projectors at the two ends of a grid edge.
     """
+    _require_tolerance(tol, "tol")
+    _require_tolerance(continuity_tol, "continuity_tol")
     grid = bundle.grid
     frames = bundle.frames
     size, dim, m = frames.shape

@@ -28,6 +28,7 @@ from .bundles import (_complex_to_json, deserialize_bundle, double_bundle,
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
                          component_index_ai, fermion_parity, kane_mele_z2)
+from .planes import Plane
 from .suspension import (SuspensionInput, example_dIII,
                          example_kitaev_chain, example_majorana, suspend)
 from .symmetry import class_info, true_symmetries
@@ -220,8 +221,8 @@ def _cmd_invariant(args):
     bundle = _load_bundle(args.input)
     kind = str(args.kind)
     if kind == "parity":
-        result = fermion_parity(
-            bundle.space, _pick(bundle.fibers, args.point_index, "point"))
+        result = fermion_parity(bundle.space, Plane._prechecked(
+            bundle.space, _pick(bundle.frames, args.point_index, "point")))
     elif kind == "class_d_z2":
         result = class_d_z2(bundle)
     elif kind == "kane_mele_z2":
@@ -234,8 +235,8 @@ def _cmd_invariant(args):
         result = chern_number(bundle)
     elif kind == "component_index":
         Q = true_symmetries(bundle.space).Q
-        result = component_index_ai(
-            _pick(bundle.fibers, args.point_index, "point"), Q)
+        result = component_index_ai(Plane._prechecked(
+            bundle.space, _pick(bundle.frames, args.point_index, "point")), Q)
     else:
         raise InputError(f"unknown invariant kind {kind!r}")
     print(json.dumps({"kind": result.kind, "value": result.value,

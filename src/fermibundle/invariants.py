@@ -19,7 +19,7 @@ import numpy as np
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
-                    make_nambu)
+                    _require_finite, _require_tolerance, make_nambu)
 from .planes import (Plane, _dagger, _pseudo_deviations, _spectral_norms,
                      fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
@@ -122,9 +122,11 @@ def pfaffian(X, tol: float = ALG_TOL) -> complex:
     An odd-dimensional skew matrix has Pfaffian zero by convention; that
     case returns 0 with a warning since it usually signals a caller bug.
     """
+    _require_tolerance(tol, "tol")
     A = np.asarray(X, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
+    _require_finite(A, "matrix")
     if A.shape[0] == 0:
         return complex(1.0)
     pf = complex(_pfaffians(A[None], tol)[0])
@@ -233,8 +235,8 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d not in (0, 1):
         raise InputError("the class-D index lives on S^0 or S^1")
-    bits = tuple(fermion_parity(bundle.space, bundle.fibers[p]).value
-                 for p in grid.trims)
+    bits = tuple(fermion_parity(bundle.space, Plane._prechecked(
+        bundle.space, bundle.frames[p])).value for p in grid.trims)
     momenta = tuple(float(grid.points[p, 0]) for p in grid.trims)
     return InvariantResult("z2_bit", bits[0] ^ bits[1],
                            {"parity_bits": bits, "momenta": momenta})

@@ -30,6 +30,12 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise InputError(f"{what} has non-finite entries")
 
 
+def _require_tolerance(tol: float, what: str) -> None:
+    # a NaN threshold compares False, so every guard against it passes
+    if not 0.0 <= tol < np.inf:
+        raise InputError(f"{what} must lie in [0, inf), got {tol!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class NambuSpace:
     """The space C^{2n} spanned by n annihilation and n creation operators.
@@ -120,10 +126,9 @@ def classify_generator(space: NambuSpace, U, tol: float = ALG_TOL) -> str:
         ``"not_unitary"`` otherwise.  Only the bracket is tested here;
         the Clifford condition U^2 = -1 is enforced by :class:`CliffordSet`.
     """
-    U = np.asarray(U, dtype=complex)
+    _require_tolerance(tol, "tol")
     d = space.dim
-    if U.shape != (d, d):
-        raise InputError(f"matrix has shape {U.shape}, expected ({d}, {d})")
+    U = _generator_matrix(U, d, "matrix")
     if np.abs(U.conj().T @ U - np.eye(d)).max() > tol:
         return "not_unitary"
     B = space.bracket_matrix
@@ -172,10 +177,11 @@ class Generator(object):
 
 
 def _generator_matrix(J, d: int, what: str = "generator") -> np.ndarray:
-    """Matrix of a :class:`Generator` or array-like, checked to be d x d."""
+    """Matrix of a :class:`Generator` or array-like, checked finite and d x d."""
     M = J.matrix if isinstance(J, Generator) else np.asarray(J, dtype=complex)
     if M.shape != (d, d):
         raise InputError(f"{what} has shape {M.shape}, expected ({d}, {d})")
+    _require_finite(M, what)
     return M
 
 
@@ -231,6 +237,7 @@ class CliffordReport:
 
 def check_clifford(cset: CliffordSet, tol: float = ALG_TOL) -> CliffordReport:
     """Verify J_l J_m + J_m J_l = -2 delta_lm on all generator pairs."""
+    _require_tolerance(tol, "tol")
     gens = cset.generators
     eye = np.eye(cset.space.dim)
     worst = 0.0

@@ -8,7 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import NambuSpace, _frozen, _generator_matrix, _require_finite
+from .nambu import (NambuSpace, _frozen, _generator_matrix, _require_finite,
+                    _require_tolerance)
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -77,10 +78,12 @@ def plane_from_vectors(space: NambuSpace, vectors, rank_tol: float = RANK_TOL) -
         If the vectors are linearly dependent (smallest singular value
         below ``rank_tol``).
     """
+    _require_tolerance(rank_tol, "rank_tol")
     M = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
     if M.shape[0] != space.dim:
         raise InputError(
             f"vectors live in dimension {M.shape[0]}, expected {space.dim}")
+    _require_finite(M, "vectors")
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     if s.min() < rank_tol:
         raise InputError(
@@ -218,4 +221,5 @@ def vacuum_plane(space: NambuSpace) -> Plane:
 
 def is_lagrangian(A: Plane, tol: float = ALG_TOL) -> bool:
     """Whether the bracket vanishes identically on A."""
+    _require_tolerance(tol, "tol")
     return A.rank == A.space.n and fermi_check(A, A) < tol

@@ -148,7 +148,7 @@ def _eigenplanes(space, K: Generator):
     n = space.n
     if np.count_nonzero(w < 0) != n:
         raise ValidationError("K has unbalanced eigenvalues")
-    return Plane(space, V[:, :n]), Plane(space, V[:, n:])
+    return V[:, :n], V[:, n:]
 
 
 def default_row_count(N: int) -> int:
@@ -194,7 +194,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
         grid = make_sphere_grid(2, N, M)
         seeds = np.tile(np.arange(N), M)
         ts = grid.points[:N * M, 1]
-        poles = [A.frame[None] for A in _eigenplanes(space, K)]
+        poles = [F[None] for F in _eigenplanes(space, K)]
     else:
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
     # SuspensionInput checked K A = A^c on every fiber, which makes

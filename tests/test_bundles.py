@@ -304,6 +304,7 @@ def test_fibers_behave_as_a_tuple():
     def same(A, B):
         return np.array_equal(A.frame, B.frame)
 
+    assert isinstance(b.fibers, tuple)
     assert len(b.fibers) == len(planes) == 8
     assert same(b.fibers[-1], planes[-1]) and same(b.fibers[-8], planes[0])
     assert b.fibers[5] is b.fibers[5 - 8]

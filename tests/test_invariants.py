@@ -16,9 +16,9 @@ from fermibundle.invariants import (InvariantResult, chern_number,
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
 from fermibundle.planes import (Plane, complement, fermi_check,
                                 plane_distance, vacuum_plane)
-from fermibundle.suspension import (SuspensionInput, example_dIII,
-                                    example_kitaev_chain, example_majorana,
-                                    suspend)
+from fermibundle.suspension import (SuspensionInput, _diii_equator_frame,
+                                    example_dIII, example_kitaev_chain,
+                                    example_majorana, suspend)
 from fermibundle.symmetry import (imaginary_realization, kitaev_generators,
                                   true_symmetries)
 
@@ -417,6 +417,23 @@ def test_kane_mele_clustering_is_pinned(case):
             for pair in diag["pairs"]] == want["pairs"]
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the forced pole zeros of every suspension enter "
+                          "the Kane-Mele count (ROADMAP item 1)")
+def test_kane_mele_of_a_null_homotopic_sphere_is_zero():
+    sp = make_nambu(2)
+    ts = true_symmetries(sp, spinful=True)
+    cset = CliffordSet(sp, (
+        Generator(sp.gamma_matrix @ ts.T_minus.matrix, "real"),
+        Generator(1j * np.fliplr(np.eye(4)), "imaginary")))
+    frames = np.repeat(_diii_equator_frame(0.0)[None], 16, axis=0)
+    ring = Bundle(sp, cset, make_sphere_grid(1, 16), frames, "D")
+    s = suspend(SuspensionInput(ring, 1, 0))
+    assert validate_bundle(s).ok
+    assert chern_number(s).value == 0
+    assert kane_mele_z2(s, s.cset.generators[0]).value == 0
+
+
 def test_kane_mele_rejects_unpaired_zeros():
     sp = make_nambu(2)
     b, _ = _alpha_bundle(
@@ -469,6 +486,20 @@ def test_winding_is_stable_under_refinement():
     w8 = chiral_winding(coarse, coarse.cset.generators[0]).value
     w16 = chiral_winding(fine, fine.cset.generators[0]).value
     assert w8 == w16
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_diagonal_map_carries_the_winding_to_the_chern_number(seed):
+    # the Diagonal Map is a bijection on homotopy classes, so the chain's
+    # winding must reappear as the Chern number of its suspension
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    n_plus = int(rng.integers(n + 1))
+    N = int(rng.choice([16, 32]))
+    chain = regauge(example_kitaev_chain(n, n_plus, N), rng)
+    w = chiral_winding(chain, chain.cset.generators[0]).value
+    assert w == -n_plus
+    assert chern_number(suspend(SuspensionInput(chain, k_index=0))).value == w
 
 
 def test_winding_rejects_non_pseudo_fibers():

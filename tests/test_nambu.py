@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from fermibundle.bundles import validate_bundle
 from fermibundle.errors import InputError, ValidationError
+from fermibundle.invariants import (chiral_winding, component_index_ai,
+                                    omega_form, pfaffian, pfaffian_field)
 from fermibundle.nambu import (
     CliffordSet,
     Generator,
@@ -12,6 +15,10 @@ from fermibundle.nambu import (
     classify_generator,
     make_nambu,
 )
+from fermibundle.planes import (is_lagrangian, plane_from_vectors,
+                                pseudo_check, vacuum_plane)
+from fermibundle.suspension import (example_dIII, example_kitaev_chain,
+                                    example_majorana, rotor)
 
 
 def test_canonical_bracket_matrix():
@@ -231,3 +238,72 @@ def test_immutable_arrays():
     sp = make_nambu(1)
     with pytest.raises(ValueError):
         sp.bracket_matrix[0, 0] = 5.0
+
+
+# name: (matrix size, what the error names, call on that matrix)
+_MATRIX_CALLS = {
+    "pseudo_check": (2, "generator",
+                     lambda X: pseudo_check(X, vacuum_plane(make_nambu(1)))),
+    "rotor": (2, "generator",
+              lambda X: rotor(X, vacuum_plane(make_nambu(1)), 0.3)),
+    "omega_form": (2, "generator", lambda X: omega_form(make_nambu(1), X)),
+    "pfaffian_field": (4, "generator",
+                       lambda X: pfaffian_field(example_dIII(8), X)),
+    "component_index_ai": (2, "charge operator", lambda X: component_index_ai(
+        vacuum_plane(make_nambu(1)), X)),
+    "chiral_winding": (2, "generator", lambda X: chiral_winding(
+        example_kitaev_chain(1, 1, N=8), X)),
+    "classify_generator": (2, "matrix",
+                           lambda X: classify_generator(make_nambu(1), X)),
+    "pfaffian": (2, "matrix", pfaffian),
+    "plane_from_vectors": (2, "vectors", lambda X: plane_from_vectors(
+        make_nambu(1), X[:1])),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", list(_MATRIX_CALLS))
+def test_non_finite_matrices_are_refused(name, value):
+    dim, what, call = _MATRIX_CALLS[name]
+    for X in (np.full((dim, dim), value), np.eye(dim) + 0j):
+        X[0, -1] = value
+        with pytest.raises(InputError, match=f"{what} has non-finite"):
+            call(X)
+
+
+def _duplicated_generator_set():
+    J = Generator(np.array([[0.0, 1.0], [-1.0, 0.0]]), "imaginary")
+    return CliffordSet(make_nambu(1), (J, J))
+
+
+# Each entry passes its argument as one tolerance of a public function.
+_TOLERANCE_CALLS = {
+    "validate_bundle.tol": lambda t: validate_bundle(
+        example_majorana(N=8), tol=t),
+    "validate_bundle.continuity_tol": lambda t: validate_bundle(
+        example_majorana(N=8), continuity_tol=t),
+    "check_clifford": lambda t: check_clifford(
+        _duplicated_generator_set(), tol=t),
+    "pfaffian": lambda t: pfaffian([[0, 1], [2, 0]], tol=t),
+    "classify_generator": lambda t: classify_generator(
+        make_nambu(1), 3 * np.eye(2), tol=t),
+    "plane_from_vectors": lambda t: plane_from_vectors(
+        make_nambu(2), [[1, 0, 0, 0], [2, 0, 0, 0]], rank_tol=t),
+    "is_lagrangian": lambda t: is_lagrangian(
+        vacuum_plane(make_nambu(1)), tol=t),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+@pytest.mark.parametrize("name", list(_TOLERANCE_CALLS))
+def test_tolerances_outside_zero_to_infinity_are_refused(name, tol):
+    with pytest.raises(InputError, match=r"must lie in \[0, inf\)"):
+        _TOLERANCE_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("name", list(_TOLERANCE_CALLS))
+def test_zero_tolerance_is_allowed(name):
+    try:
+        _TOLERANCE_CALLS[name](0.0)
+    except (InputError, ValidationError) as exc:
+        assert "must lie in" not in str(exc)
