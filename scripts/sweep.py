@@ -19,7 +19,8 @@ stage is timed best of 3, in milliseconds:
   (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``.
 
 The result goes to ``bench/BENCH_<sha>.json`` at the repository root,
-with the git commit, whether ``src/`` differs from it, ``src_lines`` (the
+with the git commit, whether ``src/`` differs from it (null when git
+cannot tell, and the commit "unknown"), ``src_lines`` (the
 total line count of ``src/fermibundle/*.py``, as ``wc -l`` counts it),
 and the Python, numpy and platform versions.
 """
@@ -92,15 +93,38 @@ def _stages(N: int) -> dict:
     return out
 
 
-def _git(*args: str) -> str:
-    r = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
-                       text=True, check=False)
-    return r.stdout.strip() if r.returncode == 0 else ""
+def _git(*args: str) -> str | None:
+    """Output of a git command in the repository, or None if it fails."""
+    try:
+        r = subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                           text=True, check=False)
+    except OSError:
+        return None
+    return r.stdout.strip() if r.returncode == 0 else None
 
 
 def _src_lines() -> int:
     return sum(path.read_bytes().count(b"\n")
                for path in (ROOT / "src" / "fermibundle").glob("*.py"))
+
+
+def _record(sizes: dict) -> dict:
+    """The sweep result around the per-N records ``sizes``."""
+    sha = _git("rev-parse", "HEAD") or "unknown"
+    status = _git("status", "--porcelain", "--", "src")
+    numpy_version = {r.pop("numpy") for r in sizes.values()}.pop()
+    return {
+        "sha": sha,
+        "src_modified": None if status is None else bool(status),
+        "src_lines": _src_lines(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "workload": "example_dIII(N), in process, best of "
+                    f"{REPEAT}, one fresh process per N",
+        "sizes": sizes,
+    }
 
 
 def main(argv=None) -> int:
@@ -116,21 +140,8 @@ def main(argv=None) -> int:
                            capture_output=True, text=True, check=True)
         sizes[str(N)] = json.loads(r.stdout)
         print(N, sizes[str(N)]["stages_ms"], flush=True)
-    sha = _git("rev-parse", "HEAD") or "unknown"
-    numpy_version = {r.pop("numpy") for r in sizes.values()}.pop()
-    result = {
-        "sha": sha,
-        "src_modified": bool(_git("status", "--porcelain", "--", "src")),
-        "src_lines": _src_lines(),
-        "python": platform.python_version(),
-        "numpy": numpy_version,
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "workload": "example_dIII(N), in process, best of "
-                    f"{REPEAT}, one fresh process per N",
-        "sizes": sizes,
-    }
-    path = ROOT / "bench" / f"BENCH_{sha[:12]}.json"
+    result = _record(sizes)
+    path = ROOT / "bench" / f"BENCH_{result['sha'][:12]}.json"
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")

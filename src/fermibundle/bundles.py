@@ -19,8 +19,8 @@ import numpy as np
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen,
                     _require_finite, _require_tolerance, make_nambu)
-from .planes import (Plane, _blocks, _check_frames, _dagger,
-                     _pseudo_deviations, _spectral_norms)
+from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
+                     _mm, _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
 from .tolerances import ALG_TOL, CONTINUITY_TOL
 
@@ -242,11 +242,15 @@ class Bundle:
         edges.  Each distinct edge is computed once, in the orientation of
         its first traversal; its reverse is the complex conjugate.  Kept
         with the bundle, whose frames are read-only, so the Chern and
-        Kane-Mele invariants of one bundle share one table.
+        Kane-Mele invariants of one bundle share one table.  The
+        determinant is the entry for m = 1, a d - b c with ``_cmul``
+        products for m = 2, and from ``np.linalg.det`` above.
         """
         links, slots = self.grid.links, self.grid.slots
         F = self.frames
-        o = np.linalg.det(_dagger(F[links[:, 0]]) @ F[links[:, 1]])
+        O = _mm(_dagger(F[links[:, 0]]), F[links[:, 1]])
+        o = (np.linalg.det(O) if self.rank > 2 else O[:, 0, 0] if self.rank == 1
+             else _cmul(O[:, 0, 0], O[:, 1, 1]) - _cmul(O[:, 0, 1], O[:, 1, 0]))
         return (_frozen(np.concatenate([o, o.conj(), [1.0]])[slots]),
                 _frozen(slots < 2 * len(links)))
 
@@ -309,8 +313,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
         B = bundle.space.bracket_matrix
         anti = grid.antipode
         for blk in _blocks(size, 16 * dim * m):
-            fermi[blk] = _spectral_norms(
-                np.swapaxes(frames[blk], 1, 2) @ B @ frames[anti[blk]])
+            fermi[blk] = _spectral_norms(_mm(
+                np.swapaxes(frames[blk], 1, 2), _apply(B, frames[anti[blk]])))
         if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(
@@ -320,7 +324,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     dist = np.empty(len(edges))
     for blk in _blocks(len(edges), 16 * dim * m):
         Fa, Fb = frames[edges[blk, 0]], frames[edges[blk, 1]]
-        dist[blk] = _spectral_norms(Fb - Fa @ (_dagger(Fa) @ Fb))
+        dist[blk] = _spectral_norms(Fb - _mm(Fa, _mm(_dagger(Fa), Fb)))
     cont, worst = 0.0, None
     if dist.size and dist.max() > 0.0:
         i = int(np.argmax(dist))

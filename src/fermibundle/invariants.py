@@ -20,8 +20,8 @@ from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
                     _require_finite, _require_tolerance, make_nambu)
-from .planes import (Plane, _dagger, _pseudo_deviations, _spectral_norms,
-                     fermi_check, vacuum_plane)
+from .planes import (Plane, _apply, _cmul, _dagger, _mm, _pseudo_deviations,
+                     _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
 
 _KINDS = ("parity_bit", "z2_bit", "winding_int", "chern_int",
@@ -54,19 +54,6 @@ class InvariantResult:
         object.__setattr__(self, "value", int(self.value))
         if self.kind.endswith("_bit") and self.value not in (0, 1):
             raise InputError(f"{self.kind} value must be 0 or 1")
-
-
-def _cmul(a, b) -> np.ndarray:
-    """Elementwise complex product, each real operation rounded alone.
-
-    numpy's vectorized complex multiply fuses multiply and add on some
-    CPUs; spelled out, a product is the same on every machine and equal
-    to the product of Python complex numbers.
-    """
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _pfaffians(X: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
@@ -175,7 +162,7 @@ def pfaffian_field(bundle: Bundle, form) -> np.ndarray:
     if bundle.rank % 2:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
-    return _pfaffians(np.swapaxes(F, 1, 2) @ om.matrix @ F)
+    return _pfaffians(_mm(np.swapaxes(F, 1, 2), _apply(om.matrix, F)))
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
@@ -290,7 +277,7 @@ def _plaquette_zeros(bundle, grid, p):
 
 
 def _components(grid, ids):
-    """Connected components of the zero elements ``ids``.
+    """Connected components of the zero elements ``ids``, sorted.
 
     Point p has element number p and plaquette q number P + q, P being
     the point count.  A zero plaquette is joined to its zero corners and
@@ -308,19 +295,17 @@ def _components(grid, ids):
     pairs = np.concatenate([
         np.column_stack([owner[on_zero], corners[on_zero]]),
         np.column_stack([owner[first][inv], owner])])
-    parent = {x: x for x in ids.tolist()}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs.tolist():
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)
+    # positions in the sorted ids order like the elements; each round hooks
+    # the label of one end of every pair onto the other's label when that
+    # is smaller, then halves the label chains (about log2(len(ids)) rounds)
+    a, b = np.searchsorted(ids, np.concatenate([pairs, pairs[:, ::-1]])).T
+    lab, prev = np.arange(len(ids)), None
+    while not np.array_equal(lab, prev):
+        prev, lab = lab, lab.copy()
+        np.minimum.at(lab, prev[a], prev[b])
+        lab = lab[lab]
     root = np.full(P + len(grid.plaquettes), -1)
-    root[ids] = [find(x) for x in ids.tolist()]
+    root[ids] = ids[lab]
     return root
 
 
@@ -372,7 +357,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     if zeros.size:
         F = bundle.frames
         band_max = float(_spectral_norms(
-            _dagger(F[zeros]) @ F[anti[zeros]]).max())
+            _mm(_dagger(F[zeros]), F[anti[zeros]])).max())
 
     # components are keyed by their root and ordered by their first
     # element; a component's mate holds the image of its first element

@@ -62,7 +62,7 @@ def _check_frames(F: np.ndarray) -> None:
     if not 1 <= m < d:
         raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
     _require_finite(F, "frame")
-    dev = np.abs(_dagger(F) @ F - np.eye(m)).max(axis=(1, 2))
+    dev = np.abs(_mm(_dagger(F), F) - np.eye(m)).max(axis=(1, 2))
     bad = np.flatnonzero(dev > ORTHO_TOL)
     if bad.size:
         at = f" at point {bad[0]}" if P > 1 else ""
@@ -149,6 +149,47 @@ def _dagger(X: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(X, -1, -2))
 
 
+def _cmul(a, b) -> np.ndarray:
+    """Elementwise complex product, each real operation rounded alone.
+
+    numpy's vectorized complex multiply fuses multiply and add on some
+    CPUs; spelled out, a product is the same on every machine and equal
+    to the product of Python complex numbers.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _apply(M: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """M F for a matrix M and every F of a (P, d, m) stack, as one GEMM
+    over the stack reshaped to (P m, d) rows."""
+    P, d, m = F.shape
+    rows = np.swapaxes(F, 1, 2).reshape(-1, d) @ M.T
+    return rows.reshape(P, m, -1).swapaxes(1, 2)
+
+
+def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stacked product A B of a (P, r, k) and a (P, k, c) stack.
+
+    ``A @ B`` makes one BLAS call per matrix.  For P >= 128 and r k c <=
+    32 the k outer products are summed by broadcasting instead, with the
+    stack axis moved last and made contiguous: 1.2 against 2.1 ms for
+    4288 (2x4)(4x2) products, but 2.7 against 2.0 ms at r k c = 64 and
+    47 against 29 us for 64 products (2 shared vCPUs, numpy 2.4).
+    """
+    P, r, k = A.shape
+    if P < 128 or r * k * B.shape[-1] > 32:
+        return A @ B
+    At = np.ascontiguousarray(np.moveaxis(A, 0, -1))
+    Bt = np.ascontiguousarray(np.moveaxis(B, 0, -1))
+    out = At[:, 0, None] * Bt[None, 0]
+    for i in range(1, k):
+        out += At[:, i, None] * Bt[None, i]
+    return np.moveaxis(out, -1, 0)
+
+
 def _spectral_norms(X: np.ndarray) -> np.ndarray:
     """Spectral norm (largest singular value) of every matrix in a stack.
 
@@ -189,10 +230,10 @@ def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:
     out = np.zeros(len(frames))
     for blk in _blocks(len(frames), 16 * d * d):
         F = frames[blk]
-        comp = eye - F @ _dagger(F)
+        comp = eye - _mm(F, _dagger(F))
         for M in mats:
-            MF = M @ F
-            out[blk] = np.maximum(out[blk], np.abs(MF @ _dagger(MF) - comp
+            MF = _apply(M, F)
+            out[blk] = np.maximum(out[blk], np.abs(_mm(MF, _dagger(MF)) - comp
                                                    ).max(axis=(1, 2)))
     return out
 

@@ -18,7 +18,7 @@ import numpy as np
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import CliffordSet, Generator, _generator_matrix, make_nambu
-from .planes import (Plane, _pseudo_deviations, j_of, pseudo_check,
+from .planes import (Plane, _apply, _pseudo_deviations, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
                        true_symmetries)
@@ -201,7 +201,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
     # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
     F = b.frames[seeds]
     half = (ts / 2)[:, None, None]
-    rotated = np.cos(half) * F + (1j * np.sin(half)) * (K.matrix @ F)
+    rotated = np.cos(half) * F + (1j * np.sin(half)) * _apply(K.matrix, F)
     frames = np.where(half == 0.0, F, rotated)
     return Bundle(space, CliffordSet(space, out_gens), grid,
                   np.concatenate([frames, *poles]), label)

@@ -312,8 +312,13 @@ def test_exit_code_for_numeric_errors(tmp_path):
 
 
 def test_numpy_linalg_failures_exit_3(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "sphere.json"
-    run("example", "--name", "dIII", "--N", 8, "--output", out)
+    # the link table of a rank-4 bundle (the doubled sphere) calls
+    # np.linalg.det; ranks 1 and 2 use a closed form
+    sphere = tmp_path / "sphere.json"
+    out = tmp_path / "doubled.json"
+    run("example", "--name", "dIII", "--N", 8, "--output", sphere)
+    run("doubling", "--input", sphere, "--output", out)
+    assert _load(out)["frames"]["shape"][2] == 4
 
     def refuse(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -1,12 +1,15 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import nudge, regauge
+from helpers import nudge, regauge, union_find_components
 
-from fermibundle.bundles import Bundle, make_sphere_grid, validate_bundle
+from fermibundle import bundles, invariants
+from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
+                                 validate_bundle)
 from fermibundle.errors import InputError, NumericError, ValidationError
 from fermibundle.invariants import (InvariantResult, chern_number,
                                     chiral_winding, class_d_z2,
@@ -397,17 +400,20 @@ _KM_PINNED = {
 }
 
 
-@pytest.mark.parametrize("case", list(_KM_PINNED))
-def test_kane_mele_clustering_is_pinned(case):
+def _km_case(case):
     sp = make_nambu(2)
     if case == "dIII":
-        b = example_dIII(N=16)
-    elif case == "vortex":
-        b, _ = _alpha_bundle(
-            sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)
-    else:
-        b, _ = _alpha_bundle(
-            sp, lambda k, t: np.cos(2 * k) + 1j * np.sin(2 * t), N=16, M=6)
+        return example_dIII(N=16)
+    if case == "vortex":
+        return _alpha_bundle(
+            sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)[0]
+    return _alpha_bundle(
+        sp, lambda k, t: np.cos(2 * k) + 1j * np.sin(2 * t), N=16, M=6)[0]
+
+
+@pytest.mark.parametrize("case", list(_KM_PINNED))
+def test_kane_mele_clustering_is_pinned(case):
+    b = _km_case(case)
     diag = kane_mele_z2(b, b.cset.generators[0]).diagnostics
     want = _KM_PINNED[case]
     for key in ("zero_points", "crossing_plaquettes", "vortex_plaquettes",
@@ -415,6 +421,81 @@ def test_kane_mele_clustering_is_pinned(case):
         assert diag[key] == want[key], key
     assert [(pair["points"], pair["count"], pair["self_antipodal"])
             for pair in diag["pairs"]] == want["pairs"]
+
+
+@pytest.mark.parametrize("case", [*_KM_PINNED, "dIII-64"])
+def test_components_of_kane_mele_zeros_match_the_union_find(case, monkeypatch):
+    b = example_dIII(N=64) if case == "dIII-64" else _km_case(case)
+    components, seen = invariants._components, []
+
+    def checked(grid, ids):
+        root = components(grid, ids)
+        assert np.array_equal(root, union_find_components(grid, ids))
+        seen.append(len(ids))
+        return root
+
+    monkeypatch.setattr(invariants, "_components", checked)
+    kane_mele_z2(b, b.cset.generators[0])
+    assert seen and seen[0] > 1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_components_of_random_zero_sets_match_the_union_find(seed):
+    rng = np.random.default_rng(seed)
+    grid = make_sphere_grid(2, int(rng.choice([4, 8, 16, 32])),
+                            int(rng.integers(1, 10)))
+    P, Q = grid.size, len(grid.plaquettes)
+    density = rng.uniform(0.02, 0.6)
+    ids = np.concatenate([np.flatnonzero(rng.random(P) < density),
+                          P + np.flatnonzero(rng.random(Q) < density)])
+    assert np.array_equal(invariants._components(grid, ids),
+                          union_find_components(grid, ids))
+
+
+class _CountingMinimum:
+    """np.minimum, counting calls of its ``at`` method."""
+
+    def __init__(self):
+        self.ufunc, self.at_calls = np.minimum, 0
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+    def at(self, *args):
+        self.at_calls += 1
+        return self.ufunc.at(*args)
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing", "zigzag",
+                                   "odd-even"])
+def test_components_of_a_long_path_take_logarithmic_rounds(order,
+                                                           monkeypatch):
+    # a chain of n zero plaquettes, position j sharing corner j + 1 with
+    # position j + 1, numbered so that a label moving one step per round
+    # would need about n rounds
+    n = 4096
+    pos = np.arange(n)
+    number = {
+        "increasing": pos,
+        "decreasing": pos[::-1],
+        "zigzag": np.where(pos % 2, n - 1 - pos // 2, pos // 2),
+        "odd-even": np.where(pos < n // 2, 2 * (n // 2 - 1 - pos),
+                             2 * (pos - n // 2) + 1),
+    }[order]
+    plaquettes = np.empty((n, 4), dtype=int)
+    plaquettes[number] = np.column_stack([pos, pos + 1, pos + 1, pos])
+    grid = SimpleNamespace(size=n + 1, plaquettes=plaquettes)
+    ids = n + 1 + pos
+    counter = _CountingMinimum()
+    monkeypatch.setattr(np, "minimum", counter)
+    root = invariants._components(grid, ids)
+    monkeypatch.undo()
+    assert (root[ids] == n + 1).all() and (root[:n + 1] == -1).all()
+    assert counter.at_calls <= np.log2(n) + 2
+    assert np.array_equal(root, union_find_components(grid, ids))
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -553,19 +634,38 @@ def test_chern_of_suspended_chain():
 def test_kane_mele_and_chern_share_one_link_table(monkeypatch):
     s = example_dIII(N=16)
     fresh = Bundle(s.space, s.cset, s.grid, s.frames, s.label)
-    det, calls = np.linalg.det, []
+    # within these invariants only the link table calls bundles._mm, once
+    # per build, for its stack of edge overlaps
+    mm, calls = bundles._mm, []
 
-    def counted(a):
-        if np.ndim(a) == 3:  # a stack of overlaps, not the 2n x 2n form
-            calls.append(len(a))
-        return det(a)
+    def counted(a, b):
+        calls.append(len(a))
+        return mm(a, b)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(bundles, "_mm", counted)
     assert kane_mele_z2(s, s.cset.generators[0]).value == 1
     fluxes = chern_number(s).diagnostics["fluxes"]
     assert len(calls) == 1
     assert fluxes.tobytes() == chern_number(fresh).diagnostics["fluxes"].tobytes()
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_link_determinants_match_linalg_det(rank):
+    # ranks 1 and 2 take the closed-form determinant, rank 4 np.linalg.det
+    b = _suspended_chain(1, N=16) if rank == 1 else example_dIII(N=16)
+    if rank == 4:
+        b = double_bundle(b)
+    b = regauge(b, np.random.default_rng(rank))
+    links, slots = b.grid.links, b.grid.slots
+    F = b.frames
+    o = np.linalg.det(
+        np.conj(np.swapaxes(F[links[:, 0]], 1, 2)) @ F[links[:, 1]])
+    L, edge = b._link_variables
+    assert b.rank == rank and len(links) >= 128
+    assert np.array_equal(edge, slots < 2 * len(links))
+    assert (np.abs(L - np.concatenate([o, o.conj(), [1.0]])[slots])
+            <= 1e-15).all()
 
 
 def test_chern_is_gauge_invariant():

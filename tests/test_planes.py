@@ -5,6 +5,7 @@ from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import Generator, make_nambu
 from fermibundle.planes import (
     Plane,
+    _dagger,
     complement,
     fermi_check,
     fermi_perp,
@@ -12,6 +13,8 @@ from fermibundle.planes import (
     j_of,
     plane_distance,
     plane_from_vectors,
+    _apply,
+    _mm,
     _spectral_norms,
     pseudo_check,
     vacuum_plane,
@@ -216,3 +219,47 @@ def test_spectral_norms_match_the_svd(r, m, scale):
     got = _spectral_norms(X)
     assert got.shape == ref.shape
     assert (np.abs(got - ref) <= 1e-13 * ref).all()
+
+
+def _within_scale(got, X, Y):
+    """Entrywise |got - X Y| <= 1e-15 (|X| |Y|), against ``@``."""
+    ref = X @ Y
+    return got.shape == ref.shape and bool(
+        (np.abs(got - ref) <= 1e-15 * (np.abs(X) @ np.abs(Y))).all())
+
+
+def _noncontiguous_pairs(P, r, k, c, rng):
+    """Plain, gathered and swapaxes-view operands of one product shape."""
+    A, B = _gaussian((P, r, k), rng), _gaussian((P, k, c), rng)
+    idx = rng.integers(P, size=P)
+    return [(A, B), (A[idx], B[idx[::-1]]),
+            (np.swapaxes(_gaussian((P, k, r), rng), 1, 2), B),
+            (A, np.swapaxes(_gaussian((P, c, k), rng), 1, 2)),
+            (_dagger(_gaussian((P, k, r), rng)), B)]
+
+
+# (P, r, k, c, summed): the broadcast sum needs P >= 128 and r k c <= 32;
+# it alone returns a view, of an array with the stack axis last
+@pytest.mark.parametrize("P,r,k,c,summed", [
+    (128, 1, 1, 1, True), (200, 2, 4, 2, True), (200, 4, 2, 4, True),
+    (300, 4, 2, 2, True), (200, 4, 4, 2, True), (150, 1, 32, 1, True),
+    (1, 2, 4, 2, False), (127, 2, 4, 2, False), (200, 4, 4, 4, False),
+    (200, 2, 8, 4, False), (128, 16, 8, 16, False)])
+def test_mm_matches_matmul(P, r, k, c, summed):
+    rng = np.random.default_rng(P + 10 * r + 100 * k + 1000 * c)
+    for A, B in _noncontiguous_pairs(P, r, k, c, rng):
+        got = _mm(A, B)
+        assert _within_scale(got, A, B)
+        assert (got.base is not None) == summed
+
+
+@pytest.mark.parametrize("P,r,d,m", [(2114, 4, 4, 2), (300, 3, 4, 2),
+                                     (1, 4, 4, 2), (200, 8, 8, 4),
+                                     (128, 32, 32, 16)])
+def test_apply_matches_matmul(P, r, d, m):
+    rng = np.random.default_rng(P + r + d + m)
+    M = _gaussian((r, d), rng)
+    F = _gaussian((P, d, m), rng)
+    for X in (F, F[rng.integers(P, size=P)],
+              np.swapaxes(_gaussian((P, m, d), rng), 1, 2)):
+        assert _within_scale(_apply(M, X), M, X)
