@@ -4,7 +4,9 @@
 
 Each N in 32, 64, 128, 256 runs in a fresh Python process, so the grid
 caches start cold, against the ``src/`` tree next to this script.  Every
-stage is timed best of 3, in milliseconds:
+stage runs 5 times; ``stages_ms`` records the best time and
+``stages_median_ms`` the median, in milliseconds, since a best of a few
+repetitions in one process can misread a cell on a shared host:
 
 - ``grid (cold)``: ``make_sphere_grid(2, N, default_row_count(N))`` with
   its edge, plaquette and link tables, after clearing the grid cache;
@@ -16,7 +18,10 @@ stage is timed best of 3, in milliseconds:
   each on a fresh copy of the sphere, so no per-bundle table is reused
   from an earlier repetition;
 - ``encode`` (``serialize_bundle`` + ``json.dumps``), ``decode``
-  (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``.
+  (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``;
+- ``csv``: the sphere's ``kane_mele_z2`` and ``chern_number`` tables, as
+  ``fermibundle invariant --csv`` writes them, through ``cli._write_csv``
+  into a temporary directory.
 
 The result goes to ``bench/BENCH_<sha>.json`` at the repository root,
 with the git commit, whether ``src/`` differs from it (null when git
@@ -28,27 +33,43 @@ and the Python, numpy and platform versions.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (32, 64, 128, 256)
-REPEAT = 3
+REPEAT = 5
 
 
-def _best_ms(fn, inputs):
-    """Best wall time of ``fn`` over ``inputs``, one call each, in ms."""
-    best = float("inf")
+def _times_ms(fn, inputs):
+    """Best and median wall time of ``fn`` over ``inputs``, one call each,
+    in ms."""
+    times = []
     for x in inputs:
         t = time.perf_counter()
         fn(x)
-        best = min(best, time.perf_counter() - t)
-    return round(1e3 * best, 3)
+        times.append(time.perf_counter() - t)
+    return (round(1e3 * min(times), 3),
+            round(1e3 * statistics.median(times), 3))
+
+
+def _csv_writer(cli):
+    """``cli._write_csv`` as a writer of numpy columns."""
+    if "rows" not in inspect.signature(cli._write_csv).parameters:
+        return cli._write_csv
+
+    # older trees: the writer took per-row lists of Python scalars
+    def write(path, header, columns):
+        cli._write_csv(path, header, zip(*(c.tolist() for c in columns)))
+    return write
 
 
 def _stages(N: int) -> dict:
@@ -56,6 +77,7 @@ def _stages(N: int) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     import fermibundle as fb
+    from fermibundle import cli
 
     M = fb.default_row_count(N)
     out = {"points": N * M + 2}
@@ -65,8 +87,8 @@ def _stages(N: int) -> dict:
         fb.make_sphere_grid.cache_clear()
         fb.make_sphere_grid(2, N, M)
 
-    t["grid (cold)"] = _best_ms(cold_grid, range(REPEAT))
-    t["example_dIII (suspend)"] = _best_ms(fb.example_dIII, [N] * REPEAT)
+    t["grid (cold)"] = _times_ms(cold_grid, range(REPEAT))
+    t["example_dIII (suspend)"] = _times_ms(fb.example_dIII, [N] * REPEAT)
     s = fb.example_dIII(N)
     gen = s.cset.generators[0]
 
@@ -74,21 +96,36 @@ def _stages(N: int) -> dict:
         return [fb.Bundle(s.space, s.cset, s.grid, s.frames, s.label)
                 for _ in range(REPEAT)]
 
-    t["validate_bundle"] = _best_ms(fb.validate_bundle, [s] * REPEAT)
+    t["validate_bundle"] = _times_ms(fb.validate_bundle, [s] * REPEAT)
     doubled = fb.double_bundle(s)
-    t["validate_bundle (doubled)"] = _best_ms(fb.validate_bundle,
-                                              [doubled] * REPEAT)
-    t["kane_mele_z2"] = _best_ms(lambda b: fb.kane_mele_z2(b, gen), fresh())
-    t["chern_number"] = _best_ms(fb.chern_number, fresh())
-    t["kane_mele_z2 + chern_number"] = _best_ms(
+    t["validate_bundle (doubled)"] = _times_ms(fb.validate_bundle,
+                                               [doubled] * REPEAT)
+    t["kane_mele_z2"] = _times_ms(lambda b: fb.kane_mele_z2(b, gen), fresh())
+    t["chern_number"] = _times_ms(fb.chern_number, fresh())
+    t["kane_mele_z2 + chern_number"] = _times_ms(
         lambda b: (fb.kane_mele_z2(b, gen), fb.chern_number(b)), fresh())
-    t["encode"] = _best_ms(lambda b: json.dumps(fb.serialize_bundle(b)),
-                           [s] * REPEAT)
+    t["encode"] = _times_ms(lambda b: json.dumps(fb.serialize_bundle(b)),
+                            [s] * REPEAT)
     text = json.dumps(fb.serialize_bundle(s))
-    t["decode"] = _best_ms(lambda x: fb.deserialize_bundle(json.loads(x)),
-                           [text] * REPEAT)
-    t["double_bundle"] = _best_ms(fb.double_bundle, [s] * REPEAT)
-    out["stages_ms"] = t
+    t["decode"] = _times_ms(lambda x: fb.deserialize_bundle(json.loads(x)),
+                            [text] * REPEAT)
+    t["double_bundle"] = _times_ms(fb.double_bundle, [s] * REPEAT)
+    f = fb.kane_mele_z2(s, gen).diagnostics["field"]
+    fluxes = fb.chern_number(s).diagnostics["fluxes"]
+    tables = [("kane_mele.csv", ["index", "k", "t", "abs_pf", "arg_pf"],
+               [np.arange(len(f)), *s.grid.points.T,
+                np.hypot(f.real, f.imag), np.angle(f)]),
+              ("chern.csv", ["plaquette", "flux"],
+               [np.arange(len(fluxes)), fluxes])]
+    write = _csv_writer(cli)
+    with tempfile.TemporaryDirectory() as tmp:
+        def write_tables(_):
+            for name, header, columns in tables:
+                write(os.path.join(tmp, name), header, columns)
+
+        t["csv"] = _times_ms(write_tables, range(REPEAT))
+    out["stages_ms"] = {stage: best for stage, (best, _) in t.items()}
+    out["stages_median_ms"] = {stage: med for stage, (_, med) in t.items()}
     out["numpy"] = np.__version__
     return out
 
@@ -121,7 +158,7 @@ def _record(sizes: dict) -> dict:
         "numpy": numpy_version,
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
-        "workload": "example_dIII(N), in process, best of "
+        "workload": "example_dIII(N), in process, best and median of "
                     f"{REPEAT}, one fresh process per N",
         "sizes": sizes,
     }

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import math
@@ -68,12 +67,26 @@ def _write_json(path, data):
         fh.write(json.dumps(data) + "\n")
 
 
-def _write_csv(path, header, rows):
-    """Write CSV rows of Python scalars (csv writes a float as its repr)."""
+def _cells(column):
+    """The CSV text of each entry: ``str`` of an int, ``repr`` of a float,
+    and "" for NaN.  Each distinct float bit pattern is formatted once, so
+    -0.0 and 0.0 stay apart."""
+    column = np.asarray(column)
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    bits, inverse = np.unique(
+        np.ascontiguousarray(column, np.float64).view(np.int64),
+        return_inverse=True)
+    text = np.array(["" if math.isnan(v) else repr(v)
+                     for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length numpy columns as CSV rows ending in \\r\\n."""
+    lines = [",".join(header), *map(",".join, zip(*map(_cells, columns)))]
     with _writing(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _load_bundle(path):
@@ -188,13 +201,20 @@ def _cmd_validate(args):
           f"{float(np.max(report.pseudo_max)):.3e}")
     print(f"Fermi pairing max deviation: {fermi}")
     print(f"continuity max jump: {report.continuity_max:.3e}")
+    print(f"continuity worst edge: {report.continuity_edge or 'none'}")
+    print(f"tolerances: pseudo/Fermi {report.tol!r}, "
+          f"continuity {report.continuity_tol!r}")
     for msg in report.messages:
         print(msg)
     if args.csv is not None:
-        coords = ["k", "t"] if bundle.grid.d == 2 else ["k"]
+        grid = bundle.grid
+        coords = ["k", "t"] if grid.d == 2 else ["k"]
+        # NaN cells are written empty: the Fermi check needs rank n
+        fermi_max = (np.full(grid.size, np.nan) if report.fermi_max is None
+                     else report.fermi_max)
         _write_csv(args.csv, ["index", *coords, "pseudo_max", "fermi_max"],
-                   ([*row[:-1], "" if math.isnan(row[-1]) else row[-1]]
-                    for row in report.rows(bundle.grid)))
+                   [np.arange(grid.size), *grid.points.T, report.pseudo_max,
+                    fermi_max])
     return 0 if report.ok else 1
 
 
@@ -248,13 +268,12 @@ def _cmd_invariant(args):
             # np.hypot matches the scalar abs(f) bit for bit; numpy's
             # vectorised complex abs differs in the last bit on some CPUs
             _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
-                       ([p, *pt, a, phi] for p, (pt, a, phi) in enumerate(
-                           zip(bundle.grid.points.tolist(),
-                               np.hypot(f.real, f.imag).tolist(),
-                               np.angle(f).tolist()))))
+                       [np.arange(len(f)), *bundle.grid.points.T,
+                        np.hypot(f.real, f.imag), np.angle(f)])
         elif kind == "chern_number":
+            fluxes = result.diagnostics["fluxes"]
             _write_csv(args.csv, ["plaquette", "flux"],
-                       enumerate(result.diagnostics["fluxes"].tolist()))
+                       [np.arange(len(fluxes)), fluxes])
         else:
             raise InputError(f"no CSV output is defined for kind {kind!r}")
     return 0

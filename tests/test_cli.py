@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
-                                 make_sphere_grid, serialize_bundle)
-from fermibundle.cli import main
+                                 make_sphere_grid, serialize_bundle,
+                                 validate_bundle)
+from fermibundle.cli import _cells, main
 from fermibundle.invariants import (chern_number, component_index_ai,
                                     kane_mele_z2)
-from fermibundle.nambu import make_nambu
+from fermibundle.nambu import CliffordSet, make_nambu
 from fermibundle.planes import vacuum_plane
 from fermibundle.suspension import (SuspensionInput, example_dIII,
                                     example_kitaev_chain, suspend)
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   true_symmetries)
+from fermibundle.tolerances import CONTINUITY_TOL
 from helpers import random_suspension_inputs, regauge, v1_document
 
 
@@ -698,3 +700,111 @@ def test_config_null_means_the_default_and_does_not_persist(tmp_path):
     # one parser serves every call; the config must not leak into the next
     assert run("example", "--name", "majorana", "--output", out) == 0
     assert _load(out)["grid"]["N"] == 64
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes: the csv module's output from per-row lists of Python scalars
+# (ints as str, floats as repr, CRLF row ends) is the reference
+
+
+def _csv_module_bytes(tmp_path, header, rows):
+    path = tmp_path / "reference.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def _rank_one_ring():
+    """A rank-1 line turning over a circle in the n = 2 space: rank != n,
+    so the Fermi check does not apply."""
+    sp = make_nambu(2)
+    grid = make_sphere_grid(1, 8)
+    k = grid.points[:, 0]
+    frames = np.zeros((grid.size, 4, 1), dtype=complex)
+    frames[:, 0, 0], frames[:, 1, 0] = np.cos(k / 2), 1j * np.sin(k / 2)
+    return Bundle(sp, CliffordSet(sp, ()), grid, frames)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_kitaev_chain(2, 1, N=8),
+    lambda: regauge(example_dIII(N=8), np.random.default_rng(2)),
+    _rank_one_ring,
+], ids=["circle", "sphere", "rank != n"])
+def test_validate_csv_bytes_match_the_csv_module(tmp_path, make):
+    bundle = make()
+    path, table = tmp_path / "b.json", tmp_path / "report.csv"
+    path.write_text(json.dumps(serialize_bundle(bundle)))
+    assert run("validate", "--input", path, "--csv", table) == 0
+    report = validate_bundle(bundle)
+    coords = ["k", "t"] if bundle.grid.d == 2 else ["k"]
+    rows = [[*row[:-1], "" if math.isnan(row[-1]) else row[-1]]
+            for row in report.rows(bundle.grid)]
+    assert table.read_bytes() == _csv_module_bytes(
+        tmp_path, ["index", *coords, "pseudo_max", "fermi_max"], rows)
+    if report.fermi_max is None:
+        lines = table.read_text().splitlines()[1:]
+        assert len(lines) == bundle.grid.size
+        assert all(line.endswith(",") for line in lines)
+
+
+def test_kane_mele_csv_bytes_match_the_csv_module(tmp_path, capsys):
+    bundle = regauge(example_dIII(N=16), np.random.default_rng(5))
+    path, table = tmp_path / "diii.json", tmp_path / "km.csv"
+    path.write_text(json.dumps(serialize_bundle(bundle)))
+    assert run("invariant", "--input", path, "--kind", "kane_mele_z2",
+               "--csv", table) == 0
+    f = kane_mele_z2(bundle, bundle.cset.generators[0]).diagnostics["field"]
+    rows = [[p, *pt, a, phi] for p, (pt, a, phi) in enumerate(zip(
+        bundle.grid.points.tolist(), np.hypot(f.real, f.imag).tolist(),
+        np.angle(f).tolist()))]
+    assert table.read_bytes() == _csv_module_bytes(
+        tmp_path, ["index", "k", "t", "abs_pf", "arg_pf"], rows)
+
+
+def test_chern_csv_bytes_match_the_csv_module(tmp_path, capsys):
+    sphere = suspend(SuspensionInput(example_kitaev_chain(1, 1, N=16), 0))
+    path, table = tmp_path / "sphere.json", tmp_path / "flux.csv"
+    path.write_text(json.dumps(serialize_bundle(sphere)))
+    assert run("invariant", "--input", path, "--kind", "chern_number",
+               "--csv", table) == 0
+    fluxes = chern_number(sphere).diagnostics["fluxes"]
+    assert table.read_bytes() == _csv_module_bytes(
+        tmp_path, ["plaquette", "flux"], enumerate(fluxes.tolist()))
+
+
+def test_csv_cells_format_each_bit_pattern():
+    payload_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    column = np.array([-0.0, 0.0, np.nan, 5e-324, 1e16, 1e-05, 1e16,
+                       payload_nan, -0.0, 0.1 + 0.2])
+    assert _cells(column) == ["-0.0", "0.0", "", "5e-324", "1e+16", "1e-05",
+                              "1e+16", "", "-0.0", "0.30000000000000004"]
+    assert _cells(np.array([0, 7, -3, 7, 2**40])) == [
+        "0", "7", "-3", "7", "1099511627776"]
+    assert _cells(np.array([], dtype=np.float64)) == []
+
+
+def test_validate_prints_its_tolerances_and_worst_edge(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.delenv("FERMIBUNDLE_TOL", raising=False)
+    ring = tmp_path / "ring.json"
+    still = tmp_path / "still.json"
+    run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 1,
+        "--N", 8, "--output", ring)
+    sp = make_nambu(1)
+    grid = make_sphere_grid(1, 4)
+    still.write_text(json.dumps(serialize_bundle(Bundle(
+        sp, CliffordSet(sp, ()), grid, (vacuum_plane(sp),) * grid.size))))
+    capsys.readouterr()
+    assert run("validate", "--input", ring, "--tol", "1e-8") == 0
+    text = capsys.readouterr().out
+    edge = validate_bundle(_read_bundle(ring)).continuity_edge
+    assert edge is not None
+    assert f"continuity worst edge: {edge}\n" in text
+    assert f"tolerances: pseudo/Fermi 1e-08, continuity {CONTINUITY_TOL!r}" \
+        in text
+    assert run("validate", "--input", still) == 0
+    text = capsys.readouterr().out
+    assert "continuity worst edge: none\n" in text
+    assert "tolerances: pseudo/Fermi 1e-10, " in text

@@ -44,3 +44,15 @@ def test_git_without_a_git_binary_gives_none(sweep, monkeypatch):
 
 def test_a_failing_git_command_gives_none(sweep):
     assert sweep._git("no-such-subcommand") is None
+
+
+def test_every_stage_runs_at_a_tiny_size(sweep):
+    out = sweep._stages(8)
+    assert out["points"] == 8 * 5 + 2
+    stages = {"grid (cold)", "example_dIII (suspend)", "validate_bundle",
+              "validate_bundle (doubled)", "kane_mele_z2", "chern_number",
+              "kane_mele_z2 + chern_number", "encode", "decode",
+              "double_bundle", "csv"}
+    assert set(out["stages_ms"]) == set(out["stages_median_ms"]) == stages
+    for stage in stages:
+        assert 0 < out["stages_ms"][stage] <= out["stages_median_ms"][stage]
