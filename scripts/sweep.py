@@ -23,6 +23,10 @@ repetitions in one process can misread a cell on a shared host:
   ``fermibundle invariant --csv`` writes them, through ``cli._write_csv``
   into a temporary directory.
 
+``stages_minflt`` records the median number of minor page faults
+(``ru_minflt``) per call of each stage; unlike a time, it does not drift
+with the speed of a shared host.
+
 The result goes to ``bench/BENCH_<sha>.json`` at the repository root,
 with the git commit, whether ``src/`` differs from it (null when git
 cannot tell, and the commit "unknown"), ``src_lines`` (the
@@ -37,6 +41,7 @@ import inspect
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -49,16 +54,23 @@ SIZES = (32, 64, 128, 256)
 REPEAT = 5
 
 
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def _times_ms(fn, inputs):
     """Best and median wall time of ``fn`` over ``inputs``, one call each,
-    in ms."""
-    times = []
+    in ms, and the median count of minor page faults per call."""
+    times, faults = [], []
     for x in inputs:
+        f = _minflt()
         t = time.perf_counter()
         fn(x)
         times.append(time.perf_counter() - t)
+        faults.append(_minflt() - f)
     return (round(1e3 * min(times), 3),
-            round(1e3 * statistics.median(times), 3))
+            round(1e3 * statistics.median(times), 3),
+            statistics.median(faults))
 
 
 def _csv_writer(cli):
@@ -124,8 +136,9 @@ def _stages(N: int) -> dict:
                 write(os.path.join(tmp, name), header, columns)
 
         t["csv"] = _times_ms(write_tables, range(REPEAT))
-    out["stages_ms"] = {stage: best for stage, (best, _) in t.items()}
-    out["stages_median_ms"] = {stage: med for stage, (_, med) in t.items()}
+    out["stages_ms"] = {stage: best for stage, (best, _, _) in t.items()}
+    out["stages_median_ms"] = {stage: med for stage, (_, med, _) in t.items()}
+    out["stages_minflt"] = {stage: f for stage, (_, _, f) in t.items()}
     out["numpy"] = np.__version__
     return out
 

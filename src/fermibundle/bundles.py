@@ -273,14 +273,6 @@ class BundleReport:
     continuity_tol: float
     messages: tuple = ()
 
-    def rows(self, grid: MomentumGrid):
-        """Per-point rows (index, coordinates..., pseudo, fermi) of Python
-        scalars."""
-        fermi = (np.full(grid.size, np.nan) if self.fermi_max is None
-                 else self.fermi_max)
-        return [(p, *row) for p, row in enumerate(np.column_stack(
-            [grid.points, self.pseudo_max, fermi]).tolist())]
-
 
 def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
                     continuity_tol: float = CONTINUITY_TOL) -> BundleReport:

@@ -62,7 +62,10 @@ def _check_frames(F: np.ndarray) -> None:
     if not 1 <= m < d:
         raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
     _require_finite(F, "frame")
-    dev = np.abs(_mm(_dagger(F), F) - np.eye(m)).max(axis=(1, 2))
+    dev = np.empty(P)
+    for blk in _blocks(P, 16 * d * m):
+        X = F[blk]
+        dev[blk] = np.abs(_mm(_dagger(X), X) - np.eye(m)).max(axis=(1, 2))
     bad = np.flatnonzero(dev > ORTHO_TOL)
     if bad.size:
         at = f" at point {bad[0]}" if P > 1 else ""
@@ -133,9 +136,14 @@ def pseudo_check(J, A: Plane) -> float:
     return float(np.abs(M @ Pi @ M.conj().T - (np.eye(d) - Pi)).max())
 
 
-# Batched checks hold no temporary larger than this, so their memory does
-# not grow with the number of grid points.
-_BLOCK_BYTES = 1 << 19
+# Batched kernels hold no temporary larger than this, so their memory does
+# not grow with the number of grid points.  It stays below glibc's default
+# 128 KiB mmap threshold, above which each temporary is mapped afresh and
+# page-faulted in again on every call.  A steady-state sphere-mem pass of
+# perfbench took 1,757 minor page faults and 5.1 ms of system time with a
+# 512 KiB budget and whole-stack sums in _mm, and takes 299 and 1.1 ms
+# (2 shared vCPUs, glibc 2.36, numpy 2.4).
+_BLOCK_BYTES = 96 << 10
 
 
 def _blocks(count: int, item_bytes: int):
@@ -174,20 +182,32 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Stacked product A B of a (P, r, k) and a (P, k, c) stack.
 
     ``A @ B`` makes one BLAS call per matrix.  For P >= 128 and r k c <=
-    32 the k outer products are summed by broadcasting instead, with the
-    stack axis moved last and made contiguous: 1.2 against 2.1 ms for
-    4288 (2x4)(4x2) products, but 2.7 against 2.0 ms at r k c = 64 and
-    47 against 29 us for 64 products (2 shared vCPUs, numpy 2.4).
+    32 the k outer products are summed by broadcasting instead, into one
+    output with the stack axis last: 0.6 against 1.8 ms for 4288
+    (2x4)(4x2) products, but no gain at r k c = 64 (2.0 against 2.2 ms)
+    or for 64 products (29 us each; 2 shared vCPUs, numpy 2.4).
+
+    The sum runs over the chunks of ``_blocks``: each chunk of A and B is
+    copied stack-last, its first term is written into the output and the
+    others are added in place, in the same order for every element.  No
+    temporary thus crosses the allocator's mmap threshold, above which it
+    would be mapped and faulted in afresh on every call: a sphere-mem pass
+    takes 299 minor page faults, against 701 with whole-stack sums and a
+    new product per term under the same budget (see ``_BLOCK_BYTES``).
     """
     P, r, k = A.shape
-    if P < 128 or r * k * B.shape[-1] > 32:
+    c = B.shape[-1]
+    if P < 128 or r * k * c > 32:
         return A @ B
-    At = np.ascontiguousarray(np.moveaxis(A, 0, -1))
-    Bt = np.ascontiguousarray(np.moveaxis(B, 0, -1))
-    out = At[:, 0, None] * Bt[None, 0]
-    for i in range(1, k):
-        out += At[:, i, None] * Bt[None, i]
-    return np.moveaxis(out, -1, 0)
+    out = np.empty((r, c, P), dtype=np.result_type(A, B))
+    for blk in _blocks(P, 16 * max(r * k, k * c, r * c)):
+        At = np.ascontiguousarray(A[blk].transpose(1, 2, 0))
+        Bt = np.ascontiguousarray(B[blk].transpose(1, 2, 0))
+        o = out[..., blk]
+        np.multiply(At[:, 0, None], Bt[None, 0], out=o)
+        for i in range(1, k):
+            o += At[:, i, None] * Bt[None, i]
+    return out.transpose(2, 0, 1)
 
 
 def _spectral_norms(X: np.ndarray) -> np.ndarray:

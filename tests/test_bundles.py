@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,9 @@ from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
 from fermibundle.planes import (Plane, complement, plane_distance, pseudo_check,
                                vacuum_plane)
-from fermibundle.suspension import (example_kitaev_chain, example_majorana,
-                                    suspend)
+from fermibundle.planes import _BLOCK_BYTES
+from fermibundle.suspension import (example_dIII, example_kitaev_chain,
+                                    example_majorana, suspend)
 from fermibundle.symmetry import (copy_indices, imaginary_realization,
                                   lift_plane)
 from fermibundle.tolerances import CONTINUITY_TOL
@@ -365,10 +367,31 @@ def test_validation_matches_the_per_fiber_computation(block_bytes,
         assert abs(report.continuity_max - cont) < 1e-14
 
 
+@pytest.mark.parametrize("make", [
+    lambda: example_dIII(64),
+    lambda: double_bundle(example_kitaev_chain(8, 3, N=128))],
+    ids=["dIII sphere", "doubled 8-band chain"])
+def test_validation_memory_is_bounded_by_the_block_budget(make):
+    # each blocked check holds about seven block-sized temporaries at once;
+    # the per-point results take the rest
+    b = make()
+    validate_bundle(b)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        validate_bundle(b)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * _BLOCK_BYTES
+
+
 def test_report_rows_carry_coordinates():
     b = _constant_creator_bundle(N=4)
     report = validate_bundle(b)
-    rows = report.rows(b.grid)
+    rows = [(p, *pt, pseudo, fermi) for p, (pt, pseudo, fermi) in enumerate(
+        zip(b.grid.points.tolist(), report.pseudo_max.tolist(),
+            report.fermi_max.tolist()))]
     assert len(rows) == 4
     idx, k, pseudo, fermi = rows[0]
     assert idx == 0

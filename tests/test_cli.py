@@ -739,8 +739,10 @@ def test_validate_csv_bytes_match_the_csv_module(tmp_path, make):
     assert run("validate", "--input", path, "--csv", table) == 0
     report = validate_bundle(bundle)
     coords = ["k", "t"] if bundle.grid.d == 2 else ["k"]
-    rows = [[*row[:-1], "" if math.isnan(row[-1]) else row[-1]]
-            for row in report.rows(bundle.grid)]
+    fermi = ([""] * bundle.grid.size if report.fermi_max is None
+             else report.fermi_max.tolist())
+    rows = [[p, *pt, pseudo, f] for p, (pt, pseudo, f) in enumerate(zip(
+        bundle.grid.points.tolist(), report.pseudo_max.tolist(), fermi))]
     assert table.read_bytes() == _csv_module_bytes(
         tmp_path, ["index", *coords, "pseudo_max", "fermi_max"], rows)
     if report.fermi_max is None:

@@ -56,8 +56,10 @@ def test_every_stage_runs_at_a_tiny_size(sweep):
               "kane_mele_z2 + chern_number", "encode", "decode",
               "double_bundle", "csv"}
     assert set(out["stages_ms"]) == set(out["stages_median_ms"]) == stages
+    assert set(out["stages_minflt"]) == stages
     for stage in stages:
         assert 0 < out["stages_ms"][stage] <= out["stages_median_ms"][stage]
+        assert out["stages_minflt"][stage] >= 0
 
 
 def test_a_row_writer_gets_rows_of_python_scalars(sweep):
