@@ -9,7 +9,7 @@ stage runs 5 times; ``stages_ms`` records the best time and
 repetitions in one process can misread a cell on a shared host:
 
 - ``grid (cold)``: ``make_sphere_grid(2, N, default_row_count(N))`` with
-  its edge, plaquette and link tables, after clearing the grid cache;
+  its edge, plaquette and slot tables, after clearing the grid cache;
 - ``example_dIII (suspend)``: the equator circle and its suspension, with
   a warm grid cache;
 - ``validate_bundle`` of the sphere (m = 2) and ``validate_bundle
@@ -37,7 +37,6 @@ and the Python, numpy and platform versions.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -71,17 +70,6 @@ def _times_ms(fn, inputs):
     return (round(1e3 * min(times), 3),
             round(1e3 * statistics.median(times), 3),
             statistics.median(faults))
-
-
-def _csv_writer(cli):
-    """``cli._write_csv`` as a writer of numpy columns."""
-    if "rows" not in inspect.signature(cli._write_csv).parameters:
-        return cli._write_csv
-
-    # older trees: the writer took per-row lists of Python scalars
-    def write(path, header, columns):
-        cli._write_csv(path, header, zip(*(c.tolist() for c in columns)))
-    return write
 
 
 def _stages(N: int) -> dict:
@@ -129,11 +117,10 @@ def _stages(N: int) -> dict:
                 np.hypot(f.real, f.imag), np.angle(f)]),
               ("chern.csv", ["plaquette", "flux"],
                [np.arange(len(fluxes)), fluxes])]
-    write = _csv_writer(cli)
     with tempfile.TemporaryDirectory() as tmp:
         def write_tables(_):
             for name, header, columns in tables:
-                write(os.path.join(tmp, name), header, columns)
+                cli._write_csv(os.path.join(tmp, name), header, columns)
 
         t["csv"] = _times_ms(write_tables, range(REPEAT))
     out["stages_ms"] = {stage: best for stage, (best, _, _) in t.items()}

@@ -40,18 +40,19 @@ class MomentumGrid:
 
     ``edges`` (E, 2) are the neighbor pairs, columns taken mod N: (i, i + 1)
     on the circle; on the sphere the ring edges row by row, the vertical
-    edges, the south spokes (south, i), then the north spokes (i, north).
-    ``plaquettes`` (Q, 4), empty off the sphere, are the oriented faces:
-    for each column i, the south triangle, the quads going north and the
-    north triangle, so face q = i (M + 1) + r lies between rows r - 1 and
-    r, the poles counting as rows -1 and M.  A triangle repeats its first
-    corner last; face q has the edges plaquettes[q, c] to
-    plaquettes[q, (c + 1) % 4], a triangle's fourth being degenerate.
+    edges, the south spokes (south, i), then the north spokes (i, north),
+    each pointing east or north.  ``plaquettes`` (Q, 4), empty off the
+    sphere, are the oriented faces: for each column i, the south triangle,
+    the quads going north and the north triangle, so face q = i (M + 1) + r
+    lies between rows r - 1 and r, the poles counting as rows -1 and M.  A
+    triangle repeats its first corner last; face q has the sides
+    plaquettes[q, c] to plaquettes[q, (c + 1) % 4], a triangle's fourth
+    being degenerate.  ``slots`` (Q, 4) names the edge on each side for
+    the Fukui-Hatsugai-Suzuki link variables: e when side c of face q runs
+    along edges[e], e + E when it runs against it, 2 E when it is
+    degenerate.  Every edge lies on two faces, once each way.
     ``plaquette_antipode`` (Q,) maps a face to the face on the antipodal
-    corners.  ``links`` (E, 2) and ``slots`` (Q, 4) are the
-    Fukui-Hatsugai-Suzuki link tables: each distinct face edge in the
-    orientation of its first traversal, and the link e of each face edge,
-    e + E when it runs against links[e], 2 E when it is degenerate.
+    corners.
     """
 
     d: int
@@ -63,7 +64,6 @@ class MomentumGrid:
     trims: tuple
     plaquettes: np.ndarray
     plaquette_antipode: np.ndarray
-    links: np.ndarray
     slots: np.ndarray
 
     @property
@@ -75,22 +75,6 @@ class MomentumGrid:
         if self.d != 2:
             raise InputError("poles exist only on the d = 2 grid")
         return self.N * self.M, self.N * self.M + 1
-
-
-def _link_tables(plaquettes):
-    """``links`` and ``slots`` of a (Q, 4) corner table, see MomentumGrid."""
-    a = plaquettes.ravel()
-    b = np.roll(plaquettes, -1, axis=1).ravel()
-    real = np.flatnonzero(a != b)
-    key = (np.minimum(a, b) * (a.max(initial=0) + 1) + np.maximum(a, b))[real]
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    # number the links in order of first traversal, not of key
-    order = np.argsort(first)
-    link = np.argsort(order)[inv]
-    links = np.column_stack([a[real[first[order]]], b[real[first[order]]]])
-    slots = np.full(a.shape, 2 * len(links))
-    slots[real] = link + len(links) * (a[real] != links[link, 0])
-    return links, slots.reshape(-1, 4)
 
 
 def _circle_angles(N):
@@ -123,7 +107,7 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
     """
     _grid_size(d, N, M)
-    plaq = np.zeros((0, 4), dtype=int)
+    plaq = slots = np.zeros((0, 4), dtype=int)
     plaq_anti = np.zeros(0, dtype=int)
     if d == 0:
         pts = np.array([[0.0], [math.pi]])
@@ -155,13 +139,26 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
         plaq[:, 0] = np.roll(plaq[:, 0], -1, axis=1)  # (south, i+1, i, south)
         plaq[:, M, 3] = plaq[:, M, 0]                 # (a, b, north, a)
         plaq = plaq.reshape(-1, 4)
+        # the edge ids of the same sides: ring[r, i] from rows[r, i] to
+        # nxt[r, i] (2 E, degenerate, on the poles), rise[r, i] from rows[r, i]
+        # to rows[r + 1, i] (vertical ids before the spokes, as in edges);
+        # the top and left sides of a face run against their edges
+        E = len(edges)
+        ring = np.pad(np.arange(N * M).reshape(M, N), ((1, 1), (0, 0)),
+                      constant_values=2 * E)
+        rise = N * (M + np.r_[M - 1, :M - 1, M])[:, None] + np.arange(N)
+        slots = np.minimum(np.stack(
+            [ring[:-1], np.roll(rise, -1, axis=1), ring[1:], rise],
+            axis=-1) + [0, 0, E, E], 2 * E).swapaxes(0, 1)
+        slots[:, 0] = np.roll(slots[:, 0], -1, axis=1)  # as the corners
+        slots[:, M, 2:] = slots[:, M, [3, 2]]           # (north -> a, a -> a)
+        slots = slots.reshape(-1, 4)
         col, row = np.divmod(np.arange(N * (M + 1)), M + 1)
         plaq_anti = (N - 1 - col) % N * (M + 1) + (M - row)
     trims = tuple(np.flatnonzero(anti == np.arange(len(anti))).tolist())
-    links, slots = _link_tables(plaq)
     return MomentumGrid(d, N, M, _frozen(pts), _frozen(anti), _frozen(edges),
                         trims, _frozen(plaq), _frozen(plaq_anti),
-                        _frozen(links), _frozen(slots))
+                        _frozen(slots))
 
 
 def _frame_stack(space, frames, size):
@@ -237,22 +234,23 @@ class Bundle:
         """Fukui-Hatsugai-Suzuki link variables around every plaquette.
 
         ``(L, edge)``: L is a read-only (Q, 4) array holding det(F_a^H F_b)
-        along the edges of each plaquette in order, a triangle's fourth
+        along the sides of each plaquette in order, a triangle's fourth
         entry being exactly 1, and ``edge`` marks the entries that are
-        edges.  Each distinct edge is computed once, in the orientation of
-        its first traversal; its reverse is the complex conjugate.  Kept
-        with the bundle, whose frames are read-only, so the Chern and
+        edges.  Each grid edge (a, b) is computed once, over the pairs and
+        in the orientation that the continuity check uses; a side running
+        against it takes the complex conjugate (see ``MomentumGrid.slots``).
+        Kept with the bundle, whose frames are read-only, so the Chern and
         Kane-Mele invariants of one bundle share one table.  The
         determinant is the entry for m = 1, a d - b c with ``_cmul``
         products for m = 2, and from ``np.linalg.det`` above.
         """
-        links, slots = self.grid.links, self.grid.slots
+        edges, slots = self.grid.edges, self.grid.slots
         F = self.frames
-        O = _mm(_dagger(F[links[:, 0]]), F[links[:, 1]])
+        O = _mm(_dagger(F[edges[:, 0]]), F[edges[:, 1]])
         o = (np.linalg.det(O) if self.rank > 2 else O[:, 0, 0] if self.rank == 1
              else _cmul(O[:, 0, 0], O[:, 1, 1]) - _cmul(O[:, 0, 1], O[:, 1, 0]))
         return (_frozen(np.concatenate([o, o.conj(), [1.0]])[slots]),
-                _frozen(slots < 2 * len(links)))
+                _frozen(slots < 2 * len(edges)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,9 @@ import numpy as np
 
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
-from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
-                    _require_finite, _require_tolerance, make_nambu)
+from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
+                    _generator_matrix, _require_finite, _require_tolerance,
+                    make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _pseudo_deviations,
                      _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
@@ -435,11 +436,7 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise ValidationError(
             f"fibers are not pseudo-symmetric under K1 at points {shown}")
 
-    vals, vecs = np.linalg.eigh(-1j * K)
-    if not (np.all(vals[:n] < 0) and np.all(vals[n:] > 0)):
-        raise ValidationError("generator eigenvalues are not balanced")
-    V = np.hstack([vecs[:, n:], vecs[:, :n]])
-
+    V = _eigensplit(K)
     # the off-diagonal block of V^H Pi V, with Pi = F F^H
     G = _dagger(V) @ F
     blocks = 2.0 * (G[:, :n] @ _dagger(G[:, n:]))

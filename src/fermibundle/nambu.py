@@ -185,6 +185,17 @@ def _generator_matrix(J, d: int, what: str = "generator") -> np.ndarray:
     return M
 
 
+def _eigensplit(K: np.ndarray) -> np.ndarray:
+    """Unitary eigenvector matrix of a generator matrix K (K^2 = -1), its
+    first half of columns spanning K's +i eigenspace: eigh of i K."""
+    w, V = np.linalg.eigh(1j * K)
+    n = len(w) // 2
+    if not w[n - 1] < 0.0 < w[n]:
+        raise ValidationError("generator eigenvalues are not balanced "
+                              "between +i and -i")
+    return V
+
+
 @dataclass(frozen=True, eq=False)
 class CliffordSet(object):
     """An ordered collection of generators on a common ambient space.

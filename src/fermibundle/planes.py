@@ -181,11 +181,12 @@ def _apply(M: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Stacked product A B of a (P, r, k) and a (P, k, c) stack.
 
-    ``A @ B`` makes one BLAS call per matrix.  For P >= 128 and r k c <=
-    32 the k outer products are summed by broadcasting instead, into one
-    output with the stack axis last: 0.6 against 1.8 ms for 4288
-    (2x4)(4x2) products, but no gain at r k c = 64 (2.0 against 2.2 ms)
-    or for 64 products (29 us each; 2 shared vCPUs, numpy 2.4).
+    ``A @ B`` makes one BLAS call per matrix.  For r k c <= 32 the k
+    outer products are summed by broadcasting instead, into one output
+    with the stack axis last: 0.6 against 1.8 ms for 4288 (2x4)(4x2)
+    products and 20 against 26 us for 66, but no gain at r k c = 64 (2.0
+    against 2.2 ms; 2 shared vCPUs, numpy 2.4).  The shape alone picks
+    the path, so a product rounds the same in every stack and block.
 
     The sum runs over the chunks of ``_blocks``: each chunk of A and B is
     copied stack-last, its first term is written into the output and the
@@ -197,7 +198,7 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     P, r, k = A.shape
     c = B.shape[-1]
-    if P < 128 or r * k * c > 32:
+    if r * k * c > 32:
         return A @ B
     out = np.empty((r, c, P), dtype=np.result_type(A, B))
     for blk in _blocks(P, 16 * max(r * k, k * c, r * c)):

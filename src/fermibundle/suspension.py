@@ -17,7 +17,8 @@ import numpy as np
 
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
-from .nambu import CliffordSet, Generator, _generator_matrix, make_nambu
+from .nambu import (CliffordSet, Generator, _eigensplit, _generator_matrix,
+                    make_nambu)
 from .planes import (Plane, _apply, _pseudo_deviations, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
@@ -141,16 +142,6 @@ def _consumed_set(inp: SuspensionInput) -> tuple:
     return tuple(kept)
 
 
-def _eigenplanes(space, K: Generator):
-    """South (E_{+i}) and north (E_{-i}) eigenplane frames of K."""
-    H = 1j * K.matrix
-    w, V = np.linalg.eigh(H)
-    n = space.n
-    if np.count_nonzero(w < 0) != n:
-        raise ValidationError("K has unbalanced eigenvalues")
-    return V[:, :n], V[:, n:]
-
-
 def default_row_count(N: int) -> int:
     """Default interior row count for suspending an N-column circle."""
     m = N // 2 + 1
@@ -194,7 +185,8 @@ def suspend(inp: SuspensionInput, points: int = 64,
         grid = make_sphere_grid(2, N, M)
         seeds = np.tile(np.arange(N), M)
         ts = grid.points[:N * M, 1]
-        poles = [F[None] for F in _eigenplanes(space, K)]
+        # the south pole is E_{+i} of K, the north pole E_{-i}
+        poles = np.split(_eigensplit(K.matrix)[None], 2, axis=2)
     else:
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
     # SuspensionInput checked K A = A^c on every fiber, which makes

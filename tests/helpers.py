@@ -146,11 +146,16 @@ def v1_document(bundle):
 def reference_sphere_tables(N, M):
     """The sphere grid's tables, built one entry at a time in loops.
 
-    Returns ``(edges, corners, links, slots, plaquette_antipode)`` as
-    lists: the edge and plaquette tuples in grid order, each plaquette
-    padded to four corners by repeating its first, the link table from a
-    per-corner dict of first traversals, and the antipode of each
+    Returns ``(edges, corners, slots, plaquette_antipode)`` as lists: the
+    edge and plaquette tuples in grid order, each plaquette padded to four
+    corners by repeating its first, the edge of each plaquette side found
+    by looking up its corners in the edge list, and the antipode of each
     plaquette found by looking up the set of its antipodal corners.
+
+    Every edge points north or east.  A side runs along its edge when it
+    climbs a row, or stays in its row and steps to the next column, with
+    the columns of a face counted without wrapping; at N = 2 this tells
+    apart the two ring edges that join the same two points.
     """
     south, north = N * M, N * M + 1
     edges = []
@@ -160,34 +165,48 @@ def reference_sphere_tables(N, M):
         edges.extend((j * N + i, (j + 1) * N + i) for i in range(N))
     edges.extend((south, i) for i in range(N))
     edges.extend(((M - 1) * N + i, north) for i in range(N))
-    plaquettes = []
+    # faces as (row, unwrapped column) corners, the poles being rows -1
+    # and M at any column
+    faces = []
     for i in range(N):
-        ip = (i + 1) % N
-        plaquettes.append((south, ip, i))
+        faces.append(((-1, i), (0, i + 1), (0, i)))
         for j in range(M - 1):
-            plaquettes.append((j * N + i, j * N + ip,
-                               (j + 1) * N + ip, (j + 1) * N + i))
-        plaquettes.append(((M - 1) * N + i, (M - 1) * N + ip, north))
+            faces.append(((j, i), (j, i + 1), (j + 1, i + 1), (j + 1, i)))
+        faces.append(((M - 1, i), (M - 1, i + 1), (M, i)))
+
+    def point(row, col):
+        return south if row < 0 else north if row == M else row * N + col % N
+
+    plaquettes = [tuple(point(*c) for c in face) for face in faces]
     corners = [list(cyc + cyc[:1] * (4 - len(cyc))) for cyc in plaquettes]
-    first = {}
-    codes = []
-    for cyc in corners:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+    index = {e: k for k, e in enumerate(edges)}
+    E = len(edges)
+    slots = []
+    for face in faces:
+        face = list(face + face[:1] * (4 - len(face)))
+        row = []
+        for s, t in zip(face, face[1:] + face[:1]):
+            a, b = point(*s), point(*t)
             if a == b:
-                codes.append((None, 0))
-            elif (b, a) in first:
-                codes.append((first[(b, a)], 1))
+                row.append(2 * E)
+            elif t > s:             # north, or east within the row
+                row.append(index[(a, b)])
             else:
-                codes.append((first.setdefault((a, b), len(first)), 0))
-    E = len(first)
-    slots = [2 * E if e is None else e + flip * E for e, flip in codes]
-    slots = [slots[q:q + 4] for q in range(0, len(slots), 4)]
-    j, i = np.divmod(np.arange(N * M), N)
-    anti = list(np.append((M - 1 - j) * N + (N - i) % N, [north, south]))
-    lookup = {frozenset(cyc): q for q, cyc in enumerate(plaquettes)}
-    plaquette_antipode = [lookup[frozenset(int(anti[c]) for c in cyc)]
-                          for cyc in plaquettes]
-    return edges, corners, [list(e) for e in first], slots, plaquette_antipode
+                row.append(index[(b, a)] + E)
+        slots.append(row)
+
+    # k -> -k takes column c to N - c and row j to M - 1 - j; a pole's
+    # column is dropped, and the faces' unwrapped columns keep the two
+    # faces on the same four points apart at N = 2
+    def place(row, col):
+        return (row, col if 0 <= row < M else 0)
+
+    lookup = {frozenset(place(*c) for c in face): q
+              for q, face in enumerate(faces)}
+    plaquette_antipode = [
+        lookup[frozenset(place(M - 1 - r, N - c) for r, c in face)]
+        for face in faces]
+    return edges, corners, slots, plaquette_antipode
 
 
 def union_find_components(grid, ids):

@@ -657,13 +657,13 @@ def test_link_determinants_match_linalg_det(rank):
     if rank == 4:
         b = double_bundle(b)
     b = regauge(b, np.random.default_rng(rank))
-    links, slots = b.grid.links, b.grid.slots
+    edges, slots = b.grid.edges, b.grid.slots
     F = b.frames
     o = np.linalg.det(
-        np.conj(np.swapaxes(F[links[:, 0]], 1, 2)) @ F[links[:, 1]])
+        np.conj(np.swapaxes(F[edges[:, 0]], 1, 2)) @ F[edges[:, 1]])
     L, edge = b._link_variables
-    assert b.rank == rank and len(links) >= 128
-    assert np.array_equal(edge, slots < 2 * len(links))
+    assert b.rank == rank and len(edges) >= 128
+    assert np.array_equal(edge, slots < 2 * len(edges))
     assert (np.abs(L - np.concatenate([o, o.conj(), [1.0]])[slots])
             <= 1e-15).all()
 

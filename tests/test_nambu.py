@@ -9,6 +9,7 @@ from fermibundle.nambu import (
     CliffordSet,
     Generator,
     NambuSpace,
+    _eigensplit,
     apply_gamma,
     bracket,
     check_clifford,
@@ -232,6 +233,16 @@ def test_clifford_set_rejects_wrong_dimension():
     J = Generator(np.array([[0.0, 1.0], [-1.0, 0.0]]), "imaginary")
     with pytest.raises(InputError):
         CliffordSet(sp, (J,))
+
+
+def test_eigensplit_puts_the_plus_i_eigenspace_first():
+    K = 1j * np.fliplr(np.eye(4))
+    V = _eigensplit(K)
+    assert np.abs(V.conj().T @ V - np.eye(4)).max() < 1e-14
+    assert np.abs(K @ V - V * [1j, 1j, -1j, -1j]).max() < 1e-14
+    for signs in ([1, 1, 1, -1], [1, -1, -1, -1]):
+        with pytest.raises(ValidationError, match="not balanced"):
+            _eigensplit(1j * np.diag(signs))
 
 
 def test_immutable_arrays():

@@ -1,9 +1,7 @@
 import importlib.util
 import subprocess
-import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "sweep.py"
@@ -61,12 +59,3 @@ def test_every_stage_runs_at_a_tiny_size(sweep):
         assert 0 < out["stages_ms"][stage] <= out["stages_median_ms"][stage]
         assert out["stages_minflt"][stage] >= 0
 
-
-def test_a_row_writer_gets_rows_of_python_scalars(sweep):
-    written = []
-    cli = types.SimpleNamespace(
-        _write_csv=lambda path, header, rows: written.append(list(rows)))
-    sweep._csv_writer(cli)("t.csv", ["i", "x"],
-                           [np.arange(2), np.array([0.5, 1e16])])
-    assert written == [[(0, 0.5), (1, 1e16)]]
-    assert all(type(v) in (int, float) for row in written[0] for v in row)
