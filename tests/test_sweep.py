@@ -58,4 +58,3 @@ def test_every_stage_runs_at_a_tiny_size(sweep):
     for stage in stages:
         assert 0 < out["stages_ms"][stage] <= out["stages_median_ms"][stage]
         assert out["stages_minflt"][stage] >= 0
-
