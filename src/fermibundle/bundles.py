@@ -131,22 +131,22 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
                           np.full(N, north)])
         nxt = np.roll(rows, -1, axis=1)
         up = np.stack([rows[:-1], rows[1:]], axis=-1)
-        # rings, vertical edges, south spokes, north spokes
+        # rings, then the up edges: vertical edges, south and north spokes
+        order = np.r_[1:M, 0, M]
         edges = np.concatenate([np.stack([rows[1:-1], nxt[1:-1]], axis=-1),
-                                up[1:M], up[:1], up[M:]]).reshape(-1, 2)
+                                up[order]]).reshape(-1, 2)
         plaq = np.stack([rows[:-1], nxt[:-1], nxt[1:], rows[1:]],
                         axis=-1).swapaxes(0, 1)
         plaq[:, 0] = np.roll(plaq[:, 0], -1, axis=1)  # (south, i+1, i, south)
         plaq[:, M, 3] = plaq[:, M, 0]                 # (a, b, north, a)
         plaq = plaq.reshape(-1, 4)
         # the edge ids of the same sides: ring[r, i] from rows[r, i] to
-        # nxt[r, i] (2 E, degenerate, on the poles), rise[r, i] from rows[r, i]
-        # to rows[r + 1, i] (vertical ids before the spokes, as in edges);
+        # nxt[r, i] (2 E, degenerate, on the poles), rise[r, i] of up[r, i];
         # the top and left sides of a face run against their edges
         E = len(edges)
         ring = np.pad(np.arange(N * M).reshape(M, N), ((1, 1), (0, 0)),
                       constant_values=2 * E)
-        rise = N * (M + np.r_[M - 1, :M - 1, M])[:, None] + np.arange(N)
+        rise = N * (M + np.argsort(order))[:, None] + np.arange(N)
         slots = np.minimum(np.stack(
             [ring[:-1], np.roll(rise, -1, axis=1), ring[1:], rise],
             axis=-1) + [0, 0, E, E], 2 * E).swapaxes(0, 1)
