@@ -260,6 +260,8 @@ class BundleReport:
     ``tol`` and ``continuity_tol`` are the thresholds the checks applied.
     ``continuity_edge`` is the grid edge (a, b) at which the largest jump
     ``continuity_max`` occurs, or None when no fiber moves along any edge.
+    It is an argmax over distances that can tie up to rounding, so among
+    tied edges which one it names is arbitrary.
     """
 
     ok: bool

@@ -33,9 +33,6 @@ from .suspension import (SuspensionInput, example_dIII,
 from .symmetry import class_info, true_symmetries
 from .tolerances import ALG_TOL
 
-_INVARIANT_KINDS = ("parity", "class_d_z2", "kane_mele_z2",
-                    "chiral_winding", "chern_number", "component_index")
-
 
 def _read_json(path):
     try:
@@ -135,47 +132,49 @@ def _tolerance(explicit):
     return explicit
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise InputError(f"{flag} is required (flag or config)")
-
-
 def _apply_config(args):
-    defaults = getattr(args, "_defaults", {})
+    """Fill each option left unset by its flag from the config file, then
+    from the table default; name the first required option still unset."""
+    options = _COMMANDS[args.command][2]
+    dests = [flag[2:].replace("-", "_") for flag, *_ in options]
     cfg = {}
-    if getattr(args, "config", None) is not None:
-        data = _read_json(args.config)
-        if not isinstance(data, dict):
+    if args.config is not None:
+        cfg = _read_json(args.config)
+        if not isinstance(cfg, dict):
             raise InputError("config file must hold a JSON object")
-        unknown = sorted(set(data) - set(defaults))
+        unknown = sorted(set(cfg) - set(dests))
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(unknown)}")
-        cfg = data
-    for key, hard in defaults.items():
-        if getattr(args, key, None) is None:
-            value, flag = cfg.get(key), args._flags[key]
-            if value is not None and not _fits(value, flag):
-                raise InputError(f"config key {key!r}: {value!r} is not a "
-                                 f"valid {flag.option_strings[0]} value")
-            setattr(args, key, hard if value is None else value)
+    missing = None
+    for key, (flag, kind, default, _) in zip(dests, options):
+        if getattr(args, key) is not None:
+            continue
+        value = cfg.get(key)
+        if value is None:
+            value = default
+            if default is REQUIRED:
+                missing = missing or flag
+        elif not _fits(value, kind):
+            raise InputError(f"config key {key!r}: {value!r} is not a "
+                             f"valid {flag} value")
+        setattr(args, key, value)
+    if missing is not None:
+        raise InputError(f"{missing} is required (flag or config)")
 
 
-def _fits(value, flag):
-    """Whether a config value is one that the flag's parser could produce."""
-    if flag.nargs == 0:             # a store_true switch
-        return type(value) is bool
-    if flag.type is float:
+def _fits(value, kind):
+    """Whether a config value is one that the option's flag could produce."""
+    if isinstance(kind, tuple):     # choices
+        return value in kind
+    if kind is float:
         return type(value) in (int, float) and math.isfinite(value)
-    return type(value) is (flag.type or str)
+    return type(value) is kind
 
 
 # ------------------------------------------------------------ subcommands
 
 
 def _cmd_example(args):
-    _require(args, "name", "output")
     name = str(args.name).lower().replace("-", "_")
     if name == "majorana":
         bundle = example_majorana(not args.trivial, N=args.N)
@@ -192,7 +191,6 @@ def _cmd_example(args):
 
 
 def _cmd_validate(args):
-    _require(args, "input")
     bundle = _load_bundle(args.input)
     report = validate_bundle(bundle, tol=_tolerance(args.tol))
     fermi = ("n/a" if report.fermi_max is None
@@ -219,7 +217,6 @@ def _cmd_validate(args):
 
 
 def _cmd_suspend(args):
-    _require(args, "input", "output", "k_index")
     bundle = _load_bundle(args.input)
     inp = SuspensionInput(bundle, args.k_index, args.i_index)
     out = suspend(inp, points=args.points, rows=args.rows)
@@ -237,9 +234,10 @@ def _pick(items, index, what):
 
 
 def _cmd_invariant(args):
-    _require(args, "input", "kind")
+    kind = args.kind
+    if args.csv is not None and kind not in ("kane_mele_z2", "chern_number"):
+        raise InputError(f"no CSV output is defined for kind {kind!r}")
     bundle = _load_bundle(args.input)
-    kind = str(args.kind)
     if kind == "parity":
         result = fermion_parity(bundle.space, Plane._prechecked(
             bundle.space, _pick(bundle.frames, args.point_index, "point")))
@@ -253,41 +251,34 @@ def _cmd_invariant(args):
             bundle.cset.generators, args.generator_index, "generator"))
     elif kind == "chern_number":
         result = chern_number(bundle)
-    elif kind == "component_index":
+    else:                               # component_index
         Q = true_symmetries(bundle.space).Q
         result = component_index_ai(Plane._prechecked(
             bundle.space, _pick(bundle.frames, args.point_index, "point")), Q)
-    else:
-        raise InputError(f"unknown invariant kind {kind!r}")
     print(json.dumps({"kind": result.kind, "value": result.value,
                       "diagnostics": _jsonable(result.diagnostics)},
                      sort_keys=True))
-    if args.csv is not None:
-        if kind == "kane_mele_z2":
-            f = result.diagnostics["field"]
-            # np.hypot matches the scalar abs(f) bit for bit; numpy's
-            # vectorised complex abs differs in the last bit on some CPUs
-            _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
-                       [np.arange(len(f)), *bundle.grid.points.T,
-                        np.hypot(f.real, f.imag), np.angle(f)])
-        elif kind == "chern_number":
-            fluxes = result.diagnostics["fluxes"]
-            _write_csv(args.csv, ["plaquette", "flux"],
-                       [np.arange(len(fluxes)), fluxes])
-        else:
-            raise InputError(f"no CSV output is defined for kind {kind!r}")
+    if args.csv is not None and kind == "kane_mele_z2":
+        f = result.diagnostics["field"]
+        # np.hypot matches the scalar abs(f) bit for bit; numpy's
+        # vectorised complex abs differs in the last bit on some CPUs
+        _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
+                   [np.arange(len(f)), *bundle.grid.points.T,
+                    np.hypot(f.real, f.imag), np.angle(f)])
+    elif args.csv is not None:
+        fluxes = result.diagnostics["fluxes"]
+        _write_csv(args.csv, ["plaquette", "flux"],
+                   [np.arange(len(fluxes)), fluxes])
     return 0
 
 
 def _cmd_classinfo(args):
-    _require(args, "label")
     print(json.dumps(class_info(str(args.label)).to_dict(),
                      indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_doubling(args):
-    _require(args, "input", "output")
     out = double_bundle(_load_bundle(args.input))
     _write_json(args.output, serialize_bundle(out))
     print(f"wrote {args.output} (class {out.label}, n={out.space.n}, "
@@ -298,6 +289,55 @@ def _cmd_doubling(args):
 # ----------------------------------------------------------- entry point
 
 
+REQUIRED = object()     # the default of an option that must be given
+
+# subcommand: (handler, help, options); an option row is (flag, type,
+# default, help), where type bool is a switch and a tuple lists choices.
+# The flag minus its dashes, "-" read as "_", is the option's config key.
+_COMMANDS = {
+    "example": (_cmd_example, "build a worked example bundle", (
+        ("--name", str, REQUIRED,
+         "majorana, dIII, or kitaev_chain (case-insensitive)"),
+        ("--N", int, 64, "circle point count"),
+        ("--M", int, None,
+         "sphere row count (dIII only; default N/2 rounded up to odd)"),
+        ("--n", int, 1, "band count (kitaev_chain)"),
+        ("--n-plus", int, 0, "occupied band count (kitaev_chain)"),
+        ("--trivial", bool, False, "build the trivial majorana variant"),
+        ("--output", str, REQUIRED, "bundle JSON path to write"))),
+    "validate": (_cmd_validate, "validate a bundle file", (
+        ("--input", str, REQUIRED, "bundle JSON path to check"),
+        ("--tol", float, None, "pseudo/Fermi tolerance in (0, 1e-3]; "
+                               "defaults to FERMIBUNDLE_TOL or 1e-10"),
+        ("--csv", str, None, "write per-point report CSV with columns "
+                             "index,k[,t],pseudo_max,fermi_max"))),
+    "suspend": (_cmd_suspend, "suspend a bundle one dimension up", (
+        ("--input", str, REQUIRED, "bundle JSON path to suspend"),
+        ("--k-index", int, REQUIRED,
+         "index of the imaginary generator to consume"),
+        ("--i-index", int, None, "index of the real generator to keep last"),
+        ("--points", int, 64, "circle point count for point-pair inputs"),
+        ("--rows", int, None, "latitude row count for circle inputs (odd)"),
+        ("--output", str, REQUIRED, "bundle JSON path to write"))),
+    "invariant": (_cmd_invariant, "compute a topological invariant", (
+        ("--input", str, REQUIRED, "bundle JSON path to read"),
+        ("--kind", ("parity", "class_d_z2", "kane_mele_z2", "chiral_winding",
+                    "chern_number", "component_index"), REQUIRED,
+         "invariant to compute"),
+        ("--generator-index", int, 0, "Clifford set index for kinds needing "
+                                      "a generator (default 0)"),
+        ("--point-index", int, 0,
+         "fiber index for per-point kinds (default 0)"),
+        ("--csv", str, None, "kane_mele_z2: index,k,t,abs_pf,arg_pf; "
+                             "chern_number: plaquette,flux"))),
+    "classinfo": (_cmd_classinfo, "print a symmetry class table row", (
+        ("--label", str, REQUIRED, "symmetry class label, any case"),)),
+    "doubling": (_cmd_doubling, "apply (1,1) band doubling to a bundle", (
+        ("--input", str, REQUIRED, "bundle JSON path to double"),
+        ("--output", str, REQUIRED, "bundle JSON path to write"))),
+}
+
+
 # parse_args leaves the parser unchanged, so one serves every main() call
 @functools.cache
 def _build_parser():
@@ -305,94 +345,16 @@ def _build_parser():
         prog="fermibundle",
         description="Workbench for plane bundles over momentum spheres.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, helptext, defaults, build):
+    for name, (_, helptext, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.add_argument("--config", help="JSON object of option values; "
                                         "explicit flags win")
-        build(p)
-        flags = {action.dest: action for action in p._actions}
-        p.set_defaults(func=func, _defaults=defaults,
-                       _flags={key: flags[key] for key in defaults})
-
-    def build_example(p):
-        p.add_argument("--name",
-                       help="majorana, dIII, or kitaev_chain "
-                            "(case-insensitive)")
-        p.add_argument("--N", type=int, help="circle point count")
-        p.add_argument("--M", type=int,
-                       help="sphere row count (dIII only; default N/2 "
-                            "rounded up to odd)")
-        p.add_argument("--n", type=int, help="band count (kitaev_chain)")
-        p.add_argument("--n-plus", type=int, dest="n_plus",
-                       help="occupied band count (kitaev_chain)")
-        p.add_argument("--trivial", action="store_true", default=None,
-                       help="build the trivial majorana variant")
-        p.add_argument("--output", help="bundle JSON path to write")
-
-    add("example", _cmd_example, "build a worked example bundle",
-        {"name": None, "N": 64, "M": None, "n": 1, "n_plus": 0,
-         "trivial": False, "output": None}, build_example)
-
-    def build_validate(p):
-        p.add_argument("--input", help="bundle JSON path to check")
-        p.add_argument("--tol", type=float,
-                       help="pseudo/Fermi tolerance in (0, 1e-3]; "
-                            "defaults to FERMIBUNDLE_TOL or 1e-10")
-        p.add_argument("--csv",
-                       help="write per-point report CSV with columns "
-                            "index,k[,t],pseudo_max,fermi_max")
-
-    add("validate", _cmd_validate, "validate a bundle file",
-        {"input": None, "tol": None, "csv": None}, build_validate)
-
-    def build_suspend(p):
-        p.add_argument("--input", help="bundle JSON path to suspend")
-        p.add_argument("--k-index", type=int, dest="k_index",
-                       help="index of the imaginary generator to consume")
-        p.add_argument("--i-index", type=int, dest="i_index",
-                       help="index of the real generator to keep last")
-        p.add_argument("--points", type=int,
-                       help="circle point count for point-pair inputs")
-        p.add_argument("--rows", type=int,
-                       help="latitude row count for circle inputs (odd)")
-        p.add_argument("--output", help="bundle JSON path to write")
-
-    add("suspend", _cmd_suspend, "suspend a bundle one dimension up",
-        {"input": None, "k_index": None, "i_index": None, "points": 64,
-         "rows": None, "output": None}, build_suspend)
-
-    def build_invariant(p):
-        p.add_argument("--input", help="bundle JSON path to read")
-        p.add_argument("--kind", choices=_INVARIANT_KINDS,
-                       help="invariant to compute")
-        p.add_argument("--generator-index", type=int,
-                       dest="generator_index",
-                       help="Clifford set index for kinds needing a "
-                            "generator (default 0)")
-        p.add_argument("--point-index", type=int, dest="point_index",
-                       help="fiber index for per-point kinds (default 0)")
-        p.add_argument("--csv",
-                       help="kane_mele_z2: index,k,t,abs_pf,arg_pf; "
-                            "chern_number: plaquette,flux")
-
-    add("invariant", _cmd_invariant, "compute a topological invariant",
-        {"input": None, "kind": None, "generator_index": 0,
-         "point_index": 0, "csv": None}, build_invariant)
-
-    def build_classinfo(p):
-        p.add_argument("--label", help="symmetry class label, any case")
-
-    add("classinfo", _cmd_classinfo, "print a symmetry class table row",
-        {"label": None}, build_classinfo)
-
-    def build_doubling(p):
-        p.add_argument("--input", help="bundle JSON path to double")
-        p.add_argument("--output", help="bundle JSON path to write")
-
-    add("doubling", _cmd_doubling, "apply (1,1) band doubling to a bundle",
-        {"input": None, "output": None}, build_doubling)
-
+        for flag, kind, _, text in options:
+            # unset options parse as None, so the config can fill them
+            how = ({"action": "store_true", "default": None} if kind is bool
+                   else {"choices": kind} if isinstance(kind, tuple)
+                   else {"type": kind})
+            p.add_argument(flag, help=text, **how)
     return parser
 
 
@@ -400,7 +362,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1

@@ -162,11 +162,11 @@ class Generator(object):
         _require_finite(M, "generator matrix")
         object.__setattr__(self, "matrix", _frozen(M))
         d = M.shape[0]
-        if np.abs(M.conj().T @ M - np.eye(d)).max() > ALG_TOL:
+        got = classify_generator(make_nambu(d // 2), M)
+        if got == "not_unitary":
             raise ValidationError("generator matrix is not unitary")
         if np.abs(M @ M + np.eye(d)).max() > ALG_TOL:
             raise ValidationError("generator must square to minus the identity")
-        got = classify_generator(make_nambu(d // 2), M)
         if got != self.parity:
             raise ValidationError(
                 f"declared parity {self.parity!r} but bracket action is {got!r}")

@@ -10,7 +10,7 @@ import pytest
 from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
                                  make_sphere_grid, serialize_bundle,
                                  validate_bundle)
-from fermibundle.cli import _cells, main
+from fermibundle.cli import _COMMANDS, _cells, main
 from fermibundle.invariants import (chern_number, component_index_ai,
                                     kane_mele_z2)
 from fermibundle.nambu import CliffordSet, make_nambu
@@ -169,6 +169,21 @@ def test_invariant_csv_rejected_for_other_kinds(tmp_path):
     run("example", "--name", "majorana", "--N", 16, "--output", out)
     assert run("invariant", "--input", out, "--kind", "class_d_z2",
                "--csv", tmp_path / "x.csv") == 2
+
+
+@pytest.mark.parametrize("kind", ["parity", "class_d_z2", "chiral_winding",
+                                  "component_index"])
+def test_invariant_csv_refused_before_any_output(tmp_path, capsys, kind):
+    out, table = tmp_path / "chain.json", tmp_path / "x.csv"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", out)
+    capsys.readouterr()
+    assert run("invariant", "--input", out, "--kind", kind,
+               "--csv", table) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"no CSV output is defined for kind {kind!r}" in captured.err
+    assert not table.exists()
 
 
 def test_invariant_generator_index_out_of_range(tmp_path):
@@ -700,6 +715,92 @@ def test_config_null_means_the_default_and_does_not_persist(tmp_path):
     # one parser serves every call; the config must not leak into the next
     assert run("example", "--name", "majorana", "--output", out) == 0
     assert _load(out)["grid"]["N"] == 64
+
+
+# (base argv, value) per option: the value is given once by its flag and
+# once by its config key; every value differs from the option's default
+_OPTION_CASES = {
+    ("example", "name"): (["example", "--N", 8, "--output", "{out}"], "dIII"),
+    ("example", "N"): (["example", "--name", "majorana", "--output", "{out}"],
+                       8),
+    ("example", "M"): (["example", "--name", "dIII", "--N", 8,
+                        "--output", "{out}"], 3),
+    ("example", "n"): (["example", "--name", "kitaev_chain", "--n-plus", 1,
+                        "--N", 8, "--output", "{out}"], 2),
+    ("example", "n_plus"): (["example", "--name", "kitaev_chain", "--n", 2,
+                             "--N", 8, "--output", "{out}"], 1),
+    ("example", "trivial"): (["example", "--name", "majorana", "--N", 8,
+                              "--output", "{out}"], True),
+    ("example", "output"): (["example", "--name", "majorana", "--N", 8],
+                            "{out}"),
+    ("validate", "input"): (["validate"], "{chain}"),
+    ("validate", "tol"): (["validate", "--input", "{chain}"], 1e-9),
+    ("validate", "csv"): (["validate", "--input", "{chain}"], "{table}"),
+    ("suspend", "input"): (["suspend", "--k-index", 0, "--points", 8,
+                            "--output", "{out}"], "{pair}"),
+    ("suspend", "k_index"): (["suspend", "--input", "{chain}",
+                              "--output", "{out}"], 0),
+    ("suspend", "i_index"): (["suspend", "--input", "{doubled}", "--k-index",
+                              3, "--output", "{out}"], 0),
+    ("suspend", "points"): (["suspend", "--input", "{pair}", "--k-index", 0,
+                             "--output", "{out}"], 8),
+    ("suspend", "rows"): (["suspend", "--input", "{chain}", "--k-index", 0,
+                           "--output", "{out}"], 3),
+    ("suspend", "output"): (["suspend", "--input", "{chain}", "--k-index", 0],
+                            "{out}"),
+    ("invariant", "input"): (["invariant", "--kind", "parity"], "{maj}"),
+    ("invariant", "kind"): (["invariant", "--input", "{maj}"], "class_d_z2"),
+    ("invariant", "generator_index"): (["invariant", "--input", "{chain}",
+                                        "--kind", "chiral_winding"], 5),
+    ("invariant", "point_index"): (["invariant", "--input", "{maj}",
+                                    "--kind", "parity"], 4),
+    ("invariant", "csv"): (["invariant", "--input", "{diii}",
+                            "--kind", "kane_mele_z2"], "{table}"),
+    ("classinfo", "label"): (["classinfo"], "cii"),
+    ("doubling", "input"): (["doubling", "--output", "{out}"], "{maj}"),
+    ("doubling", "output"): (["doubling", "--input", "{maj}"], "{out}"),
+}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, flag[2:].replace("-", "_"))
+    for command, (_, _, options) in _COMMANDS.items() for flag, *_ in options])
+def test_a_flag_and_its_config_key_give_the_same_result(tmp_path, capsys,
+                                                        command, key):
+    flag = "--" + key.replace("_", "-")
+    paths = {name: tmp_path / f"{name}.json" for name in (
+        "chain", "maj", "diii", "pair", "doubled", "out", "cfg")}
+    paths["table"] = tmp_path / "table.csv"
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", paths["chain"])
+    run("example", "--name", "majorana", "--N", 8, "--output", paths["maj"])
+    run("example", "--name", "dIII", "--N", 8, "--output", paths["diii"])
+    run("doubling", "--input", paths["maj"], "--output", paths["doubled"])
+    run("doubling", "--input", paths["doubled"], "--output", paths["doubled"])
+    sp = make_nambu(1)
+    paths["pair"].write_text(json.dumps(serialize_bundle(Bundle(
+        sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
+        (vacuum_plane(sp),) * 2, "BDI"))))
+    base, value = _OPTION_CASES[command, key]
+    if isinstance(value, str):
+        value = value.format(**paths)
+    base = [str(a).format(**paths) for a in base]
+
+    def outcome(*extra):
+        for name in ("out", "table"):
+            paths[name].unlink(missing_ok=True)
+        capsys.readouterr()
+        code = run(*base, *extra)
+        captured = capsys.readouterr()
+        return (code, captured.out, captured.err,
+                [paths[name].read_bytes() for name in ("out", "table")
+                 if paths[name].exists()])
+
+    by_flag = outcome(flag) if value is True else outcome(flag, value)
+    paths["cfg"].write_text(json.dumps({key: value}))
+    assert outcome("--config", paths["cfg"]) == by_flag
+    # the option takes effect: without it the result differs
+    assert outcome() != by_flag
 
 
 # ---------------------------------------------------------------------------

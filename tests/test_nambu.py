@@ -163,12 +163,13 @@ def test_classify_generator_dimension_mismatch():
 
 
 def test_generator_constructor_validates():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="is not unitary"):
         Generator(np.diag([2.0, 0.5]), "real")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="must square to minus the"):
         Generator(np.eye(2), "real")  # squares to +1
     G = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="declared parity 'real' but "
+                                              "bracket action is 'imaginary'"):
         Generator(1j * G, "real")  # actually imaginary
     with pytest.raises(InputError):
         Generator(1j * G, "chiral")

@@ -29,6 +29,7 @@ from fermibundle.suspension import (
     suspend,
 )
 from fermibundle.symmetry import imaginary_realization
+from helpers import random_suspension_inputs
 
 
 def _majorana_input(occupied=True):
@@ -71,6 +72,34 @@ def test_rotor_matches_matrix_exponential():
         t = rng.uniform(-math.pi / 2, math.pi / 2)
         direct = expm((t / 2) * (K.matrix @ j_of(A)))
         assert np.abs(rotor(K, A, t) - direct).max() < 1e-12
+
+
+def _seeds(grid):
+    """(point, seed fiber, polar angle) triples of a suspended grid: on a
+    circle the eastern arc |k| <= pi/2 rotates input fiber 0 by t = k and
+    the western arc input fiber 1 by t = sign(k) (pi - |k|); on a sphere
+    each point rotates the equator fiber of its column, and a pole every
+    equator fiber."""
+    if grid.d == 1:
+        for p, k in enumerate(grid.points[:, 0]):
+            yield ((p, 0, k) if abs(k) <= math.pi / 2
+                   else (p, 1, math.copysign(math.pi - abs(k), k)))
+        return
+    for p, (_, t) in enumerate(grid.points):
+        columns = [p % grid.N] if p < grid.N * grid.M else range(grid.N)
+        for i in columns:
+            yield p, i, t
+
+
+def test_suspended_fibers_match_the_matrix_exponential():
+    for inp in random_suspension_inputs(np.random.default_rng(17), copies=2):
+        out = suspend(inp)
+        K = inp.K.matrix
+        for p, i, t in _seeds(out.grid):
+            A = inp.bundle.fibers[i]
+            R = expm((t / 2) * (K @ j_of(A)))
+            want = R @ A.projector @ R.conj().T
+            assert np.abs(out.fibers[p].projector - want).max() < 1e-12
 
 
 def test_rotor_rejects_non_pseudo_plane():
