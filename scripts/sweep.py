@@ -110,7 +110,7 @@ def _stages(N: int) -> dict:
     t["decode"] = _times_ms(lambda x: fb.deserialize_bundle(json.loads(x)),
                             [text] * REPEAT)
     t["double_bundle"] = _times_ms(fb.double_bundle, [s] * REPEAT)
-    f = fb.kane_mele_z2(s, gen).diagnostics["field"]
+    f = fb.pfaffian_field(s, gen)
     fluxes = fb.chern_number(s).diagnostics["fluxes"]
     tables = [("kane_mele.csv", ["index", "k", "t", "abs_pf", "arg_pf"],
                [np.arange(len(f)), *s.grid.points.T,

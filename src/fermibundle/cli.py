@@ -26,7 +26,8 @@ from .bundles import (_complex_to_json, deserialize_bundle, double_bundle,
                       serialize_bundle, validate_bundle)
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
-                         component_index_ai, fermion_parity, kane_mele_z2)
+                         component_index_ai, fermion_parity, kane_mele_z2,
+                         pfaffian_field)
 from .planes import Plane
 from .suspension import (SuspensionInput, example_dIII,
                          example_kitaev_chain, example_majorana, suspend)
@@ -134,7 +135,9 @@ def _tolerance(explicit):
 
 def _apply_config(args):
     """Fill each option left unset by its flag from the config file, then
-    from the table default; name the first required option still unset."""
+    from the table default; name the first required option still unset.
+    ``args.given`` lists the flags of the options a flag or the config
+    set, in table order."""
     options = _COMMANDS[args.command][2]
     dests = [flag[2:].replace("-", "_") for flag, *_ in options]
     cfg = {}
@@ -146,8 +149,10 @@ def _apply_config(args):
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(unknown)}")
     missing = None
+    args.given = []
     for key, (flag, kind, default, _) in zip(dests, options):
         if getattr(args, key) is not None:
+            args.given.append(flag)
             continue
         value = cfg.get(key)
         if value is None:
@@ -157,9 +162,25 @@ def _apply_config(args):
         elif not _fits(value, kind):
             raise InputError(f"config key {key!r}: {value!r} is not a "
                              f"valid {flag} value")
+        else:
+            args.given.append(flag)
         setattr(args, key, value)
     if missing is not None:
         raise InputError(f"{missing} is required (flag or config)")
+
+
+# options that apply in one context only: the example name, or the d of
+# the bundle that suspend reads
+_APPLIES = {"--M": "diii", "--n": "kitaev_chain", "--n-plus": "kitaev_chain",
+            "--trivial": "majorana", "--points": 0, "--rows": 1}
+
+
+def _refuse_inapplicable(args, context, what):
+    """InputError naming the first option, given by flag or config, that
+    applies only in another context."""
+    for flag in args.given:
+        if _APPLIES.get(flag, context) != context:
+            raise InputError(f"{flag} does not apply to {what}")
 
 
 def _fits(value, kind):
@@ -176,14 +197,15 @@ def _fits(value, kind):
 
 def _cmd_example(args):
     name = str(args.name).lower().replace("-", "_")
+    if name not in ("majorana", "diii", "kitaev_chain"):
+        raise InputError(f"unknown example {args.name!r}")
+    _refuse_inapplicable(args, name, f"example {args.name!r}")
     if name == "majorana":
         bundle = example_majorana(not args.trivial, N=args.N)
     elif name == "diii":
         bundle = example_dIII(N=args.N, rows=args.M)
-    elif name == "kitaev_chain":
-        bundle = example_kitaev_chain(args.n, args.n_plus, N=args.N)
     else:
-        raise InputError(f"unknown example {args.name!r}")
+        bundle = example_kitaev_chain(args.n, args.n_plus, N=args.N)
     _write_json(args.output, serialize_bundle(bundle))
     print(f"wrote {args.output} (class {bundle.label}, d={bundle.grid.d}, "
           f"{bundle.grid.size} points)")
@@ -218,6 +240,7 @@ def _cmd_validate(args):
 
 def _cmd_suspend(args):
     bundle = _load_bundle(args.input)
+    _refuse_inapplicable(args, bundle.grid.d, f"a d={bundle.grid.d} input")
     inp = SuspensionInput(bundle, args.k_index, args.i_index)
     out = suspend(inp, points=args.points, rows=args.rows)
     _write_json(args.output, serialize_bundle(out))
@@ -238,17 +261,17 @@ def _cmd_invariant(args):
     if args.csv is not None and kind not in ("kane_mele_z2", "chern_number"):
         raise InputError(f"no CSV output is defined for kind {kind!r}")
     bundle = _load_bundle(args.input)
+    if kind in ("kane_mele_z2", "chiral_winding"):
+        gen = _pick(bundle.cset.generators, args.generator_index, "generator")
     if kind == "parity":
         result = fermion_parity(bundle.space, Plane._prechecked(
             bundle.space, _pick(bundle.frames, args.point_index, "point")))
     elif kind == "class_d_z2":
         result = class_d_z2(bundle)
     elif kind == "kane_mele_z2":
-        result = kane_mele_z2(bundle, _pick(
-            bundle.cset.generators, args.generator_index, "generator"))
+        result = kane_mele_z2(bundle, gen)
     elif kind == "chiral_winding":
-        result = chiral_winding(bundle, _pick(
-            bundle.cset.generators, args.generator_index, "generator"))
+        result = chiral_winding(bundle, gen)
     elif kind == "chern_number":
         result = chern_number(bundle)
     else:                               # component_index
@@ -259,7 +282,7 @@ def _cmd_invariant(args):
                       "diagnostics": _jsonable(result.diagnostics)},
                      sort_keys=True))
     if args.csv is not None and kind == "kane_mele_z2":
-        f = result.diagnostics["field"]
+        f = pfaffian_field(bundle, gen)
         # np.hypot matches the scalar abs(f) bit for bit; numpy's
         # vectorised complex abs differs in the last bit on some CPUs
         _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],

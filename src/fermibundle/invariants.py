@@ -1,10 +1,13 @@
 """Topological diagnostics for plane bundles.
 
 Everything here reduces to finite linear algebra on stored fibers: Pfaffian
-signs at self-antipodal momenta, zero counting for a skew bilinear form over
-the sphere, and phase-accumulation formulas for winding and Chern numbers.
-All phase bookkeeping uses principal branches with explicit margins, so a
-grid that is too coarse raises :class:`NumericError` instead of silently
+signs at self-antipodal momenta, the Pfaffian field of a skew bilinear form
+over the sphere, and phase-accumulation formulas for winding and Chern
+numbers and for the Kane-Mele index, which sums plaquette fluxes over the
+northern half-sphere against the link phases of its t = 0 boundary row in
+a time-reversal gauge.  Phase bookkeeping uses principal branches; the
+winding keeps its steps an explicit margin from the branch cut, and a
+singular frame overlap raises :class:`NumericError` instead of silently
 returning a wrong integer.
 """
 
@@ -28,10 +31,7 @@ from .tolerances import ALG_TOL, CHERN_RESIDUAL
 _KINDS = ("parity_bit", "z2_bit", "winding_int", "chern_int",
           "component_index")
 
-# |p| below this multiple of the field maximum counts as an exact grid zero.
-_ZERO_REL = 1e-8
-# Margins keeping principal phase increments away from the branch cut.
-_PHASE_MARGIN_ZEROS = 0.35
+# Margin keeping principal phase increments away from the branch cut.
 _PHASE_MARGIN_WINDING = 0.15
 _OVERLAP_FLOOR = 1e-8
 
@@ -41,7 +41,7 @@ class InvariantResult:
     """Outcome of one topological index computation.
 
     ``kind`` names the index family, ``value`` is the integer result, and
-    ``diagnostics`` carries per-kind payload such as zero locations or
+    ``diagnostics`` carries per-kind payload such as Pfaffians or
     plaquette fluxes.
     """
 
@@ -246,90 +246,41 @@ def _loop_products(L, edge):
     return prod
 
 
-def _plaquette_zeros(bundle, grid, p):
-    """Classify plaquettes as crossing or vortex carriers.
-
-    A plaquette with an exact zero on a corner cannot support phase
-    winding and is marked as crossing; so is one with an ambiguous phase
-    step.  Otherwise the gauge-compensated winding of p around the
-    plaquette is computed and nonzero windings are recorded.  Returns the
-    zero mask of the points, the sorted indices of crossing and vortex
-    plaquettes, and the vortex windings by plaquette.
-    """
-    absp = np.abs(p)
-    zero = absp < _ZERO_REL * absp.max()
-    corners = grid.plaquettes
-    flagged = zero[corners].any(axis=1)
-    L, edge = bundle._link_variables
-    rows = np.flatnonzero(~flagged)
-    _check_overlaps(L, rows)
-    L, edge = L[rows], edge[rows]
-    a = corners[rows]
-    b = np.roll(a, -1, axis=1)
-    steps = np.where(edge, np.angle((p[b] / p[a]) * (L.conj() / np.abs(L))),
-                     0.0)
-    ambiguous = (np.abs(steps) > np.pi - _PHASE_MARGIN_ZEROS).any(axis=1)
-    nu = np.rint((steps.sum(axis=1) + np.angle(_loop_products(L, edge)))
-                 / (2.0 * np.pi)).astype(int)
-    flagged[rows[ambiguous | (nu != 0)]] = True
-    vortex = (nu != 0) & ~ambiguous
-    return (zero, np.flatnonzero(flagged),
-            dict(zip(rows[vortex].tolist(), nu[vortex].tolist())))
-
-
-def _components(grid, ids):
-    """Connected components of the zero elements ``ids``, sorted.
-
-    Point p has element number p and plaquette q number P + q, P being
-    the point count.  A zero plaquette is joined to its zero corners and
-    to every zero plaquette sharing a corner with it.  Two zero points on
-    an edge are joined through a plaquette on that edge, which has a zero
-    corner and so is a zero plaquette.  Returns, over all elements, the
-    smallest element of each zero element's component, and -1 elsewhere.
-    """
-    P = grid.size
-    plaqs = ids[ids >= P]
-    corners = grid.plaquettes[plaqs - P].ravel()
-    owner = np.repeat(plaqs, 4)
-    on_zero = np.isin(corners, ids)
-    _, first, inv = np.unique(corners, return_index=True, return_inverse=True)
-    pairs = np.concatenate([
-        np.column_stack([owner[on_zero], corners[on_zero]]),
-        np.column_stack([owner[first][inv], owner])])
-    # positions in the sorted ids order like the elements; each round hooks
-    # the label of one end of every pair onto the other's label when that
-    # is smaller, then halves the label chains (about log2(len(ids)) rounds)
-    a, b = np.searchsorted(ids, np.concatenate([pairs, pairs[:, ::-1]])).T
-    lab, prev = np.arange(len(ids)), None
-    while not np.array_equal(lab, prev):
-        prev, lab = lab, lab.copy()
-        np.minimum.at(lab, prev[a], prev[b])
-        lab = lab[lab]
-    root = np.full(P + len(grid.plaquettes), -1)
-    root[ids] = ids[lab]
-    return root
-
-
-def _representative(grid, members, absp):
-    """A component's grid index: non-pole, smallest |p|, smallest index,
-    among its zero points or else the corners of its plaquettes."""
-    P = grid.size
-    points = [x for x in members if x < P]
-    if not points:
-        points = np.unique(grid.plaquettes[np.array(members) - P]).tolist()
-    poles = grid.pole_indices()
-    return min(points, key=lambda z: (z in poles, absp[z], z))
+def _kramers_frame(T, F):
+    """A Kramers basis (u1, Θu1, u3, Θu3, ...) of the plane of frame F,
+    Θv = T conj(v) with Θ² = -1: each u is the frame column farthest from
+    the columns so far, with their span projected out."""
+    K = F[:, :0]
+    for _ in range(F.shape[1] // 2):
+        R = F - K @ (_dagger(K) @ F)
+        u = R[:, np.argmax(np.linalg.norm(R, axis=0))]
+        u = u / np.linalg.norm(u)
+        K = np.column_stack([K, u, T @ u.conj()])
+    return K
 
 
 def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
-    """Zero-pair parity of the Pfaffian field over the sphere.
+    """Kane-Mele Z2 index of a sphere bundle, from its northern half.
 
-    Restricting the bilinear form of ``J1`` to each fiber gives a skew
-    matrix whose Pfaffian p(k) vanishes exactly at band-inversion momenta.
-    Zeros are located two ways: exact grid zeros of p, and plaquettes
-    around which the frame-compensated phase of p winds.  Zero elements
-    are clustered into connected components, the antipodal involution is
-    checked to pair them, and the returned bit is the pair count mod 2.
+    Time reversal Θv = B conj(J1 v) maps the fiber at (k, t) onto the
+    fiber at (-k, -t) and squares to -1.  The index is (S - Φ)/2π mod 2
+    (Fu and Kane, Phys. Rev. B 74, 195312 (2006), in the lattice form of
+    Fukui and Hatsugai, J. Phys. Soc. Jpn. 76, 053702 (2007)).  Φ is the
+    sum of the principal plaquette fluxes over the faces north of the
+    t = 0 row.  S is the sum of the principal link phases once around
+    that row in a time-reversal gauge: a Kramers basis (u1, Θu1, u3, Θu3,
+    ...) at k = -π and k = 0, the stored frames between them, and their
+    images under Θ for k > 0, whose links repeat those of k < 0; so S is
+    twice the sum from k = -π to 0, and a link phase at ±π moves S by 4π
+    without changing the bit.
+
+    The diagnostics are ``n``, the integer (S - Φ)/2π; ``residual``, the
+    distance of (S - Φ)/2π from n; and ``theta_max``, the largest
+    ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row.  The grid must be a sphere
+    with an odd row count, so that it has a t = 0 row, and the fibers
+    must have rank n with n even (InputError); a ``theta_max`` above
+    ``ALG_TOL`` raises ValidationError, and a singular overlap on a
+    northern plaquette NumericError.
     """
     grid = bundle.grid
     if grid.d != 2:
@@ -337,79 +288,34 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     n = bundle.space.n
     if bundle.rank != n or n % 2:
         raise InputError("rank-n fibers with n even are required")
-    p = pfaffian_field(bundle, J1)
-    absp = np.abs(p)
-    if absp.max() < 1e-12:
-        raise NumericError("Pfaffian field vanishes identically on the grid")
-
-    zero, plaqs, vortices = _plaquette_zeros(bundle, grid, p)
-    anti = grid.antipode
-    zeros = np.flatnonzero(zero)
-    bad = zeros[~zero[anti[zeros]] | (anti[zeros] == zeros)]
-    if bad.size:
-        z = int(bad[0])
-        if anti[z] == z:
-            raise ValidationError(
-                f"Pfaffian zero at a self-antipodal momentum (point {z})")
-        raise ValidationError(f"unpaired Pfaffian zero at point {z}")
-    # spectral distance from 1 - Pi_z to Pi_{-z}; for rank-n planes it is
-    # |Pi_z F_{-z}| = |F_z^H F_{-z}|
-    band_max = 0.0
-    if zeros.size:
-        F = bundle.frames
-        band_max = float(_spectral_norms(
-            _mm(_dagger(F[zeros]), F[anti[zeros]])).max())
-
-    # components are keyed by their root and ordered by their first
-    # element; a component's mate holds the image of its first element
-    P = grid.size
-    ids = np.concatenate([zeros, P + plaqs])
-    root = _components(grid, ids)
-    image = np.concatenate([anti, P + grid.plaquette_antipode])
-    comps = {}
-    for x in ids.tolist():
-        comps.setdefault(int(root[x]), []).append(x)
-    mates = {}
-    for r, members in comps.items():
-        mates[r] = int(root[image[members[0]]])
-        if mates[r] < 0:
-            raise ValidationError(
-                f"unpaired Pfaffian zero near plaquette {members[0] - P}")
-
-    pairs = []
-    pair_count = 0
-    fixed = 0
-    seen = set()
-    for r, members in comps.items():
-        if r in seen:
-            continue
-        s = mates[r]
-        seen.update((r, s))
-        rep = _representative(grid, members, absp)
-        if s == r:
-            fixed += 1
-            mate, count = int(anti[rep]), 1
-        else:
-            mate = _representative(grid, comps[s], absp)
-            count = max(1, abs(sum(vortices.get(x - P, 0)
-                                   for x in members if x >= P)))
-        pairs.append({
-            "points": (tuple(map(float, grid.points[rep])),
-                       tuple(map(float, grid.points[mate]))),
-            "count": count, "self_antipodal": s == r})
-        pair_count += count
-
-    return InvariantResult("z2_bit", pair_count % 2, {
-        "pairs": tuple(pairs),
-        "pair_count": pair_count,
-        "components": len(comps),
-        "self_antipodal_components": fixed,
-        "zero_points": tuple(zeros.tolist()),
-        "vortex_plaquettes": dict(sorted(vortices.items())),
-        "crossing_plaquettes": tuple(plaqs.tolist()),
-        "total_vorticity": int(sum(vortices.values())),
-        "band_inversion_max": band_max,
-        "field": p})
+    N, M = grid.N, grid.M
+    if M % 2 == 0:
+        raise InputError(f"the Kane-Mele index needs a t = 0 row, so an "
+                         f"odd row count; got M = {M}")
+    # Θv = B conj(J1 v) = W^H conj(v) for the form W = J1^T B
+    T = omega_form(bundle.space, J1).matrix.conj().T
+    row = M // 2 * N + np.arange(N)
+    F = bundle.frames[row]
+    Fm = F[-np.arange(N) % N]
+    TF = _apply(T, F.conj())
+    dev = _spectral_norms(TF - _mm(Fm, _mm(_dagger(Fm), TF)))
+    theta_max = float(dev.max())
+    if not theta_max <= ALG_TOL:
+        i = int(np.argmax(dev))
+        raise ValidationError(
+            f"time reversal does not map the t = 0 row onto itself at "
+            f"point {row[i]} (deviation {dev[i]:.2e})")
+    G = F[:N // 2 + 1].copy()
+    G[0], G[-1] = _kramers_frame(T, G[0]), _kramers_frame(T, G[-1])
+    S = 2.0 * np.angle(np.linalg.det(_mm(_dagger(G[:-1]), G[1:]))).sum()
+    L, edge = bundle._link_variables
+    north = np.flatnonzero(np.arange(len(L)) % (M + 1) > M // 2)
+    _check_overlaps(L, north)
+    phi = np.angle(_loop_products(L[north], edge[north])).sum()
+    x = (S - phi) / (2.0 * np.pi)
+    k = int(round(x))
+    return InvariantResult("z2_bit", k % 2, {
+        "n": k, "residual": abs(x - k), "theta_max": theta_max})
 
 
 def chiral_winding(bundle: Bundle, K1) -> InvariantResult:

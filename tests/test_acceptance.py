@@ -18,12 +18,12 @@ from helpers import (random_lagrangian, random_plane, random_pseudo_plane,
 from fermibundle import (Bundle, CliffordSet, Generator, Plane,
                          SuspensionInput, chern_number, chiral_winding,
                          check_clifford, class_d_z2, class_info,
-                         classify_generator, double_one_one, example_dIII,
-                         example_kitaev_chain, example_majorana, fermi_check,
-                         fermion_parity, j_of, kane_mele_z2,
+                         classify_generator, complement, double_one_one,
+                         example_dIII, example_kitaev_chain, example_majorana,
+                         fermi_check, fermion_parity, j_of, kane_mele_z2,
                          kitaev_generators, lift_plane, make_nambu, pfaffian,
-                         plane_distance, pseudo_check, rotor, suspend,
-                         unlift_plane, validate_bundle)
+                         pfaffian_field, plane_distance, pseudo_check, rotor,
+                         suspend, unlift_plane, validate_bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +92,18 @@ def test_criterion_2_diii_sphere():
         ref = Plane(b.space, _diii_frame(k, t))
         assert plane_distance(b.fibers[p], ref) < 1e-12
     assert validate_bundle(b).ok
-    res = kane_mele_z2(b, b.cset.generators[0])
-    assert res.value == 1
-    assert res.diagnostics["pair_count"] == 1
-    (pair,) = res.diagnostics["pairs"]
-    cell = 2 * math.pi / N
-    for point in pair["points"]:
-        assert abs(abs(point[0]) - math.pi / 2) <= cell + 1e-12
-    assert res.diagnostics["band_inversion_max"] < 1e-8
+    assert kane_mele_z2(b, b.cset.generators[0]).value == 1
+    # the bands invert on |k| = pi/2, two points per row, and at the poles
+    p = np.abs(pfaffian_field(b, b.cset.generators[0]))
+    zeros = np.flatnonzero(p < 1e-8 * p.max())
+    poles = b.grid.pole_indices()
+    ring = np.setdiff1d(zeros, poles)
+    assert set(poles) <= set(zeros.tolist())
+    assert len(ring) == 2 * b.grid.M
+    assert np.abs(np.abs(b.grid.points[ring, 0]) - math.pi / 2).max() < 1e-12
+    assert max(plane_distance(complement(b.fibers[z]),
+                              b.fibers[b.grid.antipode[z]])
+               for z in zeros) < 1e-8
 
 
 def test_criterion_3_chain_arcs_and_windings():

@@ -12,15 +12,16 @@ from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
                                  validate_bundle)
 from fermibundle.cli import _COMMANDS, _cells, main
 from fermibundle.invariants import (chern_number, component_index_ai,
-                                    kane_mele_z2)
+                                    pfaffian_field)
 from fermibundle.nambu import CliffordSet, make_nambu
 from fermibundle.planes import vacuum_plane
 from fermibundle.suspension import (SuspensionInput, example_dIII,
                                     example_kitaev_chain, suspend)
 from fermibundle.symmetry import (class_info, imaginary_realization,
-                                  true_symmetries)
+                                  kitaev_generators, true_symmetries)
 from fermibundle.tolerances import CONTINUITY_TOL
-from helpers import random_suspension_inputs, regauge, v1_document
+from helpers import (nudge, random_suspension_inputs, regauge,
+                     v1_document)
 
 
 def run(*argv):
@@ -302,6 +303,30 @@ def test_exit_code_for_validation_errors(tmp_path, capsys):
     assert "validation error:" in capsys.readouterr().err
 
 
+def _constant_diii_sphere(M):
+    sp = make_nambu(2)
+    cset = CliffordSet(sp, kitaev_generators(sp, "DIII").generators[:1])
+    grid = make_sphere_grid(2, 8, M)
+    frames = np.repeat(np.eye(4, dtype=complex)[None, :, 2:], grid.size, 0)
+    return Bundle(sp, cset, grid, frames, "DIII")
+
+
+@pytest.mark.parametrize("make, code, fragment", [
+    (lambda: _constant_diii_sphere(4), 2, "odd row count"),
+    # a fiber of the t = 0 row moved off the image of its mirror
+    (lambda: nudge(example_dIII(N=8, rows=5), 2 * 8 + 1, 1e-6,
+                   np.random.default_rng(3)), 1, "time reversal"),
+], ids=["even M", "t = 0 row breaks time reversal"])
+def test_kane_mele_refusals_exit_codes(tmp_path, capsys, make, code,
+                                       fragment):
+    path = tmp_path / "sphere.json"
+    path.write_text(json.dumps(serialize_bundle(make())))
+    assert run("invariant", "--input", path, "--kind", "kane_mele_z2") == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert fragment in captured.err
+
+
 def test_invariant_component_index_at_self_antipodal_points(tmp_path,
                                                              capsys):
     out = tmp_path / "chain.json"
@@ -447,7 +472,9 @@ def test_cli_files_round_trip_bit_for_bit(tmp_path):
         src, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}.json"
         src.write_text(json.dumps(serialize_bundle(inp.bundle)))
         argv = ["suspend", "--input", src, "--k-index", inp.k_index,
-                "--points", 8, "--output", out]
+                "--output", out]
+        if inp.bundle.grid.d == 0:      # --points sizes d = 0 inputs only
+            argv += ["--points", 8]
         if inp.i_index is not None:
             argv += ["--i-index", inp.i_index]
         assert run(*argv) == 0
@@ -522,8 +549,7 @@ def test_kane_mele_csv_pins_the_scalar_abs_and_angle(tmp_path, capsys):
     path.write_text(json.dumps(serialize_bundle(bundle)))
     assert run("invariant", "--input", path, "--kind", "kane_mele_z2",
                "--csv", table) == 0
-    field = kane_mele_z2(bundle, bundle.cset.generators[0]
-                         ).diagnostics["field"]
+    field = pfaffian_field(bundle, bundle.cset.generators[0])
     with open(table, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(field)
@@ -803,6 +829,53 @@ def test_a_flag_and_its_config_key_give_the_same_result(tmp_path, capsys,
     assert outcome() != by_flag
 
 
+# (flag, value, argv): the option given where it does not apply, on an
+# example of another name or a suspend input of another d
+_INAPPLICABLE = [
+    (flag, value, ["example", "--name", name, "--N", 8, "--output", "{out}"])
+    for flag, value, names in [("--M", 3, ["majorana", "kitaev_chain"]),
+                               ("--n", 2, ["majorana", "dIII"]),
+                               ("--n-plus", 1, ["majorana", "dIII"]),
+                               ("--trivial", True, ["dIII", "kitaev_chain"])]
+    for name in names
+] + [
+    (flag, value, ["suspend", "--input", "{%s}" % src, "--k-index", 0,
+                   "--output", "{out}"])
+    for flag, value, sources in [("--points", 8, ["chain", "diii"]),
+                                 ("--rows", 3, ["pair", "diii"])]
+    for src in sources
+]
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("flag, value, argv", _INAPPLICABLE, ids=[
+    f"{flag} {argv[2]}" for flag, _, argv in _INAPPLICABLE])
+def test_options_that_do_not_apply_are_refused(tmp_path, capsys, flag,
+                                               value, argv, how):
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("chain", "diii", "pair", "out", "cfg")}
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", paths["chain"])
+    run("example", "--name", "dIII", "--N", 8, "--output", paths["diii"])
+    sp = make_nambu(1)
+    paths["pair"].write_text(json.dumps(serialize_bundle(Bundle(
+        sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
+        (vacuum_plane(sp),) * 2, "BDI"))))
+    argv = [str(a).format(**paths) for a in argv]
+    if how == "flag":
+        argv += [flag] if value is True else [flag, str(value)]
+    else:
+        key = flag[2:].replace("-", "_")
+        paths["cfg"].write_text(json.dumps({key: value}))
+        argv += ["--config", str(paths["cfg"])]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} does not apply" in captured.err
+    assert not paths["out"].exists()
+
+
 # ---------------------------------------------------------------------------
 # CSV bytes: the csv module's output from per-row lists of Python scalars
 # (ints as str, floats as repr, CRLF row ends) is the reference
@@ -858,7 +931,7 @@ def test_kane_mele_csv_bytes_match_the_csv_module(tmp_path, capsys):
     path.write_text(json.dumps(serialize_bundle(bundle)))
     assert run("invariant", "--input", path, "--kind", "kane_mele_z2",
                "--csv", table) == 0
-    f = kane_mele_z2(bundle, bundle.cset.generators[0]).diagnostics["field"]
+    f = pfaffian_field(bundle, bundle.cset.generators[0])
     rows = [[p, *pt, a, phi] for p, (pt, a, phi) in enumerate(zip(
         bundle.grid.points.tolist(), np.hypot(f.real, f.imag).tolist(),
         np.angle(f).tolist()))]

@@ -1,13 +1,12 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import nudge, regauge, union_find_components
+from helpers import nudge, regauge
 
-from fermibundle import bundles, invariants
+from fermibundle import bundles
 from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
                                  validate_bundle)
 from fermibundle.errors import InputError, NumericError, ValidationError
@@ -302,25 +301,21 @@ def test_kane_mele_on_the_dIII_example():
     res = kane_mele_z2(b, b.cset.generators[0])
     assert res.value == 1
     diag = res.diagnostics
-    assert diag["pair_count"] == 1
-    assert diag["components"] == 1
-    assert diag["self_antipodal_components"] == 1
-    assert diag["total_vorticity"] == 0
-    assert diag["band_inversion_max"] < 1e-8
-    (pa, pb), = [pair["points"] for pair in diag["pairs"]]
-    assert abs(abs(pa[0]) - np.pi / 2) < 1e-12
-    assert abs(abs(pb[0]) - np.pi / 2) < 1e-12
-    assert pa[0] == -pb[0]
+    assert diag["n"] % 2 == 1
+    assert diag["residual"] < 1e-9
+    assert diag["theta_max"] < 1e-12
 
 
 def test_band_inversion_is_the_complement_distance():
+    # the Pfaffian field vanishes where the fiber at -k is the complement
+    # of the fiber at k
     b = example_dIII(N=16)
-    diag = kane_mele_z2(b, b.cset.generators[0]).diagnostics
-    assert diag["zero_points"]
-    want = max(plane_distance(complement(b.fibers[z]),
+    p = np.abs(pfaffian_field(b, b.cset.generators[0]))
+    zeros = np.flatnonzero(p < 1e-8 * p.max())
+    assert zeros.size
+    assert max(plane_distance(complement(b.fibers[z]),
                               b.fibers[b.grid.antipode[z]])
-               for z in diag["zero_points"])
-    assert abs(diag["band_inversion_max"] - want) < 1e-14
+               for z in zeros) < 1e-8
 
 
 def test_kane_mele_constant_bundle_is_trivial():
@@ -329,16 +324,54 @@ def test_kane_mele_constant_bundle_is_trivial():
     assert validate_bundle(b).ok
     res = kane_mele_z2(b, b.cset.generators[0])
     assert res.value == 0
-    assert res.diagnostics["pair_count"] == 0
-    assert res.diagnostics["zero_points"] == ()
-    assert res.diagnostics["band_inversion_max"] == 0.0
+    assert res.diagnostics["n"] % 2 == 0
+    assert res.diagnostics["theta_max"] < 1e-12
 
 
 def test_kane_mele_vanishing_field_errors():
+    # the fibers span (c_1, c_1^dagger): time reversal maps them elsewhere
     sp = make_nambu(2)
     b = _constant_sphere_bundle(sp, (0, 2))
-    with pytest.raises(NumericError):
+    with pytest.raises(ValidationError):
         kane_mele_z2(b, b.cset.generators[0])
+
+
+def _gauged(bundle, rng):
+    """The bundle with a random right unitary on every frame, in one batch."""
+    m = bundle.rank
+    Z = (rng.standard_normal((bundle.grid.size, m, m))
+         + 1j * rng.standard_normal((bundle.grid.size, m, m)))
+    return Bundle(bundle.space, bundle.cset, bundle.grid,
+                  bundle.frames @ np.linalg.qr(Z)[0], bundle.label)
+
+
+@pytest.mark.parametrize("N, M", [(8, None), (16, None), (64, None),
+                                  (8, 3), (8, 5), (8, 7)])
+def test_kane_mele_is_gauge_invariant(N, M):
+    b = example_dIII(N, rows=M)
+    rng = np.random.default_rng(N + (M or 0))
+    for _ in range(20):
+        res = kane_mele_z2(_gauged(b, rng), b.cset.generators[0])
+        assert res.value == 1
+        assert res.diagnostics["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("M", [2, 4])
+def test_kane_mele_refuses_an_even_row_count(M):
+    b = _constant_sphere_bundle(make_nambu(2), (2, 3), M=M)
+    assert validate_bundle(b).ok
+    with pytest.raises(InputError, match="odd row count"):
+        kane_mele_z2(b, b.cset.generators[0])
+
+
+def test_kane_mele_refuses_a_t0_row_that_breaks_time_reversal():
+    b = example_dIII(N=8, rows=5)
+    on_row, off_row = 2 * 8 + 1, 3 * 8 + 1
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValidationError, match="time reversal"):
+        kane_mele_z2(nudge(b, on_row, 1e-6, rng), b.cset.generators[0])
+    moved = nudge(b, off_row, 1e-6, rng)
+    assert kane_mele_z2(moved, b.cset.generators[0]).value == 1
 
 
 def _alpha_bundle(sp, alpha, N, M):
@@ -357,150 +390,6 @@ def _alpha_bundle(sp, alpha, N, M):
     return Bundle(sp, cset, grid, fibers, "DIII"), grid
 
 
-def test_kane_mele_detects_an_off_grid_vortex_pair():
-    sp = make_nambu(2)
-    b, grid = _alpha_bundle(
-        sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)
-    res = kane_mele_z2(b, kitaev_generators(sp, "DIII").generators[0])
-    assert res.value == 1
-    diag = res.diagnostics
-    assert diag["pair_count"] == 1
-    assert diag["zero_points"] == ()
-    assert diag["components"] == 2
-    assert diag["self_antipodal_components"] == 0
-    vort = diag["vortex_plaquettes"]
-    assert sorted(vort.values()) == [-1, 1]
-    assert diag["total_vorticity"] == 0
-    for point in diag["pairs"][0]["points"]:
-        assert abs(abs(point[0]) - np.pi / 2) < 0.7
-
-
-_KM_PINNED = {
-    "dIII": dict(
-        zero_points=(4, 12, 20, 28, 36, 44, 52, 60, 68, 76, 84, 92, 100, 108,
-                     116, 124, 132, 140, 144, 145),
-        crossing_plaquettes=(0, 9, 10, 19, 20, *range(29, 51), 59, 60, 69,
-                             70, 79, 80, 89, 90, 99, 100, *range(109, 131),
-                             139, 140, 149, 150, 159),
-        vortex_plaquettes={}, components=1,
-        pairs=[(((-1.5707963267948966, -1.2566370614359172),
-                 (1.5707963267948966, 1.2566370614359172)), 1, True)]),
-    "vortex": dict(
-        zero_points=(), crossing_plaquettes=(12, 37),
-        vortex_plaquettes={12: 1, 37: -1}, components=2,
-        pairs=[(((-1.8849555921538759, -0.3141592653589793),
-                 (1.2566370614359172, -0.3141592653589793)), 1, False)]),
-    "four-crossings": dict(
-        zero_points=(), crossing_plaquettes=(10, 17, 38, 45, 66, 73, 94, 101),
-        vortex_plaquettes={}, components=4,
-        pairs=[(((-2.356194490192345, -0.2243994752564138),
-                 (2.356194490192345, -0.2243994752564138)), 1, False),
-               (((-0.7853981633974483, -0.2243994752564138),
-                 (0.7853981633974483, -0.2243994752564138)), 1, False)]),
-}
-
-
-def _km_case(case):
-    sp = make_nambu(2)
-    if case == "dIII":
-        return example_dIII(N=16)
-    if case == "vortex":
-        return _alpha_bundle(
-            sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)[0]
-    return _alpha_bundle(
-        sp, lambda k, t: np.cos(2 * k) + 1j * np.sin(2 * t), N=16, M=6)[0]
-
-
-@pytest.mark.parametrize("case", list(_KM_PINNED))
-def test_kane_mele_clustering_is_pinned(case):
-    b = _km_case(case)
-    diag = kane_mele_z2(b, b.cset.generators[0]).diagnostics
-    want = _KM_PINNED[case]
-    for key in ("zero_points", "crossing_plaquettes", "vortex_plaquettes",
-                "components"):
-        assert diag[key] == want[key], key
-    assert [(pair["points"], pair["count"], pair["self_antipodal"])
-            for pair in diag["pairs"]] == want["pairs"]
-
-
-@pytest.mark.parametrize("case", [*_KM_PINNED, "dIII-64"])
-def test_components_of_kane_mele_zeros_match_the_union_find(case, monkeypatch):
-    b = example_dIII(N=64) if case == "dIII-64" else _km_case(case)
-    components, seen = invariants._components, []
-
-    def checked(grid, ids):
-        root = components(grid, ids)
-        assert np.array_equal(root, union_find_components(grid, ids))
-        seen.append(len(ids))
-        return root
-
-    monkeypatch.setattr(invariants, "_components", checked)
-    kane_mele_z2(b, b.cset.generators[0])
-    assert seen and seen[0] > 1
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_components_of_random_zero_sets_match_the_union_find(seed):
-    rng = np.random.default_rng(seed)
-    grid = make_sphere_grid(2, int(rng.choice([4, 8, 16, 32])),
-                            int(rng.integers(1, 10)))
-    P, Q = grid.size, len(grid.plaquettes)
-    density = rng.uniform(0.02, 0.6)
-    ids = np.concatenate([np.flatnonzero(rng.random(P) < density),
-                          P + np.flatnonzero(rng.random(Q) < density)])
-    assert np.array_equal(invariants._components(grid, ids),
-                          union_find_components(grid, ids))
-
-
-class _CountingMinimum:
-    """np.minimum, counting calls of its ``at`` method."""
-
-    def __init__(self):
-        self.ufunc, self.at_calls = np.minimum, 0
-
-    def __call__(self, *args, **kwargs):
-        return self.ufunc(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self.ufunc, name)
-
-    def at(self, *args):
-        self.at_calls += 1
-        return self.ufunc.at(*args)
-
-
-@pytest.mark.parametrize("order", ["increasing", "decreasing", "zigzag",
-                                   "odd-even"])
-def test_components_of_a_long_path_take_logarithmic_rounds(order,
-                                                           monkeypatch):
-    # a chain of n zero plaquettes, position j sharing corner j + 1 with
-    # position j + 1, numbered so that a label moving one step per round
-    # would need about n rounds
-    n = 4096
-    pos = np.arange(n)
-    number = {
-        "increasing": pos,
-        "decreasing": pos[::-1],
-        "zigzag": np.where(pos % 2, n - 1 - pos // 2, pos // 2),
-        "odd-even": np.where(pos < n // 2, 2 * (n // 2 - 1 - pos),
-                             2 * (pos - n // 2) + 1),
-    }[order]
-    plaquettes = np.empty((n, 4), dtype=int)
-    plaquettes[number] = np.column_stack([pos, pos + 1, pos + 1, pos])
-    grid = SimpleNamespace(size=n + 1, plaquettes=plaquettes)
-    ids = n + 1 + pos
-    counter = _CountingMinimum()
-    monkeypatch.setattr(np, "minimum", counter)
-    root = invariants._components(grid, ids)
-    monkeypatch.undo()
-    assert (root[ids] == n + 1).all() and (root[:n + 1] == -1).all()
-    assert counter.at_calls <= np.log2(n) + 2
-    assert np.array_equal(root, union_find_components(grid, ids))
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the forced pole zeros of every suspension enter "
-                          "the Kane-Mele count (ROADMAP item 1)")
 def test_kane_mele_of_a_null_homotopic_sphere_is_zero():
     sp = make_nambu(2)
     ts = true_symmetries(sp, spinful=True)
@@ -516,10 +405,11 @@ def test_kane_mele_of_a_null_homotopic_sphere_is_zero():
 
 
 def test_kane_mele_rejects_unpaired_zeros():
+    # M = 4 has no t = 0 row
     sp = make_nambu(2)
     b, _ = _alpha_bundle(
         sp, lambda k, t: np.cos(k - 0.9) + 1j * np.sin(2 * t), N=10, M=4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(InputError):
         kane_mele_z2(b, kitaev_generators(sp, "DIII").generators[0])
 
 
@@ -581,6 +471,64 @@ def test_diagonal_map_carries_the_winding_to_the_chern_number(seed):
     w = chiral_winding(chain, chain.cset.generators[0]).value
     assert w == -n_plus
     assert chern_number(suspend(SuspensionInput(chain, k_index=0))).value == w
+
+
+def _orthogonal(n, rng):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _ladder_z(rng, N):
+    """An AI point pair's index, then the winding and Chern number one and
+    two suspensions up.  The pair's fibers are coordinate planes of random
+    occupations turned by one real band rotation diag(O, O), which keeps
+    them charge conserving and pseudo-symmetric."""
+    n = int(rng.integers(1, 4))
+    sp = make_nambu(n)
+    R = np.kron(np.eye(2), _orthogonal(n, rng))
+    frames = [R @ np.eye(2 * n)[:, [n + i if o else i for i, o in
+                                     enumerate(rng.random(n) < 0.5)]]
+              for _ in range(2)]
+    pair = _gauged(Bundle(sp, imaginary_realization(sp, "AI"),
+                          make_sphere_grid(0), np.array(frames), "AI"), rng)
+    Q = true_symmetries(sp).Q
+    n0, n_pi = (component_index_ai(Plane(sp, pair.frames[p]), Q).value
+                for p in pair.grid.trims)
+    ring = _gauged(suspend(SuspensionInput(pair, k_index=1), points=N), rng)
+    sphere = _gauged(suspend(SuspensionInput(ring, k_index=0)), rng)
+    return (n0 - n_pi, -chiral_winding(ring, ring.cset.generators[0]).value,
+            -chern_number(sphere).value)
+
+
+def _ladder_z2(rng, N):
+    """A BDI point pair's class-D bit, then that of its suspended ring, then
+    the Kane-Mele bit of the suspension of the ring's doubling.  The
+    pair's fibers are random real Lagrangian planes {x + O x}, O an
+    orthogonal map between the eigenspaces of the bracket; the doubled
+    ring's own class-D bit is 0, so the last step reads the ring's."""
+    n = int(rng.integers(1, 3))
+    sp = make_nambu(n)
+    frames = []
+    for _ in range(2):
+        O = _orthogonal(n, rng)
+        frames.append(np.vstack([np.eye(n) + O, np.eye(n) - O]) / 2)
+    pair = _gauged(Bundle(sp, imaginary_realization(sp, "BDI"),
+                          make_sphere_grid(0), np.array(frames), "BDI"), rng)
+    ring = _gauged(suspend(SuspensionInput(pair, 0), points=N), rng)
+    sphere = _gauged(suspend(SuspensionInput(double_bundle(ring), 1, 0)), rng)
+    return (class_d_z2(pair).value, class_d_z2(ring).value,
+            kane_mele_z2(sphere, sphere.cset.generators[0]).value)
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("leg", [_ladder_z, _ladder_z2], ids=["Z", "Z2"])
+def test_the_diagonal_map_ladder_keeps_each_invariant(leg, seed):
+    # the Diagonal Map raises d and s by one and is a bijection on
+    # homotopy classes, so each integer survives each step; every bundle
+    # is regauged, and the ladder runs at two grid sizes
+    for N in (8, 16):
+        values = leg(np.random.default_rng([seed, N]), N)
+        assert len(set(values)) == 1, values
 
 
 def test_winding_rejects_non_pseudo_fibers():
