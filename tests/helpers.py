@@ -208,3 +208,38 @@ def reference_sphere_tables(N, M):
         for face in faces]
     return edges, corners, slots, plaquette_antipode
 
+
+
+def union_find_components(grid, ids):
+    """Connected components of the zero elements ``ids`` of a sphere grid,
+    by a dict union-find.
+
+    Point p is element p and plaquette q is element P + q, P being the
+    point count; a zero plaquette is joined to its zero corners and to
+    every zero plaquette sharing a corner.  The larger root is always
+    attached to the smaller, so each root is the smallest element of its
+    component.  Returns the root of every zero element and -1 elsewhere.
+    """
+    P = grid.size
+    plaqs = ids[ids >= P]
+    corners = grid.plaquettes[plaqs - P].ravel()
+    owner = np.repeat(plaqs, 4)
+    on_zero = np.isin(corners, ids)
+    _, first, inv = np.unique(corners, return_index=True, return_inverse=True)
+    pairs = np.concatenate([
+        np.column_stack([owner[on_zero], corners[on_zero]]),
+        np.column_stack([owner[first][inv], owner])])
+    parent = {x: x for x in ids.tolist()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs.tolist():
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    root = np.full(P + len(grid.plaquettes), -1)
+    root[ids] = [find(x) for x in ids.tolist()]
+    return root

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import nudge, regauge
+from helpers import nudge, regauge, union_find_components
 
 from fermibundle import bundles
 from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
@@ -388,6 +388,129 @@ def _alpha_bundle(sp, alpha, N, M):
         frame[1, 1] = 1.0
         fibers.append(Plane(sp, frame))
     return Bundle(sp, cset, grid, fibers, "DIII"), grid
+
+
+def _pfaffian_zeros(bundle, J1):
+    """The zeros of the Pfaffian field p, located from p and the link
+    table alone: its grid zero points, the crossing faces (a zero corner,
+    a phase step within 0.35 of the branch cut, or a winding), and the
+    winding of the frame-compensated phase of p around each vortex face.
+    """
+    p = pfaffian_field(bundle, J1)
+    zero = np.abs(p) < 1e-8 * np.abs(p).max()
+    corners = bundle.grid.plaquettes
+    crossing = zero[corners].any(axis=1)
+    rows = np.flatnonzero(~crossing)
+    L, edge = (x[rows] for x in bundle._link_variables)
+    a = corners[rows]
+    steps = np.where(edge, np.angle(p[np.roll(a, -1, axis=1)] / p[a]
+                                    * L.conj()), 0.0)
+    flux = np.angle(np.where(edge, L, 1.0).prod(axis=1))
+    nu = np.rint((steps.sum(axis=1) + flux) / (2 * np.pi)).astype(int)
+    ambiguous = (np.abs(steps) > np.pi - 0.35).any(axis=1)
+    crossing[rows[ambiguous | (nu != 0)]] = True
+    vortex = (nu != 0) & ~ambiguous
+    return (tuple(np.flatnonzero(zero).tolist()),
+            tuple(np.flatnonzero(crossing).tolist()),
+            dict(zip(rows[vortex].tolist(), nu[vortex].tolist())))
+
+
+def _zero_components(bundle, J1):
+    """The zero elements (point p, face P + q) of the Pfaffian field and
+    the union-find root of each."""
+    zero_points, crossing, _ = _pfaffian_zeros(bundle, J1)
+    ids = np.array([*zero_points, *(bundle.grid.size + q for q in crossing)],
+                   dtype=int)
+    return ids, union_find_components(bundle.grid, ids)
+
+
+def test_kane_mele_detects_an_off_grid_vortex_pair():
+    # the pair sits inside two antipodal faces, on no grid point; the
+    # route refuses this fixture, which has no t = 0 row
+    sp = make_nambu(2)
+    b, grid = _alpha_bundle(
+        sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)
+    J1 = kitaev_generators(sp, "DIII").generators[0]
+    zero_points, _, vortices = _pfaffian_zeros(b, J1)
+    assert zero_points == ()
+    assert sorted(vortices.values()) == [-1, 1]
+    q, r = vortices
+    assert grid.plaquette_antipode[q] == r
+    for face in (q, r):
+        k = grid.points[grid.plaquettes[face], 0]
+        assert (abs(np.abs(k) - np.pi / 2) < 0.7).all()
+    ids, root = _zero_components(b, J1)
+    assert len(set(root[ids])) == 2
+    with pytest.raises(InputError, match="odd row count"):
+        kane_mele_z2(b, J1)
+
+
+_KM_PINNED = {
+    "dIII": dict(
+        zero_points=(4, 12, 20, 28, 36, 44, 52, 60, 68, 76, 84, 92, 100, 108,
+                     116, 124, 132, 140, 144, 145),
+        crossing_plaquettes=(0, 9, 10, 19, 20, *range(29, 51), 59, 60, 69,
+                             70, 79, 80, 89, 90, 99, 100, *range(109, 131),
+                             139, 140, 149, 150, 159),
+        vortex_plaquettes={}, components=1, n=1),
+    "vortex": dict(
+        zero_points=(), crossing_plaquettes=(12, 37),
+        vortex_plaquettes={12: 1, 37: -1}, components=2, n=None),
+    "four-crossings": dict(
+        zero_points=(), crossing_plaquettes=(10, 17, 38, 45, 66, 73, 94, 101),
+        vortex_plaquettes={}, components=4, n=None),
+}
+
+
+def _km_case(case):
+    sp = make_nambu(2)
+    if case == "dIII":
+        return example_dIII(N=16)
+    if case == "vortex":
+        return _alpha_bundle(
+            sp, lambda k, t: np.cos(k) + 1j * np.sin(2 * t), N=10, M=4)[0]
+    return _alpha_bundle(
+        sp, lambda k, t: np.cos(2 * k) + 1j * np.sin(2 * t), N=16, M=6)[0]
+
+
+@pytest.mark.parametrize("case", list(_KM_PINNED))
+def test_kane_mele_clustering_is_pinned(case):
+    # the Pfaffian field and the link table show each fixture's zeros and
+    # their clusters where they were; the route reads n from the fluxes,
+    # and refuses the even-M fixtures (n None), which have no t = 0 row
+    b = _km_case(case)
+    J1 = b.cset.generators[0]
+    want = _KM_PINNED[case]
+    zero_points, crossing, vortices = _pfaffian_zeros(b, J1)
+    assert zero_points == want["zero_points"]
+    assert crossing == want["crossing_plaquettes"]
+    assert vortices == want["vortex_plaquettes"]
+    ids, root = _zero_components(b, J1)
+    assert len(set(root[ids])) == want["components"]
+    if want["n"] is None:
+        with pytest.raises(InputError, match="odd row count"):
+            kane_mele_z2(b, J1)
+    else:
+        assert kane_mele_z2(b, J1).diagnostics["n"] == want["n"]
+
+
+@pytest.mark.parametrize("case", [*_KM_PINNED, "dIII-64"])
+def test_components_of_kane_mele_zeros_match_the_union_find(case):
+    # the antipode tables of points and faces carry every union-find
+    # component of the Pfaffian zeros onto one component, and back
+    b = example_dIII(N=64) if case == "dIII-64" else _km_case(case)
+    grid = b.grid
+    ids, root = _zero_components(b, b.cset.generators[0])
+    image = np.concatenate([grid.antipode,
+                            grid.size + grid.plaquette_antipode])
+    assert np.isin(image[ids], ids).all()
+    mates = {}
+    for x in ids.tolist():
+        mates.setdefault(root[x], set()).add(root[image[x]])
+    assert all(len(m) == 1 for m in mates.values())
+    mate = {r: m.pop() for r, m in mates.items()}
+    assert all(mate[mate[r]] == r for r in mate)
+    assert ids.size > 1
 
 
 def test_kane_mele_of_a_null_homotopic_sphere_is_zero():
