@@ -14,15 +14,18 @@ repetitions in one process can misread a cell on a shared host:
   a warm grid cache;
 - ``validate_bundle`` of the sphere (m = 2) and ``validate_bundle
   (doubled)`` of its doubling (m = 4);
-- ``kane_mele_z2``, ``chern_number`` and ``kane_mele_z2 + chern_number``,
-  each on a fresh copy of the sphere, so no per-bundle table is reused
-  from an earlier repetition;
+- ``kane_mele_z2``, ``chern_number``, ``kane_mele_z2 + chern_number`` and
+  ``validate_bundle + kane_mele_z2 + chern_number``, the chain of
+  perfbench's sphere-mem workload, in which the invariants read the edge
+  determinants that validation leaves on the bundle;
 - ``encode`` (``serialize_bundle`` + ``json.dumps``), ``decode``
   (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``;
 - ``csv``: the sphere's ``kane_mele_z2`` and ``chern_number`` tables, as
   ``fermibundle invariant --csv`` writes them, through ``cli._write_csv``
   into a temporary directory.
 
+The six validation and invariant stages take a fresh copy of their bundle
+per call, so none reuses a per-bundle table from an earlier repetition.
 ``stages_minflt`` records the median number of minor page faults
 (``ru_minflt``) per call of each stage; unlike a time, it does not drift
 with the speed of a shared host.
@@ -92,18 +95,20 @@ def _stages(N: int) -> dict:
     s = fb.example_dIII(N)
     gen = s.cset.generators[0]
 
-    def fresh():
-        return [fb.Bundle(s.space, s.cset, s.grid, s.frames, s.label)
+    def fresh(b=s):
+        return [fb.Bundle(b.space, b.cset, b.grid, b.frames, b.label)
                 for _ in range(REPEAT)]
 
-    t["validate_bundle"] = _times_ms(fb.validate_bundle, [s] * REPEAT)
-    doubled = fb.double_bundle(s)
-    t["validate_bundle (doubled)"] = _times_ms(fb.validate_bundle,
-                                               [doubled] * REPEAT)
+    t["validate_bundle"] = _times_ms(fb.validate_bundle, fresh())
+    t["validate_bundle (doubled)"] = _times_ms(
+        fb.validate_bundle, fresh(fb.double_bundle(s)))
     t["kane_mele_z2"] = _times_ms(lambda b: fb.kane_mele_z2(b, gen), fresh())
     t["chern_number"] = _times_ms(fb.chern_number, fresh())
     t["kane_mele_z2 + chern_number"] = _times_ms(
         lambda b: (fb.kane_mele_z2(b, gen), fb.chern_number(b)), fresh())
+    t["validate_bundle + kane_mele_z2 + chern_number"] = _times_ms(
+        lambda b: (fb.validate_bundle(b), fb.kane_mele_z2(b, gen),
+                   fb.chern_number(b)), fresh())
     t["encode"] = _times_ms(lambda b: json.dumps(fb.serialize_bundle(b)),
                             [s] * REPEAT)
     text = json.dumps(fb.serialize_bundle(s))

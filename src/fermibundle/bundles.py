@@ -229,6 +229,31 @@ class Bundle:
     def rank(self) -> int:
         return self.frames.shape[2]
 
+    def _edge_pass(self, distances: bool = False):
+        """The one blocked pass over ``grid.edges`` that forms O = F_a^H F_b
+        of each edge (a, b): the distances ||F_b - F_a O|| if ``distances``,
+        and, unless cached, det O (m = 1 and 2 in closed form with ``_cmul``)
+        into ``_edge_dets`` without distances or on a sphere with m <= 2."""
+        edges, F, m = self.grid.edges, self.frames, self.rank
+        dets = "_edge_dets" not in self.__dict__ and (
+            not distances or self.grid.d == 2 and m <= 2)
+        dist = np.empty(len(edges)) if distances else None
+        o = np.empty(len(edges), dtype=complex) if dets else None
+        # six temporaries live per block: at the usual budget glibc trimmed and
+        # regrew its heap every block (sphere-mem: 763 minor faults, not 235)
+        for blk in _blocks(len(edges), 32 * F[0].size):
+            Fa, Fb = F[edges[blk, 0]], F[edges[blk, 1]]
+            O = _mm(_dagger(Fa), Fb)
+            if distances:
+                dist[blk] = _spectral_norms(Fb - _mm(Fa, O))
+            if dets:
+                o[blk] = (np.linalg.det(O) if m > 2 else O[:, 0, 0] if m == 1
+                          else _cmul(O[:, 0, 0], O[:, 1, 1])
+                          - _cmul(O[:, 0, 1], O[:, 1, 0]))
+        if dets:
+            self.__dict__["_edge_dets"] = _frozen(o)
+        return dist
+
     @functools.cached_property
     def _link_variables(self):
         """Fukui-Hatsugai-Suzuki link variables around every plaquette.
@@ -236,21 +261,16 @@ class Bundle:
         ``(L, edge)``: L is a read-only (Q, 4) array holding det(F_a^H F_b)
         along the sides of each plaquette in order, a triangle's fourth
         entry being exactly 1, and ``edge`` marks the entries that are
-        edges.  Each grid edge (a, b) is computed once, over the pairs and
-        in the orientation that the continuity check uses; a side running
-        against it takes the complex conjugate (see ``MomentumGrid.slots``).
-        Kept with the bundle, whose frames are read-only, so the Chern and
-        Kane-Mele invariants of one bundle share one table.  The
-        determinant is the entry for m = 1, a d - b c with ``_cmul``
-        products for m = 2, and from ``np.linalg.det`` above.
+        edges.  Each grid edge (a, b) takes det O from ``_edge_pass``, or
+        from its cache; a side running against it takes the complex
+        conjugate (see ``MomentumGrid.slots``).  Kept with the bundle, whose
+        frames are read-only, so its Chern and Kane-Mele invariants share it.
         """
-        edges, slots = self.grid.edges, self.grid.slots
-        F = self.frames
-        O = _mm(_dagger(F[edges[:, 0]]), F[edges[:, 1]])
-        o = (np.linalg.det(O) if self.rank > 2 else O[:, 0, 0] if self.rank == 1
-             else _cmul(O[:, 0, 0], O[:, 1, 1]) - _cmul(O[:, 0, 1], O[:, 1, 0]))
+        if "_edge_dets" not in self.__dict__:
+            self._edge_pass()
+        o, slots = self.__dict__["_edge_dets"], self.grid.slots
         return (_frozen(np.concatenate([o, o.conj(), [1.0]])[slots]),
-                _frozen(slots < 2 * len(edges)))
+                _frozen(slots < 2 * len(o)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +302,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     to B conj(1 - Pi_A) B, the projector of the Fermi annihilator of the
     fiber A at k; it applies only to half-rank bundles and is skipped
     (reported as ``None``) otherwise.  Continuity is the largest spectral
-    distance between the projectors at the two ends of a grid edge.
+    distance between the projectors at the ends of a grid edge, from the
+    ``Bundle._edge_pass`` that also caches the link table's determinants.
     """
     _require_tolerance(tol, "tol")
     _require_tolerance(continuity_tol, "continuity_tol")
@@ -312,15 +333,11 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
             messages.append(
                 f"Fermi pairing violated at point {p} (deviation {fermi[p]:.3e})")
     # for planes of equal rank, |Pi_a - Pi_b| = |(1 - Pi_a) F_b|
-    edges = grid.edges
-    dist = np.empty(len(edges))
-    for blk in _blocks(len(edges), 16 * dim * m):
-        Fa, Fb = frames[edges[blk, 0]], frames[edges[blk, 1]]
-        dist[blk] = _spectral_norms(Fb - _mm(Fa, _mm(_dagger(Fa), Fb)))
+    dist = bundle._edge_pass(distances=True)
     cont, worst = 0.0, None
     if dist.size and dist.max() > 0.0:
         i = int(np.argmax(dist))
-        cont, worst = float(dist[i]), tuple(int(v) for v in edges[i])
+        cont, worst = float(dist[i]), tuple(int(v) for v in grid.edges[i])
     if cont > continuity_tol:
         messages.append(
             f"fibers jump across edge {worst} (distance {cont:.3f})")

@@ -169,17 +169,20 @@ def _apply_config(args):
         raise InputError(f"{missing} is required (flag or config)")
 
 
-# options that apply in one context only: the example name, or the d of
-# the bundle that suspend reads
-_APPLIES = {"--M": "diii", "--n": "kitaev_chain", "--n-plus": "kitaev_chain",
-            "--trivial": "majorana", "--points": 0, "--rows": 1}
+# the contexts in which an option applies, for the subcommands that ask
+_APPLIES = {
+    "--M": ("diii",), "--n": ("kitaev_chain",), "--n-plus": ("kitaev_chain",),
+    "--trivial": ("majorana",), "--points": (0,), "--rows": (1,),
+    "--generator-index": ("kane_mele_z2", "chiral_winding"),
+    "--point-index": ("parity", "component_index"),
+    "--csv": ("kane_mele_z2", "chern_number")}
 
 
 def _refuse_inapplicable(args, context, what):
     """InputError naming the first option, given by flag or config, that
-    applies only in another context."""
+    applies only in other contexts (example name, input d, invariant kind)."""
     for flag in args.given:
-        if _APPLIES.get(flag, context) != context:
+        if context not in _APPLIES.get(flag, (context,)):
             raise InputError(f"{flag} does not apply to {what}")
 
 
@@ -258,10 +261,9 @@ def _pick(items, index, what):
 
 def _cmd_invariant(args):
     kind = args.kind
-    if args.csv is not None and kind not in ("kane_mele_z2", "chern_number"):
-        raise InputError(f"no CSV output is defined for kind {kind!r}")
+    _refuse_inapplicable(args, kind, f"kind {kind!r}")
     bundle = _load_bundle(args.input)
-    if kind in ("kane_mele_z2", "chiral_winding"):
+    if kind in _APPLIES["--generator-index"]:
         gen = _pick(bundle.cset.generators, args.generator_index, "generator")
     if kind == "parity":
         result = fermion_parity(bundle.space, Plane._prechecked(

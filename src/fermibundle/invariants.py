@@ -275,8 +275,9 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     without changing the bit.
 
     The diagnostics are ``n``, the integer (S - Φ)/2π; ``residual``, the
-    distance of (S - Φ)/2π from n; and ``theta_max``, the largest
-    ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row.  The grid must be a sphere
+    distance of (S - Φ)/2π from n; ``theta_max``, the largest
+    ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row; and ``max_abs_flux``, the
+    largest |flux| in Φ, its margin against ±π.  The grid must be a sphere
     with an odd row count, so that it has a t = 0 row, and the fibers
     must have rank n with n even (InputError); a ``theta_max`` above
     ``ALG_TOL`` raises ValidationError, and a singular overlap on a
@@ -311,11 +312,12 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     L, edge = bundle._link_variables
     north = np.flatnonzero(np.arange(len(L)) % (M + 1) > M // 2)
     _check_overlaps(L, north)
-    phi = np.angle(_loop_products(L[north], edge[north])).sum()
-    x = (S - phi) / (2.0 * np.pi)
+    fluxes = np.angle(_loop_products(L[north], edge[north]))
+    x = (S - fluxes.sum()) / (2.0 * np.pi)
     k = int(round(x))
     return InvariantResult("z2_bit", k % 2, {
-        "n": k, "residual": abs(x - k), "theta_max": theta_max})
+        "n": k, "residual": abs(x - k), "theta_max": theta_max,
+        "max_abs_flux": float(np.abs(fluxes).max())})
 
 
 def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
@@ -374,7 +376,7 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     Each oriented plaquette contributes the principal argument of the
     product of frame overlap determinants around its boundary; the sum of
     fluxes over the sphere is 2 pi times an integer for a fine enough
-    grid.
+    grid.  ``max_abs_flux`` is the margin against a flux wrapping past pi.
     """
     grid = bundle.grid
     if grid.d != 2:
@@ -382,7 +384,6 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     L, edge = bundle._link_variables
     _check_overlaps(L, np.arange(len(L)))
     fluxes = np.angle(_loop_products(L, edge))
-    min_overlap = np.abs(L[edge]).min()
     total = float(np.sum(fluxes))
     c = int(round(total / (2.0 * np.pi)))
     residual = abs(total / (2.0 * np.pi) - c)
@@ -390,10 +391,10 @@ def chern_number(bundle: Bundle) -> InvariantResult:
         raise NumericError(
             f"flux residual {residual:.3f} exceeds {CHERN_RESIDUAL}; "
             "refine the grid")
-    return InvariantResult("chern_int", c,
-                           {"fluxes": fluxes,
-                            "residual": residual,
-                            "min_overlap": float(min_overlap)})
+    return InvariantResult("chern_int", c, {
+        "fluxes": fluxes, "residual": residual,
+        "max_abs_flux": float(np.abs(fluxes).max()),
+        "min_overlap": float(np.abs(L[edge]).min())})
 
 
 def component_index_ai(A: Plane, Q) -> InvariantResult:

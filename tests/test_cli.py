@@ -183,7 +183,7 @@ def test_invariant_csv_refused_before_any_output(tmp_path, capsys, kind):
                "--csv", table) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"no CSV output is defined for kind {kind!r}" in captured.err
+    assert f"--csv does not apply to kind {kind!r}" in captured.err
     assert not table.exists()
 
 
@@ -874,6 +874,49 @@ def test_options_that_do_not_apply_are_refused(tmp_path, capsys, flag,
     assert captured.out == ""
     assert f"{flag} does not apply" in captured.err
     assert not paths["out"].exists()
+
+
+# the kinds that read each invariant option; any other kind refuses it
+_READS = {"--generator-index": {"kane_mele_z2", "chiral_winding"},
+          "--point-index": {"parity", "component_index"},
+          "--csv": {"kane_mele_z2", "chern_number"}}
+_INVARIANT_OPTIONS = {flag: kind
+                      for flag, kind, *_ in _COMMANDS["invariant"][2]}
+# every (option, kind) pair in which the option does not apply, from the
+# option table
+_NOT_READ = [(flag, kind) for flag in _INVARIANT_OPTIONS if flag in _READS
+             for kind in _INVARIANT_OPTIONS["--kind"]
+             if kind not in _READS[flag]]
+
+
+def test_the_invariant_refusals_cover_every_option():
+    assert set(_READS) <= set(_INVARIANT_OPTIONS)
+    assert set(_INVARIANT_OPTIONS) - set(_READS) == {"--input", "--kind"}
+    assert len(_NOT_READ) == 12
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("flag, kind", _NOT_READ,
+                         ids=[f"{f} {k}" for f, k in _NOT_READ])
+def test_invariant_options_that_do_not_apply_are_refused(tmp_path, capsys,
+                                                         flag, kind, how):
+    chain, table, cfg = (tmp_path / name for name in
+                         ("chain.json", "x.csv", "cfg.json"))
+    run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
+        "--N", 8, "--output", chain)
+    value = str(table) if flag == "--csv" else 0
+    argv = ["invariant", "--input", chain, "--kind", kind]
+    if how == "flag":
+        argv += [flag, value]
+    else:
+        cfg.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        argv += ["--config", cfg]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} does not apply to kind {kind!r}" in captured.err
+    assert not table.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -625,10 +625,18 @@ def _ladder_z(rng, N):
 
 def _ladder_z2(rng, N):
     """A BDI point pair's class-D bit, then that of its suspended ring, then
-    the Kane-Mele bit of the suspension of the ring's doubling.  The
-    pair's fibers are random real Lagrangian planes {x + O x}, O an
-    orthogonal map between the eigenspaces of the bracket; the doubled
-    ring's own class-D bit is 0, so the last step reads the ring's."""
+    the Kane-Mele bit of the suspension of the ring's doubling; the
+    doubled ring's own class-D bit is 0, so the last step reads the
+    ring's."""
+    pair, ring, sphere = _ladder_z2_bundles(rng, N)
+    return (class_d_z2(pair).value, class_d_z2(ring).value,
+            kane_mele_z2(sphere, sphere.cset.generators[0]).value)
+
+
+def _ladder_z2_bundles(rng, N):
+    """The pair, ring and sphere of :func:`_ladder_z2`.  The pair's fibers
+    are random real Lagrangian planes {x + O x}, O an orthogonal map
+    between the eigenspaces of the bracket."""
     n = int(rng.integers(1, 3))
     sp = make_nambu(n)
     frames = []
@@ -639,8 +647,7 @@ def _ladder_z2(rng, N):
                           make_sphere_grid(0), np.array(frames), "BDI"), rng)
     ring = _gauged(suspend(SuspensionInput(pair, 0), points=N), rng)
     sphere = _gauged(suspend(SuspensionInput(double_bundle(ring), 1, 0)), rng)
-    return (class_d_z2(pair).value, class_d_z2(ring).value,
-            kane_mele_z2(sphere, sphere.cset.generators[0]).value)
+    return pair, ring, sphere
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -702,29 +709,102 @@ def test_chern_of_suspended_chain():
     assert chern_number(_suspended_chain(0)).value == 0
 
 
+def _count_edge_passes(monkeypatch):
+    """The ``distances`` flag of every ``Bundle._edge_pass`` call, the one
+    place that forms edge overlaps."""
+    edge_pass, calls = Bundle._edge_pass, []
+
+    def counted(self, distances=False):
+        calls.append(distances)
+        return edge_pass(self, distances)
+
+    monkeypatch.setattr(Bundle, "_edge_pass", counted)
+    return calls
+
+
 def test_kane_mele_and_chern_share_one_link_table(monkeypatch):
-    s = example_dIII(N=16)
+    # N = 64: the 4224 edges span several blocks of the edge pass
+    s = example_dIII(N=64)
     fresh = Bundle(s.space, s.cset, s.grid, s.frames, s.label)
-    # within these invariants only the link table calls bundles._mm, once
-    # per build, for its stack of edge overlaps
-    mm, calls = bundles._mm, []
+    calls = _count_edge_passes(monkeypatch)
+    assert kane_mele_z2(s, s.cset.generators[0]).value == 1
+    fluxes = chern_number(s).diagnostics["fluxes"]
+    assert calls == [False]
+    assert fluxes.tobytes() == chern_number(fresh).diagnostics["fluxes"].tobytes()
+    assert calls == [False, False]
+
+
+def test_validation_leaves_the_link_determinants(monkeypatch):
+    s = example_dIII(N=64)
+    calls = _count_edge_passes(monkeypatch)
+    assert validate_bundle(s).ok
+    assert calls == [True]
+    # after validation neither invariant forms an edge overlap
+    mm, products = bundles._mm, []
 
     def counted(a, b):
-        calls.append(len(a))
+        products.append(len(a))
         return mm(a, b)
 
     monkeypatch.setattr(bundles, "_mm", counted)
     assert kane_mele_z2(s, s.cset.generators[0]).value == 1
-    fluxes = chern_number(s).diagnostics["fluxes"]
-    assert len(calls) == 1
-    assert fluxes.tobytes() == chern_number(fresh).diagnostics["fluxes"].tobytes()
-    assert len(calls) == 2
+    assert chern_number(s).value == 0
+    assert calls == [True] and products == []
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_validated_link_determinants_equal_a_fresh_build(rank):
+    b = _suspended_chain(1, N=64) if rank == 1 else example_dIII(N=64)
+    b = regauge(b, np.random.default_rng(rank))
+    fresh = Bundle(b.space, b.cset, b.grid, b.frames, b.label)
+    assert b.rank == rank and len(b.grid.edges) > 1024
+    validate_bundle(b)
+    assert "_edge_dets" in b.__dict__ and "_edge_dets" not in fresh.__dict__
+    for cached, built in zip(b._link_variables, fresh._link_variables):
+        assert cached.tobytes() == built.tobytes()
+    assert (b.__dict__["_edge_dets"].tobytes()
+            == fresh.__dict__["_edge_dets"].tobytes())
+
+
+def test_link_determinants_stay_lazy_above_rank_two(monkeypatch):
+    d = double_bundle(example_dIII(N=16))
+    calls = _count_edge_passes(monkeypatch)
+    validate_bundle(d)
+    assert d.rank == 4 and "_edge_dets" not in d.__dict__
+    assert chern_number(d).value == 0
+    assert calls == [True, False]
+
+
+def _abs_fluxes(bundle):
+    """|principal flux| of every face, from the link table."""
+    L, edge = bundle._link_variables
+    return np.abs(np.angle(np.where(edge, L, 1.0).prod(axis=1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_max_abs_flux_is_the_largest_summed_flux(seed):
+    # the sphere of the Z2 ladder for Kane-Mele and Chern, the suspended
+    # chain (Chern 1) for Chern alone; both have fluxes away from 0
+    rng = np.random.default_rng([seed, 16])
+    sphere = _ladder_z2_bundles(rng, 16)[2]
+    chain = regauge(_suspended_chain(1, N=16), rng)
+    for b in (sphere, chain):
+        got = chern_number(b).diagnostics["max_abs_flux"]
+        assert 0.0 < got < np.pi
+        assert got == pytest.approx(_abs_fluxes(b).max(), abs=1e-12)
+    fluxes, M = _abs_fluxes(sphere), sphere.grid.M
+    north = np.arange(len(fluxes)) % (M + 1) > M // 2
+    got = kane_mele_z2(sphere, sphere.cset.generators[0]).diagnostics[
+        "max_abs_flux"]
+    assert 0.0 < got < np.pi
+    assert got == pytest.approx(fluxes[north].max(), abs=1e-12)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4])
 def test_link_determinants_match_linalg_det(rank):
     # ranks 1 and 2 take the closed-form determinant, rank 4 np.linalg.det
-    b = _suspended_chain(1, N=16) if rank == 1 else example_dIII(N=16)
+    # N = 64: the edges span several blocks of the edge pass
+    b = _suspended_chain(1, N=64) if rank == 1 else example_dIII(N=64)
     if rank == 4:
         b = double_bundle(b)
     b = regauge(b, np.random.default_rng(rank))

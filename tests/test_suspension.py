@@ -11,15 +11,18 @@ from fermibundle.bundles import (
     validate_bundle,
 )
 from fermibundle.errors import InputError, ValidationError
-from fermibundle.nambu import CliffordSet, Generator, make_nambu
+from fermibundle.nambu import CliffordSet, Generator, _eigensplit, make_nambu
 from fermibundle.planes import (
     Plane,
+    _apply,
+    _blocks,
     j_of,
     plane_distance,
     vacuum_plane,
 )
 from fermibundle.suspension import (
     SuspensionInput,
+    _diii_equator_frame,
     _next_label,
     default_row_count,
     example_dIII,
@@ -28,7 +31,7 @@ from fermibundle.suspension import (
     rotor,
     suspend,
 )
-from fermibundle.symmetry import imaginary_realization
+from fermibundle.symmetry import imaginary_realization, true_symmetries
 from helpers import random_suspension_inputs
 
 
@@ -100,6 +103,53 @@ def test_suspended_fibers_match_the_matrix_exponential():
             R = expm((t / 2) * (K @ j_of(A)))
             want = R @ A.projector @ R.conj().T
             assert np.abs(out.fibers[p].projector - want).max() < 1e-12
+
+
+def _whole_stack_frames(inp, grid):
+    """The suspended frames as one expression over the whole stack:
+    cos(t/2) F + i sin(t/2) K F at every rotated point, the rows with
+    t = 0 copied from their seed, then on a sphere the poles E_{+i} and
+    E_{-i} of K."""
+    if grid.d == 1:
+        ks = grid.points[:, 0]
+        west = np.abs(ks) > math.pi / 2 + 1e-12
+        seeds = west.astype(int)
+        ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
+    else:
+        seeds, ts = np.tile(np.arange(grid.N), grid.M), grid.points[:-2, 1]
+    K = inp.K.matrix
+    F = inp.bundle.frames[seeds]
+    half = (ts / 2)[:, None, None]
+    rotated = np.cos(half) * F + (1j * np.sin(half)) * _apply(K, F)
+    poles = np.split(_eigensplit(K)[None], 2, axis=2) if grid.d == 2 else []
+    return np.concatenate([np.where(half == 0.0, F, rotated), *poles])
+
+
+def _diii_equator_input(N):
+    """The circle input that :func:`example_dIII` suspends."""
+    sp = make_nambu(2)
+    I_mat = sp.gamma_matrix @ true_symmetries(sp, spinful=True).T_minus.matrix
+    cset = CliffordSet(sp, (Generator(I_mat, "real"),
+                            Generator(1j * np.fliplr(np.eye(4)), "imaginary")))
+    grid = make_sphere_grid(1, N)
+    frames = np.array([_diii_equator_frame(k) for k in grid.points[:, 0]])
+    return SuspensionInput(Bundle(sp, cset, grid, frames, "D"), 1, 0)
+
+
+def test_suspended_frames_equal_the_whole_stack_rotation():
+    # byte for byte, on stacks of several blocks, so that a dropped,
+    # repeated or reordered block of the blocked rotation shows
+    inp = _diii_equator_input(64)
+    out = example_dIII(64)
+    assert suspend(inp).frames.tobytes() == out.frames.tobytes()
+    inputs = [inp] + random_suspension_inputs(np.random.default_rng(3),
+                                              copies=2)
+    for inp in inputs:
+        out = suspend(inp, points=64, rows=201)
+        P, dim, m = out.frames.shape
+        assert inp.bundle.grid.d == 0 or len(_blocks(P - 2, 16 * dim * m)) > 1
+        want = _whole_stack_frames(inp, out.grid)
+        assert out.frames.tobytes() == want.tobytes()
 
 
 def test_rotor_rejects_non_pseudo_plane():

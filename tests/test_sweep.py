@@ -51,8 +51,9 @@ def test_every_stage_runs_at_a_tiny_size(sweep):
     assert out["points"] == 8 * 5 + 2
     stages = {"grid (cold)", "example_dIII (suspend)", "validate_bundle",
               "validate_bundle (doubled)", "kane_mele_z2", "chern_number",
-              "kane_mele_z2 + chern_number", "encode", "decode",
-              "double_bundle", "csv"}
+              "kane_mele_z2 + chern_number",
+              "validate_bundle + kane_mele_z2 + chern_number", "encode",
+              "decode", "double_bundle", "csv"}
     assert set(out["stages_ms"]) == set(out["stages_median_ms"]) == stages
     assert set(out["stages_minflt"]) == stages
     for stage in stages:
