@@ -302,8 +302,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     to B conj(1 - Pi_A) B, the projector of the Fermi annihilator of the
     fiber A at k; it applies only to half-rank bundles and is skipped
     (reported as ``None``) otherwise.  Continuity is the largest spectral
-    distance between the projectors at the ends of a grid edge, from the
-    ``Bundle._edge_pass`` that also caches the link table's determinants.
+    distance between the projectors at the ends of a grid edge; the same
+    ``Bundle._edge_pass`` caches link determinants when m <= 2 on a sphere.
     """
     _require_tolerance(tol, "tol")
     _require_tolerance(continuity_tol, "continuity_tol")

@@ -767,7 +767,7 @@ def test_validated_link_determinants_equal_a_fresh_build(rank):
 
 
 def test_link_determinants_stay_lazy_above_rank_two(monkeypatch):
-    d = double_bundle(example_dIII(N=16))
+    d = double_bundle(example_dIII(N=64))
     calls = _count_edge_passes(monkeypatch)
     validate_bundle(d)
     assert d.rank == 4 and "_edge_dets" not in d.__dict__
