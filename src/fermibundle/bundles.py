@@ -239,10 +239,8 @@ class Bundle:
             not distances or self.grid.d == 2 and m <= 2)
         dist = np.empty(len(edges)) if distances else None
         o = np.empty(len(edges), dtype=complex) if dets else None
-        # six temporaries live per block: at the usual budget glibc trimmed and
-        # regrew its heap every block (sphere-mem: 763 minor faults, not 235)
-        for blk in _blocks(len(edges), 32 * F[0].size):
-            Fa, Fb = F[edges[blk, 0]], F[edges[blk, 1]]
+        for blk in _blocks(len(edges), 16 * F[0].size):
+            Fa, Fb = F.take(edges[blk].T, axis=0)
             O = _mm(_dagger(Fa), Fb)
             if distances:
                 dist[blk] = _spectral_norms(Fb - _mm(Fa, O))
@@ -269,7 +267,7 @@ class Bundle:
         if "_edge_dets" not in self.__dict__:
             self._edge_pass()
         o, slots = self.__dict__["_edge_dets"], self.grid.slots
-        return (_frozen(np.concatenate([o, o.conj(), [1.0]])[slots]),
+        return (_frozen(np.concatenate([o, o.conj(), [1.0]]).take(slots)),
                 _frozen(slots < 2 * len(o)))
 
 
@@ -327,7 +325,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
         anti = grid.antipode
         for blk in _blocks(size, 16 * dim * m):
             fermi[blk] = _spectral_norms(_mm(
-                np.swapaxes(frames[blk], 1, 2), _apply(B, frames[anti[blk]])))
+                np.swapaxes(frames[blk], 1, 2),
+                _apply(B, frames.take(anti[blk], 0))))
         if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(

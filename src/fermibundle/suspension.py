@@ -19,8 +19,8 @@ from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, _eigensplit, _generator_matrix,
                     make_nambu)
-from .planes import (Plane, _apply, _blocks, _pseudo_deviations, j_of,
-                     pseudo_check, vacuum_plane)
+from .planes import (Plane, _apply, _pseudo_deviations, j_of, pseudo_check,
+                     vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
                        true_symmetries)
 from .tolerances import ALG_TOL
@@ -163,8 +163,6 @@ def suspend(inp: SuspensionInput, points: int = 64,
     b, K, space = inp.bundle, inp.K, inp.bundle.space
     out_gens = _consumed_set(inp)
     label = _next_label(b.label)
-    # SuspensionInput checked K A = A^c on every fiber, which makes
-    # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
     if b.grid.d == 0:
         N = points
         if N is None or N < 2 or N % 2:
@@ -174,12 +172,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
         west = np.abs(ks) > math.pi / 2 + 1e-12
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
-        F = b.frames[seeds]
-        half = (ts / 2)[:, None, None]
-        rotated = np.cos(half) * F + (1j * np.sin(half)) * _apply(K.matrix, F)
-        frames = np.where(half == 0.0, F, rotated)
-        # whole-stack and copied: blocked, bands-circle had 736 faults, not 64
-        out = np.concatenate([frames])
+        poles = np.empty((0, *b.frames.shape[1:]))
     elif b.grid.d == 1:
         if b.rank != space.n:
             raise InputError("suspension to a sphere needs half-rank fibers")
@@ -189,19 +182,24 @@ def suspend(inp: SuspensionInput, points: int = 64,
             raise InputError("interior row count must be odd")
         grid = make_sphere_grid(2, N, M)
         seeds = np.tile(np.arange(N), M)
-        half = grid.points[:N * M, 1, None, None] / 2
-        cos, isin = np.cos(half), 1j * np.sin(half)
-        F, KF = b.frames, _apply(K.matrix, b.frames)  # once per equator frame
-        out = np.empty((N * M + 2, *F.shape[1:]), dtype=complex)
-        for blk in _blocks(N * M, 16 * F[0].size):
-            np.multiply(cos[blk], F[seeds[blk]], out=out[blk])
-            out[blk] += isin[blk] * KF[seeds[blk]]
-            np.copyto(out[blk], F[seeds[blk]], where=half[blk] == 0.0)
+        ts = grid.points[:N * M, 1]
         # the south pole is E_{+i} of K, the north pole E_{-i}
-        out[-2], out[-1] = np.split(_eigensplit(K.matrix), 2, axis=1)
+        poles = np.stack(np.split(_eigensplit(K.matrix), 2, axis=1))
     else:
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
-    return Bundle(space, CliffordSet(space, out_gens), grid, out, label)
+    # SuspensionInput checked K A = A^c on every fiber, which makes
+    # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
+    # K F is formed once per input frame and the rotation is written in
+    # place (two whole-stack arrays, not five); t = 0 rows keep F exactly.
+    half = (ts / 2)[:, None, None]
+    frames = np.empty((len(ts) + len(poles), *poles.shape[1:]), complex)
+    rot = b.frames.take(seeds, 0, out=frames[:len(ts)])
+    KF = _apply(K.matrix, b.frames).take(seeds, 0)
+    np.multiply(np.cos(half), rot, out=rot)
+    rot += np.multiply(1j * np.sin(half), KF, out=KF)
+    rot[ts == 0] = b.frames[seeds[ts == 0]]
+    frames[len(ts):] = poles
+    return Bundle(space, CliffordSet(space, out_gens), grid, frames, label)
 
 
 # ---------------------------------------------------------------------------
