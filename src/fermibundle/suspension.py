@@ -189,8 +189,8 @@ def suspend(inp: SuspensionInput, points: int = 64,
         raise InputError("suspension is supported for d = 0 and d = 1 inputs")
     # SuspensionInput checked K A = A^c on every fiber, which makes
     # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
-    # K F is formed once per input frame and the rotation is written in
-    # place (two whole-stack arrays, not five); t = 0 rows keep F exactly.
+    # K F is formed once per input frame, and the rotation is written in
+    # place so that two whole-stack arrays live at once; t = 0 rows keep F.
     half = (ts / 2)[:, None, None]
     frames = np.empty((len(ts) + len(poles), *poles.shape[1:]), complex)
     rot = b.frames.take(seeds, 0, out=frames[:len(ts)])
