@@ -223,7 +223,8 @@ def _spectral_norms(X: np.ndarray) -> np.ndarray:
     |X|^2 when G is formed in floating point, so the norm is accurate to
     a few ulps relative, as from an SVD.  X itself is formed by the
     caller, never recovered from a difference like 1 - cos^2.  Squares
-    add row after row: numpy's sum over the short row axis took 3x as long.
+    add row after row: numpy's sum over the short row axis took 3x as long
+    (768 (4 x 2) matrices, 2 shared vCPUs, numpy 2.4).
 
     Meant for finite entries of order 1: squares of entries below about
     1e-154 underflow and read as 0, far below every tolerance.
