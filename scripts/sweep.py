@@ -20,9 +20,10 @@ repetitions in one process can misread a cell on a shared host:
   determinants that validation leaves on the bundle;
 - ``encode`` (``serialize_bundle`` + ``json.dumps``), ``decode``
   (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``;
-- ``csv``: the sphere's ``kane_mele_z2`` and ``chern_number`` tables, as
-  ``fermibundle invariant --csv`` writes them, through ``cli._write_csv``
-  into a temporary directory.
+- ``csv``: writing the sphere's ``kane_mele_z2`` and ``chern_number``
+  tables, which ``cli._invariant_table`` builds (untimed) as ``fermibundle
+  invariant --csv`` does, through ``cli._write_csv`` into a temporary
+  directory.
 
 The six validation and invariant stages take a fresh copy of their bundle
 per call, so none reuses a per-bundle table from an earlier repetition.
@@ -115,13 +116,10 @@ def _stages(N: int) -> dict:
     t["decode"] = _times_ms(lambda x: fb.deserialize_bundle(json.loads(x)),
                             [text] * REPEAT)
     t["double_bundle"] = _times_ms(fb.double_bundle, [s] * REPEAT)
-    f = fb.pfaffian_field(s, gen)
-    fluxes = fb.chern_number(s).diagnostics["fluxes"]
-    tables = [("kane_mele.csv", ["index", "k", "t", "abs_pf", "arg_pf"],
-               [np.arange(len(f)), *s.grid.points.T,
-                np.hypot(f.real, f.imag), np.angle(f)]),
-              ("chern.csv", ["plaquette", "flux"],
-               [np.arange(len(fluxes)), fluxes])]
+    tables = [("kane_mele.csv", *cli._invariant_table(
+                  "kane_mele_z2", s, fb.kane_mele_z2(s, gen), gen)),
+              ("chern.csv", *cli._invariant_table(
+                  "chern_number", s, fb.chern_number(s), None))]
     with tempfile.TemporaryDirectory() as tmp:
         def write_tables(_):
             for name, header, columns in tables:

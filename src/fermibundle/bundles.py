@@ -83,6 +83,10 @@ def _circle_angles(N):
 
 def _grid_size(d, N, M) -> int:
     """Point count of the standard grid on S^d, checking its parameters."""
+    for key, v in (("d", d), ("N", N), ("M", M)):
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, (int, np.integer))):
+            raise InputError(f"grid.{key}: must be an integer, got {v!r}")
     if d == 0:
         return 2
     if d == 1:
@@ -96,7 +100,7 @@ def _grid_size(d, N, M) -> int:
     raise InputError(f"grids exist for d in (0, 1, 2), got {d}")
 
 
-# typed: a grid built from numpy integers keeps them, which JSON rejects
+# typed, so that 8.0 or True misses the grid cached for 8 or 1
 @functools.lru_cache(maxsize=None, typed=True)
 def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> MomentumGrid:
     """Build the standard grid on S^d, cached per argument values.
@@ -107,6 +111,7 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
     """
     _grid_size(d, N, M)
+    d, N, M = (v if v is None else int(v) for v in (d, N, M))
     plaq = slots = np.zeros((0, 4), dtype=int)
     plaq_anti = np.zeros(0, dtype=int)
     if d == 0:
@@ -491,9 +496,6 @@ def deserialize_bundle(data: dict) -> Bundle:
     gdata = _need(data, "grid", "", dict)
     d = _need(gdata, "d", "grid", int)
     N, M = gdata.get("N"), gdata.get("M")
-    for key, v in (("N", N), ("M", M)):
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool)):
-            raise InputError(f"grid.{key}: wrong type")
     size = _grid_size(d, N, M)
 
     cdata = _need(data, "class", "", dict)

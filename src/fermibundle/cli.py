@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .bundles import (_complex_to_json, deserialize_bundle, double_bundle,
-                      serialize_bundle, validate_bundle)
+from .bundles import (deserialize_bundle, double_bundle, serialize_bundle,
+                      validate_bundle)
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
                          component_index_ai, fermion_parity, kane_mele_z2,
@@ -92,29 +92,6 @@ def _load_bundle(path):
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a bundle object")
     return deserialize_bundle(data)
-
-
-def _jsonable(value):
-    """Diagnostics payloads reduced to plain JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.kind == "c":
-            return _complex_to_json(value)
-        if value.dtype.kind in "biuf":
-            return value.tolist()
-        return _jsonable(value.tolist())
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return repr(value)
 
 
 def _tolerance(explicit):
@@ -263,6 +240,7 @@ def _cmd_invariant(args):
     kind = args.kind
     _refuse_inapplicable(args, kind, f"kind {kind!r}")
     bundle = _load_bundle(args.input)
+    gen = None
     if kind in _APPLIES["--generator-index"]:
         gen = _pick(bundle.cset.generators, args.generator_index, "generator")
     if kind == "parity":
@@ -280,21 +258,28 @@ def _cmd_invariant(args):
         Q = true_symmetries(bundle.space).Q
         result = component_index_ai(Plane._prechecked(
             bundle.space, _pick(bundle.frames, args.point_index, "point")), Q)
+    # json takes tuples and np.float64 as they are; tolist() the rest
     print(json.dumps({"kind": result.kind, "value": result.value,
-                      "diagnostics": _jsonable(result.diagnostics)},
-                     sort_keys=True))
-    if args.csv is not None and kind == "kane_mele_z2":
-        f = pfaffian_field(bundle, gen)
-        # np.hypot matches the scalar abs(f) bit for bit; numpy's
-        # vectorised complex abs differs in the last bit on some CPUs
-        _write_csv(args.csv, ["index", "k", "t", "abs_pf", "arg_pf"],
-                   [np.arange(len(f)), *bundle.grid.points.T,
-                    np.hypot(f.real, f.imag), np.angle(f)])
-    elif args.csv is not None:
-        fluxes = result.diagnostics["fluxes"]
-        _write_csv(args.csv, ["plaquette", "flux"],
-                   [np.arange(len(fluxes)), fluxes])
+                      "diagnostics": result.diagnostics}, sort_keys=True,
+                     default=lambda x: x.tolist()))
+    if args.csv is not None:
+        _write_csv(args.csv, *_invariant_table(kind, bundle, result, gen))
     return 0
+
+
+def _invariant_table(kind, bundle, result, gen):
+    """Header and columns of the ``invariant --csv`` table: the Pfaffian
+    field of ``gen`` for ``kane_mele_z2``, the plaquette fluxes of the
+    ``result`` for ``chern_number``."""
+    if kind == "chern_number":
+        fluxes = result.diagnostics["fluxes"]
+        return ["plaquette", "flux"], [np.arange(len(fluxes)), fluxes]
+    f = pfaffian_field(bundle, gen)
+    # np.hypot matches the scalar abs(f) bit for bit; numpy's
+    # vectorised complex abs differs in the last bit on some CPUs
+    return (["index", "k", "t", "abs_pf", "arg_pf"],
+            [np.arange(len(f)), *bundle.grid.points.T,
+             np.hypot(f.real, f.imag), np.angle(f)])
 
 
 def _cmd_classinfo(args):

@@ -154,7 +154,7 @@ class Generator(object):
     parity: str
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
+        M = np.array(self.matrix, dtype=complex)    # not the caller's array
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise InputError("generator matrix must be square of even dimension")
         if self.parity not in ("real", "imaginary"):

@@ -27,7 +27,7 @@ class Plane(object):
     frame: np.ndarray
 
     def __post_init__(self):
-        F = np.asarray(self.frame, dtype=complex)
+        F = np.array(self.frame, dtype=complex)     # not the caller's array
         d = self.space.dim
         if F.ndim != 2 or F.shape[0] != d:
             raise InputError(
@@ -136,13 +136,14 @@ def pseudo_check(J, A: Plane) -> float:
     return float(np.abs(M @ Pi @ M.conj().T - (np.eye(d) - Pi)).max())
 
 
-# Batched kernels hold no temporary larger than this, so their memory does
-# not grow with the number of grid points.  It stays below glibc's default
-# 128 KiB mmap threshold, above which each temporary is mapped afresh and
-# page-faulted in again on every call.  A steady-state sphere-mem pass of
-# perfbench took 1,757 minor page faults and 5.1 ms of system time with a
-# 512 KiB budget and whole-stack sums in _mm, and takes 299 and 1.1 ms
-# (2 shared vCPUs, glibc 2.36, numpy 2.4).
+# The blocked passes (frame, pseudo and Fermi checks, the edge pass) hand
+# _mm one block at a time and hold no temporary larger than this, so their
+# memory does not grow with the number of grid points.  It stays below
+# glibc's default 128 KiB mmap threshold, above which each temporary is
+# mapped afresh and page-faulted in again on every call.  A steady-state
+# sphere-mem pass of perfbench took 1,757 minor page faults and 5.1 ms of
+# system time with a 512 KiB budget and whole-stack sums in _mm, and takes
+# 299 and 1.1 ms (2 shared vCPUs, glibc 2.36, numpy 2.4).
 _BLOCK_BYTES = 96 << 10
 
 
@@ -182,32 +183,24 @@ def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Stacked product A B of a (P, r, k) and a (P, k, c) stack.
 
     ``A @ B`` makes one BLAS call per matrix.  For r k c <= 32 the k
-    outer products are summed by broadcasting instead, into one output
-    with the stack axis last: 0.6 against 1.8 ms for 4288 (2x4)(4x2)
-    products and 20 against 26 us for 66, but no gain at r k c = 64 (2.0
-    against 2.2 ms; 2 shared vCPUs, numpy 2.4).  The shape alone picks
-    the path, so a product rounds the same in every stack and block.
-
-    The sum runs over the chunks of ``_blocks``: each chunk of A and B is
-    copied stack-last, its first term is written into the output and the
-    others are added in place, in the same order for every element.  No
-    temporary thus crosses the allocator's mmap threshold, above which it
-    would be mapped and faulted in afresh on every call: a sphere-mem pass
-    takes 299 minor page faults, against 701 with whole-stack sums and a
-    new product per term under the same budget (see ``_BLOCK_BYTES``).
+    outer products are summed by broadcasting instead, on copies with the
+    stack axis last and into one output laid out the same way: 0.6 against
+    1.8 ms for 4288 (2x4)(4x2) products and 20 against 26 us for 66, but
+    no gain at r k c = 64 (2.0 against 2.2 ms; 2 shared vCPUs, numpy
+    2.4).  The shape alone picks the path, and the terms are added in the
+    same order for every element, so a product rounds the same in every
+    stack and block.  Callers that must bound their temporaries pass one
+    block at a time (see ``_BLOCK_BYTES``).
     """
     P, r, k = A.shape
     c = B.shape[-1]
     if r * k * c > 32:
         return A @ B
-    out = np.empty((r, c, P), dtype=np.result_type(A, B))
-    for blk in _blocks(P, 16 * max(r * k, k * c, r * c)):
-        At = np.ascontiguousarray(A[blk].transpose(1, 2, 0))
-        Bt = np.ascontiguousarray(B[blk].transpose(1, 2, 0))
-        o = out[..., blk]
-        np.multiply(At[:, 0, None], Bt[None, 0], out=o)
-        for i in range(1, k):
-            o += At[:, i, None] * Bt[None, i]
+    At = np.ascontiguousarray(A.transpose(1, 2, 0))
+    Bt = np.ascontiguousarray(B.transpose(1, 2, 0))
+    out = At[:, 0, None] * Bt[None, 0]
+    for i in range(1, k):
+        out += At[:, i, None] * Bt[None, i]
     return out.transpose(2, 0, 1)
 
 

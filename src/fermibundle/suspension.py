@@ -264,9 +264,9 @@ def example_kitaev_chain(n: int, n_plus: int, N: int = 64) -> Bundle:
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"band count must be a positive integer, got {n!r}")
-    if not 0 <= n_plus <= n:
-        raise InputError(
-            f"occupied count {n_plus} out of range for {n} bands")
+    if not isinstance(n_plus, int) or not 0 <= n_plus <= n:
+        raise InputError(f"occupied count must be an integer in [0, {n}], "
+                         f"got {n_plus!r}")
     sp = make_nambu(n)
     cset = imaginary_realization(sp, "AI")
     grid0 = make_sphere_grid(0)

@@ -20,6 +20,7 @@ from helpers import (nudge, random_suspension_inputs, reference_sphere_tables,
                      regauge, v1_document)
 
 from fermibundle.errors import InputError, ValidationError
+from fermibundle.invariants import chern_number, pfaffian_field
 from fermibundle.nambu import CliffordSet, Generator, make_nambu
 from fermibundle.planes import (Plane, complement, plane_distance, pseudo_check,
                                vacuum_plane)
@@ -159,6 +160,22 @@ def test_grid_input_errors():
         make_sphere_grid(2, 8)
     with pytest.raises(InputError):
         make_sphere_grid(2, 8, 0)
+
+
+@pytest.mark.parametrize("args", [(1, 4.0), (2, 8, 5.0), (1.0, 8), (1, True),
+                                  (True,), (1, "8")],
+                         ids=["float N", "float M", "float d", "bool N",
+                              "bool d", "str N"])
+def test_grid_sizes_must_be_integers(args):
+    with pytest.raises(InputError, match="must be an integer"):
+        make_sphere_grid(*args)
+
+
+def test_grids_store_numpy_integer_sizes_as_ints():
+    g = make_sphere_grid(np.int64(2), np.int64(8), np.int32(5))
+    assert [type(v) for v in (g.d, g.N, g.M)] == [int, int, int]
+    assert g.antipode.dtype.kind == g.edges.dtype.kind == "i"
+    assert np.array_equal(g.points, make_sphere_grid(2, 8, 5).points)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +403,29 @@ def test_validation_memory_is_bounded_by_the_block_budget(make):
     finally:
         tracemalloc.stop()
     assert peak < 10 * _BLOCK_BYTES
+
+
+def _pass_outputs(make):
+    """Every output of the blocked passes on a fresh bundle, as bytes."""
+    b = make()
+    report = validate_bundle(b)
+    out = [report.pseudo_max, report.fermi_max, report.continuity_max,
+           report.continuity_edge]
+    if b.grid.d == 2:
+        out += [b._edge_dets, chern_number(b).diagnostics["fluxes"]]
+    real = [g for g in b.cset.generators if g.parity == "real"]
+    out.append(pfaffian_field(b, real[0]))
+    return [np.asarray(x).tobytes() for x in out]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_dIII(64),
+    lambda: double_bundle(example_kitaev_chain(8, 3, N=128))],
+    ids=["dIII sphere", "doubled 8-band chain"])
+def test_blocked_passes_match_unblocked_ones_bit_for_bit(make, monkeypatch):
+    full = _pass_outputs(make)
+    monkeypatch.setattr("fermibundle.planes._BLOCK_BYTES", 600)
+    assert _pass_outputs(make) == full
 
 
 def test_report_rows_carry_coordinates():

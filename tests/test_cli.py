@@ -11,12 +11,15 @@ from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
                                  make_sphere_grid, serialize_bundle,
                                  validate_bundle)
 from fermibundle.cli import _COMMANDS, _cells, main
-from fermibundle.invariants import (chern_number, component_index_ai,
+from fermibundle.invariants import (chern_number, chiral_winding,
+                                    class_d_z2, component_index_ai,
+                                    fermion_parity, kane_mele_z2,
                                     pfaffian_field)
 from fermibundle.nambu import CliffordSet, make_nambu
 from fermibundle.planes import vacuum_plane
 from fermibundle.suspension import (SuspensionInput, example_dIII,
-                                    example_kitaev_chain, suspend)
+                                    example_kitaev_chain, example_majorana,
+                                    suspend)
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   kitaev_generators, true_symmetries)
 from fermibundle.tolerances import CONTINUITY_TOL
@@ -163,6 +166,39 @@ def test_invariant_chern_number_with_csv(tmp_path, capsys):
     assert len(lines) - 1 == grid["N"] * (grid["M"] + 1)
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert round(total / (2 * np.pi)) == payload["value"]
+
+
+def _library_line(result):
+    """The invariant line printed for a library result: arrays as lists."""
+    diagnostics = {key: value.tolist() if isinstance(value, np.ndarray)
+                   else value for key, value in result.diagnostics.items()}
+    return json.dumps({"kind": result.kind, "value": result.value,
+                       "diagnostics": diagnostics}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("example, argv, compute", [
+    (lambda: example_majorana(N=8), ["--kind", "parity", "--point-index", 4],
+     lambda b: fermion_parity(b.space, b.fibers[4])),
+    (lambda: example_majorana(N=8), ["--kind", "class_d_z2"], class_d_z2),
+    (lambda: example_dIII(N=8), ["--kind", "kane_mele_z2"],
+     lambda b: kane_mele_z2(b, b.cset.generators[0])),
+    (lambda: example_kitaev_chain(2, 1, N=8), ["--kind", "chiral_winding"],
+     lambda b: chiral_winding(b, b.cset.generators[0])),
+    (lambda: suspend(SuspensionInput(example_kitaev_chain(1, 1, N=16), 0)),
+     ["--kind", "chern_number"], chern_number),
+    (lambda: example_kitaev_chain(2, 1, N=8),
+     ["--kind", "component_index", "--point-index", 4],
+     lambda b: component_index_ai(b.fibers[4],
+                                  true_symmetries(b.space).Q))],
+    ids=["parity", "class_d_z2", "kane_mele_z2", "chiral_winding",
+         "chern_number", "component_index"])
+def test_invariant_line_is_the_library_result(tmp_path, capsys, example,
+                                              argv, compute):
+    path = tmp_path / "bundle.json"
+    bundle = example()
+    path.write_text(json.dumps(serialize_bundle(bundle)))
+    assert run("invariant", "--input", path, *argv) == 0
+    assert capsys.readouterr().out == _library_line(compute(bundle))
 
 
 def test_invariant_csv_rejected_for_other_kinds(tmp_path):

@@ -14,7 +14,6 @@ from fermibundle.planes import (
     plane_distance,
     plane_from_vectors,
     _apply,
-    _blocks,
     _mm,
     _spectral_norms,
     pseudo_check,
@@ -54,6 +53,23 @@ def test_rank_deficient_input_rejected():
     v = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(InputError):
         plane_from_vectors(sp, [v, v])
+
+
+def test_plane_and_generator_copy_their_argument():
+    # contiguous views of a writable base: freezing them in place would
+    # leave the base free to change the checked plane and generator
+    base = np.zeros(8, dtype=complex)
+    frame = base[:2].reshape(2, 1)
+    frame[1, 0] = 1.0
+    matrix = base[4:].reshape(2, 2)
+    matrix[0, 0], matrix[1, 1] = 1j, -1j
+    A = Plane(make_nambu(1), frame)
+    J = Generator(matrix, "real")
+    assert frame.flags.writeable and matrix.flags.writeable
+    base[:] = np.nan
+    assert A.frame.tolist() == [[0j], [1 + 0j]]
+    assert J.matrix.tolist() == [[1j, 0j], [0j, -1j]]
+    assert plane_distance(A, A) == 0.0
 
 
 def test_plane_validates_orthonormality():
@@ -252,33 +268,6 @@ def test_mm_matches_matmul(P, r, k, c, summed):
         got = _mm(A, B)
         assert _within_scale(got, A, B)
         assert (got.base is not None) == summed
-
-
-def _broadcast_sum(A, B):
-    """A B summed over k by broadcasting on whole stack-last copies."""
-    At = np.ascontiguousarray(np.moveaxis(A, 0, -1))
-    Bt = np.ascontiguousarray(np.moveaxis(B, 0, -1))
-    out = At[:, 0, None] * Bt[None, 0]
-    for i in range(1, A.shape[2]):
-        out += At[:, i, None] * Bt[None, i]
-    return np.moveaxis(out, -1, 0)
-
-
-# _mm sums in chunks of _blocks; around a chunk boundary and over several
-# chunks the sum must not change a bit
-@pytest.mark.parametrize("r,k,c", [(2, 4, 2), (4, 2, 4), (1, 1, 1),
-                                   (2, 8, 2)])
-def test_mm_chunks_do_not_change_a_bit(r, k, c):
-    chunk = _blocks(1 << 16, 16 * max(r * k, k * c, r * c))[0].stop
-    assert 128 < chunk < 1 << 16
-    rng = np.random.default_rng(r + 10 * k + 100 * c)
-    for P in (chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
-        for A, B in _noncontiguous_pairs(P, r, k, c, rng):
-            got = _mm(A, B)
-            ref = _broadcast_sum(A, B)
-            assert got.shape == ref.shape
-            assert np.ascontiguousarray(got).tobytes() == \
-                np.ascontiguousarray(ref).tobytes()
 
 
 @pytest.mark.parametrize("P,r,d,m", [(2114, 4, 4, 2), (300, 3, 4, 2),

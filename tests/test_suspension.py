@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from scipy.linalg import expm
 
 from fermibundle.bundles import (
     Bundle,
+    deserialize_bundle,
     double_bundle,
     make_sphere_grid,
+    serialize_bundle,
     validate_bundle,
 )
 from fermibundle.errors import InputError, ValidationError
@@ -385,6 +388,25 @@ def test_chain_argument_errors():
         example_kitaev_chain(2, -1)
     with pytest.raises(InputError):
         example_kitaev_chain(0, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_majorana(N=8.0),
+    lambda: example_dIII(N=8.0),
+    lambda: example_dIII(N=8, rows=5.0),
+    lambda: example_kitaev_chain(1, 0.5)],
+    ids=["majorana N", "dIII N", "dIII rows", "chain n_plus"])
+def test_examples_refuse_non_integer_sizes(make):
+    with pytest.raises(InputError, match="must be an integer"):
+        make()
+
+
+def test_example_with_a_numpy_size_round_trips_through_json():
+    b = example_dIII(N=np.int64(8))
+    text = json.dumps(serialize_bundle(b))
+    assert json.loads(text)["grid"] == {"d": 2, "N": 8, "M": 5}
+    back = deserialize_bundle(json.loads(text))
+    assert back.frames.tobytes() == example_dIII(8).frames.tobytes()
 
 
 # ---------------------------------------------------------------------------
