@@ -51,8 +51,6 @@ class MomentumGrid:
     the Fukui-Hatsugai-Suzuki link variables: e when side c of face q runs
     along edges[e], e + E when it runs against it, 2 E when it is
     degenerate.  Every edge lies on two faces, once each way.
-    ``plaquette_antipode`` (Q,) maps a face to the face on the antipodal
-    corners.
     """
 
     d: int
@@ -63,7 +61,6 @@ class MomentumGrid:
     edges: np.ndarray
     trims: tuple
     plaquettes: np.ndarray
-    plaquette_antipode: np.ndarray
     slots: np.ndarray
 
     @property
@@ -81,11 +78,15 @@ def _circle_angles(N):
     return -math.pi + 2.0 * math.pi * np.arange(N) / N
 
 
+def _is_int(v) -> bool:
+    """Whether v is a Python or numpy integer and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _grid_size(d, N, M) -> int:
     """Point count of the standard grid on S^d, checking its parameters."""
     for key, v in (("d", d), ("N", N), ("M", M)):
-        if v is not None and (isinstance(v, bool)
-                              or not isinstance(v, (int, np.integer))):
+        if v is not None and not _is_int(v):
             raise InputError(f"grid.{key}: must be an integer, got {v!r}")
     if d == 0:
         return 2
@@ -100,10 +101,8 @@ def _grid_size(d, N, M) -> int:
     raise InputError(f"grids exist for d in (0, 1, 2), got {d}")
 
 
-# typed, so that 8.0 or True misses the grid cached for 8 or 1
-@functools.lru_cache(maxsize=None, typed=True)
 def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> MomentumGrid:
-    """Build the standard grid on S^d, cached per argument values.
+    """Build the standard grid on S^d, cached per int value of d, N and M.
 
     d = 0 is the fixed two point set {0, pi}.  d = 1 is a circle of N
     points k_i = -pi + 2 pi i / N.  d = 2 has N columns times M interior
@@ -111,9 +110,12 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
     """
     _grid_size(d, N, M)
-    d, N, M = (v if v is None else int(v) for v in (d, N, M))
+    return _sphere_grid(*(v if v is None else int(v) for v in (d, N, M)))
+
+
+@functools.lru_cache(maxsize=None)
+def _sphere_grid(d: int, N: int | None, M: int | None) -> MomentumGrid:
     plaq = slots = np.zeros((0, 4), dtype=int)
-    plaq_anti = np.zeros(0, dtype=int)
     if d == 0:
         pts = np.array([[0.0], [math.pi]])
         anti = np.array([0, 1])
@@ -158,12 +160,12 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
         slots[:, 0] = np.roll(slots[:, 0], -1, axis=1)  # as the corners
         slots[:, M, 2:] = slots[:, M, [3, 2]]           # (north -> a, a -> a)
         slots = slots.reshape(-1, 4)
-        col, row = np.divmod(np.arange(N * (M + 1)), M + 1)
-        plaq_anti = (N - 1 - col) % N * (M + 1) + (M - row)
     trims = tuple(np.flatnonzero(anti == np.arange(len(anti))).tolist())
     return MomentumGrid(d, N, M, _frozen(pts), _frozen(anti), _frozen(edges),
-                        trims, _frozen(plaq), _frozen(plaq_anti),
-                        _frozen(slots))
+                        trims, _frozen(plaq), _frozen(slots))
+
+
+make_sphere_grid.cache_clear = _sphere_grid.cache_clear
 
 
 def _frame_stack(space, frames, size):

@@ -96,8 +96,12 @@ def plane_from_vectors(space: NambuSpace, vectors, rank_tol: float = RANK_TOL) -
 
 def complement(A: Plane) -> Plane:
     """Orthogonal complement A^c, with projector 1 - Pi_A."""
-    U, _, _ = np.linalg.svd(A.frame, full_matrices=True)
-    return Plane(A.space, U[:, A.rank:])
+    return Plane(A.space, _complements(A.frame))
+
+
+def _complements(F: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the complements of a (..., d, m) frame stack."""
+    return np.linalg.qr(F, mode="complete")[0][..., F.shape[-1]:]
 
 
 def j_of(A: Plane) -> np.ndarray:
@@ -266,8 +270,8 @@ def fermi_perp(A: Plane) -> Plane:
     n = A.space.n
     if A.rank != n:
         raise InputError(f"fermi_perp needs a rank-{n} plane, got rank {A.rank}")
-    Fc = complement(A).frame
-    return Plane(A.space, A.space.bracket_matrix @ np.conj(Fc))
+    return Plane(A.space,
+                 A.space.bracket_matrix @ np.conj(_complements(A.frame)))
 
 
 def vacuum_plane(space: NambuSpace) -> Plane:

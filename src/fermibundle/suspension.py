@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Bundle, make_sphere_grid
+from .bundles import Bundle, _is_int, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, _eigensplit, _generator_matrix,
                     make_nambu)
@@ -117,12 +117,6 @@ class SuspensionInput:
     def K(self) -> Generator:
         return self.bundle.cset.generators[self.k_index]
 
-    @property
-    def I_gen(self) -> Generator | None:
-        if self.i_index is None:
-            return None
-        return self.bundle.cset.generators[self.i_index]
-
 
 def _next_label(label):
     if label is None:
@@ -223,11 +217,11 @@ def example_majorana(occupied_at_zero: bool = True, N: int = 64) -> Bundle:
     return suspend(SuspensionInput(b0, 0), points=N)
 
 
-def _diii_equator_frame(k: float) -> np.ndarray:
-    a = k / 2
-    plus = np.array([-math.sin(a), math.sin(a), math.cos(a), math.cos(a)])
-    minus = np.array([-math.sin(a), -math.sin(a), math.cos(a), -math.cos(a)])
-    return np.column_stack([plus, minus]).astype(complex) / math.sqrt(2)
+def _diii_equator_frame(k) -> np.ndarray:
+    """The (..., 4, 2) equator frames of :func:`example_dIII` at momenta k."""
+    s, c = np.sin(np.divide(k, 2)), np.cos(np.divide(k, 2))
+    rows = np.array([[-s, -s], [s, -s], [c, c], [c, -c]])  # (4, 2, ...)
+    return np.moveaxis(rows, (0, 1), (-2, -1)).astype(complex) / math.sqrt(2)
 
 
 def example_dIII(N: int = 64, rows: int | None = None) -> Bundle:
@@ -247,9 +241,7 @@ def example_dIII(N: int = 64, rows: int | None = None) -> Bundle:
     cset = CliffordSet(sp, (Generator(I_mat, "real"),
                             Generator(K_mat, "imaginary")))
     grid1 = make_sphere_grid(1, N)
-    fibers = tuple(Plane(sp, _diii_equator_frame(k))
-                   for k in grid1.points[:, 0])
-    b1 = Bundle(sp, cset, grid1, fibers, "D")
+    b1 = Bundle(sp, cset, grid1, _diii_equator_frame(grid1.points[:, 0]), "D")
     return suspend(SuspensionInput(b1, k_index=1, i_index=0), rows=rows)
 
 
@@ -262,11 +254,12 @@ def example_kitaev_chain(n: int, n_plus: int, N: int = 64) -> Bundle:
     imaginary generator of the charge-conserving realization and leaves
     the class-BDI bundle with K_1 = -Q gamma as its pseudo-symmetry.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError(f"band count must be a positive integer, got {n!r}")
-    if not isinstance(n_plus, int) or not 0 <= n_plus <= n:
+    if not _is_int(n_plus) or not 0 <= n_plus <= n:
         raise InputError(f"occupied count must be an integer in [0, {n}], "
                          f"got {n_plus!r}")
+    n, n_plus = int(n), int(n_plus)
     sp = make_nambu(n)
     cset = imaginary_realization(sp, "AI")
     grid0 = make_sphere_grid(0)

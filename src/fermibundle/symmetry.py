@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, ValidationError
 from .nambu import CliffordSet, Generator, NambuSpace, make_nambu
-from .planes import Plane, plane_distance
+from .planes import Plane, _complements, plane_distance
 from .tolerances import ALG_TOL, RANK_TOL
 
 _SIGMA = (
@@ -308,7 +308,7 @@ def lift_frames(space: NambuSpace, frames: np.ndarray):
             f"lift needs a rank-{nb} plane, got rank {frames.shape[2]}")
     doubled = make_nambu(2 * nb)
     idx1, idx2 = copy_indices(doubled)
-    Fc = np.linalg.svd(frames, full_matrices=True)[0][:, :, nb:]
+    Fc = _complements(frames)
     out = np.zeros((len(frames), doubled.dim, 2 * nb), dtype=complex)
     out[:, idx1, :nb] = frames / np.sqrt(2)
     out[:, idx2, :nb] = frames / np.sqrt(2)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fermibundle.bundles import (
+    _sphere_grid,
     Bundle,
     deserialize_bundle,
     double_bundle,
@@ -41,6 +42,13 @@ def test_grids_are_shared_per_parameters():
     assert make_sphere_grid(1, 8) is not make_sphere_grid(1, 10)
     make_sphere_grid(1, np.int64(6))
     assert type(make_sphere_grid(1, 6).N) is int
+    # a numpy integer size finds the grid of the equal int, with no miss
+    grid = make_sphere_grid(1, 8)
+    misses = _sphere_grid.cache_info().misses
+    assert make_sphere_grid(1, np.int64(8)) is grid
+    assert make_sphere_grid(np.int32(2), np.int64(8), np.int8(3)) is \
+        make_sphere_grid(2, 8, 3)
+    assert _sphere_grid.cache_info().misses == misses
 
 
 def test_point_pair_grid():
@@ -138,16 +146,15 @@ def test_plaquette_count_and_coverage():
 def test_sphere_tables_match_the_loop_reference(N):
     for M in (33,) if N == 64 else range(1, 10):
         g = make_sphere_grid(2, N, M)
-        edges, corners, slots, anti = reference_sphere_tables(N, M)
+        edges, corners, slots, _ = reference_sphere_tables(N, M)
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.plaquettes.tolist() == corners
         assert g.slots.tolist() == slots
-        assert g.plaquette_antipode.tolist() == anti
         # a closed surface: every edge is a side of two faces, once each way
         # (2 N triangles have one degenerate side each)
         counts = np.bincount(g.slots.ravel()).tolist()
         assert counts == [1] * (2 * len(edges)) + [2 * N]
-        for table in (g.edges, g.plaquettes, g.plaquette_antipode, g.slots):
+        for table in (g.edges, g.plaquettes, g.slots):
             assert not table.flags.writeable
 
 
@@ -546,7 +553,7 @@ def _bits(frames):
 
 
 def _reference_lift(A):
-    """The lift of one plane, from its own complement SVD."""
+    """The lift of one plane, from :func:`complement` of that plane."""
     nb = A.space.n
     idx1, idx2 = copy_indices(make_nambu(2 * nb))
     F, Fc = A.frame, complement(A).frame

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import nudge, regauge, union_find_components
+from helpers import (nudge, reference_sphere_tables, regauge,
+                     union_find_components)
 
 from fermibundle import bundles
 from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
@@ -435,7 +436,7 @@ def test_kane_mele_detects_an_off_grid_vortex_pair():
     assert zero_points == ()
     assert sorted(vortices.values()) == [-1, 1]
     q, r = vortices
-    assert grid.plaquette_antipode[q] == r
+    assert reference_sphere_tables(grid.N, grid.M)[3][q] == r
     for face in (q, r):
         k = grid.points[grid.plaquettes[face], 0]
         assert (abs(np.abs(k) - np.pi / 2) < 0.7).all()
@@ -501,8 +502,8 @@ def test_components_of_kane_mele_zeros_match_the_union_find(case):
     b = example_dIII(N=64) if case == "dIII-64" else _km_case(case)
     grid = b.grid
     ids, root = _zero_components(b, b.cset.generators[0])
-    image = np.concatenate([grid.antipode,
-                            grid.size + grid.plaquette_antipode])
+    faces = reference_sphere_tables(grid.N, grid.M)[3]
+    image = np.concatenate([grid.antipode, grid.size + np.array(faces)])
     assert np.isin(image[ids], ids).all()
     mates = {}
     for x in ids.tolist():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from fermibundle.bundles import double_bundle
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import Generator, make_nambu
 from fermibundle.planes import (
     Plane,
+    _complements,
     _dagger,
     complement,
     fermi_check,
@@ -19,6 +21,7 @@ from fermibundle.planes import (
     pseudo_check,
     vacuum_plane,
 )
+from fermibundle.suspension import example_dIII, example_kitaev_chain
 
 
 def _random_plane(space, m, rng):
@@ -109,6 +112,41 @@ def test_j_of_acts_as_i_on_the_plane():
     for col in A.frame.T:
         assert np.abs(J @ col - 1j * col).max() < 1e-12
     assert np.abs(J @ J + np.eye(4)).max() < 1e-12
+
+
+def _haar_gauged(frames, rng):
+    """The frames times a Haar-random right unitary each."""
+    P, _, m = frames.shape
+    Z = rng.standard_normal((P, m, m)) + 1j * rng.standard_normal((P, m, m))
+    Q, R = np.linalg.qr(Z)
+    phases = np.diagonal(R, axis1=1, axis2=2)
+    return frames @ (Q * (phases / np.abs(phases))[:, None, :])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example_kitaev_chain(8, 3, N=128).frames,
+    lambda: example_dIII(64).frames], ids=["(128, 16, 8)", "(2114, 4, 2)"])
+def test_complements_of_a_gauged_stack_are_orthonormal_and_orthogonal(make):
+    F = _haar_gauged(make(), np.random.default_rng(21))
+    P, d, m = F.shape
+    C = _complements(F)
+    assert C.shape == (P, d, d - m)
+    assert np.abs(_dagger(C) @ C - np.eye(d - m)).max() < 1e-14
+    assert np.abs(_dagger(F) @ C).max() < 1e-14
+
+
+def test_complements_take_no_svd(monkeypatch):
+    rng = np.random.default_rng(8)
+    A = _random_plane(make_nambu(3), 3, rng)
+    chain = example_kitaev_chain(3, 1, N=8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert plane_distance(complement(complement(A)), A) < 1e-12
+    assert fermi_check(fermi_perp(A), A) < 1e-12
+    assert double_bundle(chain).frames.shape == (8, 12, 6)
 
 
 def test_j_of_complement_is_negated():

@@ -277,6 +277,15 @@ def test_diii_fibers_match_closed_form():
         assert plane_distance(b.fibers[p], target) < 1e-12
 
 
+@pytest.mark.parametrize("N", [4, 6, 16, 64, 256])
+def test_diii_equator_frames_of_a_k_array_are_the_scalar_frames(N):
+    ks = make_sphere_grid(1, N).points[:, 0]
+    stack = _diii_equator_frame(ks)
+    assert stack.shape == (N, 4, 2)
+    assert stack.tobytes() == np.stack(
+        [_diii_equator_frame(float(k)) for k in ks]).tobytes()
+
+
 def test_diii_equator_row_is_the_input_exactly():
     from fermibundle.suspension import _diii_equator_frame
 
@@ -390,14 +399,16 @@ def test_chain_argument_errors():
         example_kitaev_chain(0, 0)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: example_majorana(N=8.0),
-    lambda: example_dIII(N=8.0),
-    lambda: example_dIII(N=8, rows=5.0),
-    lambda: example_kitaev_chain(1, 0.5)],
-    ids=["majorana N", "dIII N", "dIII rows", "chain n_plus"])
-def test_examples_refuse_non_integer_sizes(make):
-    with pytest.raises(InputError, match="must be an integer"):
+@pytest.mark.parametrize("make, match", [
+    (lambda: example_majorana(N=8.0), "must be an integer"),
+    (lambda: example_dIII(N=8.0), "must be an integer"),
+    (lambda: example_dIII(N=8, rows=5.0), "must be an integer"),
+    (lambda: example_kitaev_chain(1, 0.5), "must be an integer"),
+    (lambda: example_kitaev_chain(True, 0, N=8),
+     "band count must be a positive integer, got True")],
+    ids=["majorana N", "dIII N", "dIII rows", "chain n_plus", "chain bool n"])
+def test_examples_refuse_non_integer_sizes(make, match):
+    with pytest.raises(InputError, match=match):
         make()
 
 
@@ -407,6 +418,11 @@ def test_example_with_a_numpy_size_round_trips_through_json():
     assert json.loads(text)["grid"] == {"d": 2, "N": 8, "M": 5}
     back = deserialize_bundle(json.loads(text))
     assert back.frames.tobytes() == example_dIII(8).frames.tobytes()
+    # band counts follow the same integer rule
+    chain = example_kitaev_chain(np.int64(2), np.int32(1), N=8)
+    back = deserialize_bundle(json.loads(json.dumps(serialize_bundle(chain))))
+    assert back.frames.tobytes() == \
+        example_kitaev_chain(2, 1, N=8).frames.tobytes()
 
 
 # ---------------------------------------------------------------------------
