@@ -13,11 +13,10 @@ from .nambu import (CliffordReport, CliffordSet, Generator, NambuSpace,
 from .planes import (Plane, complement, fermi_check, fermi_perp, is_lagrangian,
                      j_of, plane_distance, plane_from_vectors, pseudo_check,
                      vacuum_plane)
-from .symmetry import (AntiUnitary, ClassInfo, SymmetryClass, TrueSymmetries,
-                       class_info, copy_indices, double_one_one,
-                       imaginary_realization, kitaev_generators, lift_plane,
-                       make_symmetry_class, spin_embed, true_symmetries,
-                       unlift_plane)
+from .symmetry import (AntiUnitary, ClassInfo, TrueSymmetries, class_info,
+                       copy_indices, double_one_one, imaginary_realization,
+                       kitaev_generators, lift_plane, spin_embed,
+                       true_symmetries, unlift_plane)
 from .bundles import (Bundle, BundleReport, MomentumGrid, deserialize_bundle,
                       double_bundle, make_sphere_grid, serialize_bundle,
                       validate_bundle)
@@ -39,10 +38,10 @@ __all__ = [
     "Plane", "complement", "fermi_check", "fermi_perp", "is_lagrangian",
     "j_of", "plane_distance", "plane_from_vectors", "pseudo_check",
     "vacuum_plane",
-    "AntiUnitary", "ClassInfo", "SymmetryClass", "TrueSymmetries",
-    "class_info", "copy_indices", "double_one_one", "imaginary_realization",
-    "kitaev_generators", "lift_plane", "make_symmetry_class", "spin_embed",
-    "true_symmetries", "unlift_plane",
+    "AntiUnitary", "ClassInfo", "TrueSymmetries", "class_info",
+    "copy_indices", "double_one_one", "imaginary_realization",
+    "kitaev_generators", "lift_plane", "spin_embed", "true_symmetries",
+    "unlift_plane",
     "Bundle", "BundleReport", "MomentumGrid", "deserialize_bundle",
     "double_bundle", "make_sphere_grid", "serialize_bundle",
     "validate_bundle",

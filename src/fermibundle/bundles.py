@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .nambu import (CliffordSet, Generator, NambuSpace, _frozen,
+from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _is_int,
                     _require_finite, _require_tolerance, make_nambu)
 from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
                      _mm, _pseudo_deviations, _spectral_norms)
@@ -76,11 +76,6 @@ class MomentumGrid:
 
 def _circle_angles(N):
     return -math.pi + 2.0 * math.pi * np.arange(N) / N
-
-
-def _is_int(v) -> bool:
-    """Whether v is a Python or numpy integer and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _grid_size(d, N, M) -> int:

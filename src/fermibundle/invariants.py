@@ -24,7 +24,7 @@ from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
                     _generator_matrix, _require_finite, _require_tolerance,
                     make_nambu)
-from .planes import (Plane, _apply, _cmul, _dagger, _mm, _pseudo_deviations,
+from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
 
@@ -230,20 +230,28 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
                            {"parity_bits": bits, "momenta": momenta})
 
 
-def _check_overlaps(L, rows):
-    """NumericError at the first plaquette of ``rows`` with a tiny link."""
-    bad = rows[(np.abs(L[rows]) < _OVERLAP_FLOOR).any(axis=1)]
-    if bad.size:
+def _nearest(x):
+    """The integer k nearest to x, and the distance |x - k|."""
+    k = int(round(x))
+    return k, abs(x - k)
+
+
+def _fluxes(bundle: Bundle, rows):
+    """Principal fluxes of the faces ``rows`` (indices, or a slice, which
+    copies no link table) of a sphere bundle: the phases of the products
+    of their link variables in order; also the smallest |det O| of a link.
+    A link below ``_OVERLAP_FLOOR`` raises NumericError naming its face."""
+    L, edge = (x[rows] for x in bundle._link_variables)
+    moduli = np.abs(L)
+    small = (moduli < _OVERLAP_FLOOR).any(axis=1)
+    if small.any():
+        q = np.arange(len(bundle.grid.plaquettes))[rows][np.argmax(small)]
         raise NumericError(
-            f"singular frame overlap on plaquette {bad[0]}; refine the grid")
-
-
-def _loop_products(L, edge):
-    """Product of the link variables around each plaquette, in order."""
+            f"singular frame overlap on plaquette {q}; refine the grid")
     prod = np.ones(len(L), dtype=complex)
     for i in range(L.shape[1]):
         prod = np.where(edge[:, i], _cmul(prod, L[:, i]), prod)
-    return prod
+    return np.angle(prod), float(moduli.min(where=edge, initial=np.inf))
 
 
 def _kramers_frame(T, F):
@@ -309,14 +317,11 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     G = F[:N // 2 + 1].copy()
     G[0], G[-1] = _kramers_frame(T, G[0]), _kramers_frame(T, G[-1])
     S = 2.0 * np.angle(np.linalg.det(_mm(_dagger(G[:-1]), G[1:]))).sum()
-    L, edge = bundle._link_variables
-    north = np.flatnonzero(np.arange(len(L)) % (M + 1) > M // 2)
-    _check_overlaps(L, north)
-    fluxes = np.angle(_loop_products(L[north], edge[north]))
-    x = (S - fluxes.sum()) / (2.0 * np.pi)
-    k = int(round(x))
+    north = np.flatnonzero(np.arange(N * (M + 1)) % (M + 1) > M // 2)
+    fluxes, _ = _fluxes(bundle, north)
+    k, residual = _nearest((S - fluxes.sum()) / (2.0 * np.pi))
     return InvariantResult("z2_bit", k % 2, {
-        "n": k, "residual": abs(x - k), "theta_max": theta_max,
+        "n": k, "residual": residual, "theta_max": theta_max,
         "max_abs_flux": float(np.abs(fluxes).max())})
 
 
@@ -338,11 +343,7 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise InputError("the chiral winding needs an imaginary generator")
     K = _generator_matrix(K1, bundle.space.dim)
     F = bundle.frames
-    bad = np.flatnonzero(_pseudo_deviations([K], F) > ALG_TOL)
-    if bad.size:
-        shown = ", ".join(str(b) for b in bad[:4])
-        raise ValidationError(
-            f"fibers are not pseudo-symmetric under K1 at points {shown}")
+    _require_pseudo([K], F, "under K1")
 
     V = _eigensplit(K)
     # the off-diagonal block of V^H Pi V, with Pi = F F^H
@@ -362,12 +363,9 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise NumericError(
             f"phase step {steps[i]:+.3f} between points {i} and "
             f"{(i + 1) % grid.N} is too large; refine the grid")
-    total = float(np.sum(steps))
-    max_step = float(np.abs(steps).max())
-    w = int(round(total / (2.0 * np.pi)))
-    residual = abs(total / (2.0 * np.pi) - w)
-    return InvariantResult("winding_int", w,
-                           {"max_step": max_step, "residual": residual})
+    w, residual = _nearest(float(np.sum(steps)) / (2.0 * np.pi))
+    return InvariantResult("winding_int", w, {
+        "max_step": float(np.abs(steps).max()), "residual": residual})
 
 
 def chern_number(bundle: Bundle) -> InvariantResult:
@@ -381,12 +379,8 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d != 2:
         raise InputError("the Chern number lives on S^2")
-    L, edge = bundle._link_variables
-    _check_overlaps(L, np.arange(len(L)))
-    fluxes = np.angle(_loop_products(L, edge))
-    total = float(np.sum(fluxes))
-    c = int(round(total / (2.0 * np.pi)))
-    residual = abs(total / (2.0 * np.pi) - c)
+    fluxes, min_overlap = _fluxes(bundle, slice(None))
+    c, residual = _nearest(float(np.sum(fluxes)) / (2.0 * np.pi))
     if residual >= CHERN_RESIDUAL:
         raise NumericError(
             f"flux residual {residual:.3f} exceeds {CHERN_RESIDUAL}; "
@@ -394,7 +388,7 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     return InvariantResult("chern_int", c, {
         "fluxes": fluxes, "residual": residual,
         "max_abs_flux": float(np.abs(fluxes).max()),
-        "min_overlap": float(np.abs(L[edge]).min())})
+        "min_overlap": min_overlap})
 
 
 def component_index_ai(A: Plane, Q) -> InvariantResult:
@@ -423,8 +417,8 @@ def component_index_ai(A: Plane, Q) -> InvariantResult:
             f"plane is not charge conserving (deviation {dev:.2e})")
     creators = 0.5 * (np.eye(dim) + lam.real * Qm)
     trace = float(np.real(np.trace(creators @ Pi)))
-    n_plus = int(round(trace))
-    if abs(trace - n_plus) > 1e-8:
+    n_plus, off = _nearest(trace)
+    if off > 1e-8:
         raise NumericError(
             f"creation-mode occupation {trace:.6f} is not an integer")
     return InvariantResult("component_index", n_plus, {"trace": trace})

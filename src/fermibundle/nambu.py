@@ -9,6 +9,7 @@ followed by the same swap matrix.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -32,8 +33,14 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 
 def _require_tolerance(tol: float, what: str) -> None:
     # a NaN threshold compares False, so every guard against it passes
-    if not 0.0 <= tol < np.inf:
+    if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
+            or not 0.0 <= tol < np.inf):
         raise InputError(f"{what} must lie in [0, inf), got {tol!r}")
+
+
+def _is_int(v) -> bool:
+    """Whether v is a Python or numpy integer and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +66,7 @@ class NambuSpace:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InputError("band count n must be a positive integer")
 
     @property
@@ -88,10 +95,14 @@ class NambuSpace:
         return _frozen(np.vstack([top, bot]) / np.sqrt(2.0))
 
 
-@cache
 def make_nambu(n: int) -> NambuSpace:
-    """Canonical ambient space for ``n`` bands, cached per argument value."""
-    return NambuSpace(int(n))
+    """Canonical ambient space for ``n`` bands, cached per int value of n."""
+    if not _is_int(n):
+        raise InputError("band count n must be a positive integer")
+    return _nambu(int(n))
+
+
+_nambu = cache(NambuSpace)
 
 
 def _check_vector(space: NambuSpace, v: np.ndarray) -> np.ndarray:

@@ -259,6 +259,18 @@ def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_pseudo(gens, frames: np.ndarray, what: str) -> None:
+    """ValidationError naming the first four points (and deviations) of a
+    frame stack at which a generator of ``gens`` is no pseudo-symmetry."""
+    devs = _pseudo_deviations(gens, frames)
+    bad = np.flatnonzero(devs > ALG_TOL)
+    if bad.size:
+        head = ", ".join(f"{p} ({devs[p]:.3e})" for p in bad[:4])
+        more = "" if bad.size <= 4 else f" and {bad.size - 4} more"
+        raise ValidationError(
+            f"fibers are not pseudo-symmetric {what} at points {head}{more}")
+
+
 def fermi_perp(A: Plane) -> Plane:
     """The bracket annihilator A^perp, the unique rank-n plane with {A^perp, A} = 0.
 

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import Bundle, _is_int, make_sphere_grid
+from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, _eigensplit, _generator_matrix,
-                    make_nambu)
-from .planes import (Plane, _apply, _pseudo_deviations, j_of, pseudo_check,
+                    _is_int, make_nambu)
+from .planes import (Plane, _apply, _require_pseudo, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
-                       true_symmetries)
+                       kitaev_generators)
 from .tolerances import ALG_TOL
 
 
@@ -80,16 +80,15 @@ class SuspensionInput:
 
     def __post_init__(self):
         gens = self.bundle.cset.generators
-        if not 0 <= self.k_index < len(gens):
-            raise InputError(
-                f"k_index {self.k_index} out of range for {len(gens)} generators")
+        named = {"k_index": self.k_index}
         if self.i_index is not None:
-            if not 0 <= self.i_index < len(gens):
+            named["i_index"] = self.i_index
+        for key, v in named.items():
+            if not (_is_int(v) and 0 <= v < len(gens)):
                 raise InputError(
-                    f"i_index {self.i_index} out of range for {len(gens)} "
-                    "generators")
-            if self.i_index == self.k_index:
-                raise InputError("i_index must differ from k_index")
+                    f"{key} {v} out of range for {len(gens)} generators")
+        if self.i_index == self.k_index:
+            raise InputError("i_index must differ from k_index")
         K = gens[self.k_index]
         if K.parity != "imaginary":
             raise ValidationError("the consumed generator must be imaginary")
@@ -104,14 +103,8 @@ class SuspensionInput:
                     f"consumed generator does not anti-commute with "
                     f"generator {m} (deviation {dev:.3e})")
         checked = [K] if self.i_index is None else [K, gens[self.i_index]]
-        devs = _pseudo_deviations(checked, self.bundle.frames)
-        bad = [(p, devs[p]) for p in np.flatnonzero(devs > ALG_TOL)]
-        if bad:
-            head = ", ".join(f"{p} ({dev:.3e})" for p, dev in bad[:4])
-            more = "" if len(bad) <= 4 else f" and {len(bad) - 4} more"
-            raise ValidationError(
-                f"fibers are not pseudo-symmetric for the designated "
-                f"generators at points {head}{more}")
+        _require_pseudo(checked, self.bundle.frames,
+                        "for the designated generators")
 
     @property
     def K(self) -> Generator:
@@ -159,9 +152,9 @@ def suspend(inp: SuspensionInput, points: int = 64,
     label = _next_label(b.label)
     if b.grid.d == 0:
         N = points
-        if N is None or N < 2 or N % 2:
+        if N is None or _is_int(N) and (N < 2 or N % 2):
             raise InputError("suspension to a circle needs an even point count")
-        grid = make_sphere_grid(1, N)
+        grid = make_sphere_grid(1, N)       # which refuses a non-integer N
         ks = grid.points[:, 0]
         west = np.abs(ks) > math.pi / 2 + 1e-12
         seeds = west.astype(int)
@@ -172,9 +165,9 @@ def suspend(inp: SuspensionInput, points: int = 64,
             raise InputError("suspension to a sphere needs half-rank fibers")
         N = b.grid.N
         M = default_row_count(N) if rows is None else rows
-        if M < 1 or M % 2 == 0:
+        if _is_int(M) and (M < 1 or M % 2 == 0):
             raise InputError("interior row count must be odd")
-        grid = make_sphere_grid(2, N, M)
+        grid = make_sphere_grid(2, N, M)    # which refuses a non-integer M
         seeds = np.tile(np.arange(N), M)
         ts = grid.points[:N * M, 1]
         # the south pole is E_{+i} of K, the north pole E_{-i}
@@ -235,11 +228,8 @@ def example_dIII(N: int = 64, rows: int | None = None) -> Bundle:
     pseudo-symmetry I.
     """
     sp = make_nambu(2)
-    ts = true_symmetries(sp, spinful=True)
-    I_mat = sp.gamma_matrix @ ts.T_minus.matrix
-    K_mat = 1j * np.fliplr(np.eye(4))
-    cset = CliffordSet(sp, (Generator(I_mat, "real"),
-                            Generator(K_mat, "imaginary")))
+    K = Generator(1j * np.fliplr(np.eye(4)), "imaginary")
+    cset = CliffordSet(sp, kitaev_generators(sp, "DIII").generators + (K,))
     grid1 = make_sphere_grid(1, N)
     b1 = Bundle(sp, cset, grid1, _diii_equator_frame(grid1.points[:, 0]), "D")
     return suspend(SuspensionInput(b1, k_index=1, i_index=0), rows=rows)

@@ -162,19 +162,6 @@ def class_info(label: str) -> ClassInfo:
     return CLASS_TABLE[key]
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryClass:
-    """A class label together with the Clifford set realizing it."""
-
-    label: str
-    s: int
-    realization: CliffordSet
-
-    @property
-    def signature(self):
-        return self.realization.signature
-
-
 def _require_bands(info: ClassInfo, n: int):
     if n % info.n_multiple:
         raise InputError(
@@ -214,11 +201,6 @@ def kitaev_generators(space: NambuSpace, label: str) -> CliffordSet:
     # spin classes C, CI, AI, BDI on the doubled space
     ts, extras = _time_reversal_generators(make_nambu(n // 2), info.s - 4)
     return spin_embed(space, ts.S, extras)
-
-
-def make_symmetry_class(space: NambuSpace, label: str) -> SymmetryClass:
-    info = class_info(label)
-    return SymmetryClass(info.label, info.s, kitaev_generators(space, label))
 
 
 def imaginary_realization(space: NambuSpace, label: str) -> CliffordSet:
@@ -261,19 +243,13 @@ def copy_indices(doubled: NambuSpace):
     return idx1, idx2
 
 
-def _copy_diag(doubled, X1, X2):
+def _copy_blocks(doubled, X1, X2, swap=False):
+    """The matrix [[X1, 0], [0, X2]] in copy blocks of a doubled space, or
+    [[0, X1], [X2, 0]] with ``swap``."""
     idx1, idx2 = copy_indices(doubled)
     M = np.zeros((doubled.dim, doubled.dim), dtype=complex)
-    M[np.ix_(idx1, idx1)] = X1
-    M[np.ix_(idx2, idx2)] = X2
-    return M
-
-
-def _copy_offdiag(doubled, X12, X21):
-    idx1, idx2 = copy_indices(doubled)
-    M = np.zeros((doubled.dim, doubled.dim), dtype=complex)
-    M[np.ix_(idx1, idx2)] = X12
-    M[np.ix_(idx2, idx1)] = X21
+    M[np.ix_(idx1, idx2 if swap else idx1)] = X1
+    M[np.ix_(idx2, idx1 if swap else idx2)] = X2
     return M
 
 
@@ -290,12 +266,11 @@ def double_one_one(space: NambuSpace, cset: CliffordSet):
     nb = space.n
     doubled = make_nambu(2 * nb)
     eye = np.eye(2 * nb)
-    I = _copy_offdiag(doubled, eye, -eye)
-    K = _copy_diag(doubled, 1j * eye, -1j * eye)
-    gens = [Generator(_copy_offdiag(doubled, g.matrix, g.matrix), g.parity)
-            for g in cset.generators]
-    gens.append(Generator(I, "real"))
-    gens.append(Generator(K, "imaginary"))
+    gens = [Generator(_copy_blocks(doubled, g.matrix, g.matrix, swap=True),
+                      g.parity) for g in cset.generators]
+    gens += [Generator(_copy_blocks(doubled, eye, -eye, swap=True), "real"),
+             Generator(_copy_blocks(doubled, 1j * eye, -1j * eye),
+                       "imaginary")]
     return doubled, CliffordSet(doubled, tuple(gens))
 
 
@@ -387,11 +362,11 @@ def spin_embed(space: NambuSpace, spins, extras=()) -> CliffordSet:
                 raise ValidationError(
                     f"spin generator S{l + 1} does not commute with "
                     f"extra generator {m}")
-    gens = [Generator(_copy_diag(space, 2j * S, -2j * S), "real")
+    gens = [Generator(_copy_blocks(space, 2j * S, -2j * S), "real")
             for S in spins]
     eye = np.eye(dim_b)
-    gens.append(Generator(_copy_offdiag(space, eye, -eye), "real"))
+    gens.append(Generator(_copy_blocks(space, eye, -eye, swap=True), "real"))
     gens.extend(
-        Generator(_copy_offdiag(space, g.matrix, g.matrix), g.parity)
-        for g in extras)
+        Generator(_copy_blocks(space, g.matrix, g.matrix, swap=True),
+                  g.parity) for g in extras)
     return CliffordSet(space, tuple(gens))

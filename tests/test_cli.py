@@ -244,6 +244,13 @@ def test_classinfo_unknown_label():
     assert run("classinfo", "--label", "XYZ") == 2
 
 
+def test_classinfo_prints_the_imaginary_realization(capsys):
+    assert run("classinfo", "--label", "AI") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["imaginary_realization"] == ["K1 = i gamma T",
+                                                "K2 = i Q K1"]
+
+
 def test_doubling_roundtrip(tmp_path, capsys):
     out = tmp_path / "maj.json"
     doubled = tmp_path / "doubled.json"
@@ -717,6 +724,93 @@ def test_checked_in_v1_file_through_the_cli(tmp_path, capsys):
     assert np.array_equal(
         _bits(_read_bundle(out).frames),
         _bits(double_bundle(example_kitaev_chain(2, 1, N=8)).frames))
+
+
+def _v2_with(mangle):
+    """The v2 document of the one-band chain file, changed by ``mangle``."""
+    def make(chain):
+        doc = _load(chain)
+        mangle(doc)
+        return doc
+    return make
+
+
+def _v1_with(mangle):
+    """The version-1 document of the same chain, changed by ``mangle``."""
+    def make(chain):
+        doc = v1_document(_read_bundle(chain))
+        mangle(doc)
+        return doc
+    return make
+
+
+def _generators(doc):
+    return doc["class"]["generators"]
+
+
+# (argv, the document that "{in}" names, message); a callable builds the
+# document from the chain file written next to it, None writes no file
+_REFUSALS = {
+    "empty matrix": (["validate", "--input", "{in}"],
+                     _v2_with(lambda d: _generators(d)[0].update(matrix=[])),
+                     "class.generators[0].matrix: expected a non-empty "
+                     "matrix"),
+    "row not a list": (["validate", "--input", "{in}"],
+                       _v2_with(lambda d: _generators(d)[0]["matrix"]
+                                .__setitem__(1, 7)),
+                       "class.generators[0].matrix: row 1 is not a list"),
+    "generator not an object": (["validate", "--input", "{in}"],
+                                _v2_with(lambda d: _generators(d)
+                                         .__setitem__(0, [1])),
+                                "class.generators[0]: expected an object"),
+    "v1 rank too large": (["validate", "--input", "{in}"],
+                          _v1_with(lambda d: d["fibers"][3].update(rank=2)),
+                          "fibers[3].rank: out of range value 2"),
+    "v1 rank zero": (["validate", "--input", "{in}"],
+                     _v1_with(lambda d: d["fibers"][0].update(rank=0)),
+                     "fibers[0].rank: out of range value 0"),
+    "n < 1": (["validate", "--input", "{in}"],
+              _v2_with(lambda d: d.update(n=0)), "n: must be positive, got 0"),
+    "label not a string": (["validate", "--input", "{in}"],
+                           _v2_with(lambda d: d["class"].update(
+                               label=["BDI"])),
+                           "class.label: wrong type"),
+    "signature mismatch": (["validate", "--input", "{in}"],
+                           _v2_with(lambda d: d["class"].update(
+                               signature=[1, 0])),
+                           "class.signature: declares [1, 0], generators "
+                           "give [0, 1]"),
+    "bundle not an object": (["validate", "--input", "{in}"], [1, 2],
+                             "in.json does not hold a bundle object"),
+    "config not an object": (["classinfo", "--config", "{in}"], ["AI"],
+                             "config file must hold a JSON object"),
+    "unknown example by config": (
+        ["example", "--config", "{in}"],
+        lambda chain: {"name": "bogus",
+                       "output": str(chain.with_name("out.json"))},
+        "unknown example 'bogus'"),
+    "cannot write": (["example", "--name", "majorana", "--N", 8,
+                      "--output", "{missing}"], None, "cannot write"),
+}
+
+
+@pytest.mark.parametrize("argv, document, fragment", _REFUSALS.values(),
+                         ids=list(_REFUSALS))
+def test_refusal_branches_exit_2_with_the_key_path(tmp_path, capsys, argv,
+                                                   document, fragment):
+    paths = {"in": tmp_path / "in.json", "out": tmp_path / "out.json",
+             "missing": tmp_path / "no_such_dir" / "out.json"}
+    if callable(document):
+        document = document(_chain_file(tmp_path))
+    if document is not None:
+        paths["in"].write_text(json.dumps(document))
+    capsys.readouterr()
+    assert run(*[str(a).format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert fragment in captured.err
+    assert not paths["out"].exists() and not paths["missing"].exists()
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,22 @@ def test_rejects_zero_bands():
         make_nambu(0)
 
 
+@pytest.mark.parametrize("build", [make_nambu, NambuSpace])
+@pytest.mark.parametrize("n", [2.5, 2.0, 1.9, np.float64(2.0), "2", True,
+                               False, None, -1], ids=[
+    "2.5", "2.0", "1.9", "np.float64", "str", "True", "False", "None", "-1"])
+def test_band_counts_follow_the_integer_rule(build, n):
+    with pytest.raises(InputError, match="band count n must be a positive "
+                                         "integer"):
+        build(n)
+
+
+def test_a_numpy_band_count_finds_the_cached_space():
+    sp = make_nambu(np.int64(2))
+    assert sp is make_nambu(2) and type(sp.n) is int
+    assert make_nambu(np.int32(1)) is make_nambu(1)
+
+
 def _doubling_i_and_k(n):
     # block operators of the doubling construction, in copy-major layout
     eye = np.eye(2 * n)
@@ -306,9 +322,12 @@ _TOLERANCE_CALLS = {
 }
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12,
+                                 "1e-9", None, True, 0.5j])
 @pytest.mark.parametrize("name", list(_TOLERANCE_CALLS))
 def test_tolerances_outside_zero_to_infinity_are_refused(name, tol):
+    # a value that is not a real number is refused the same way, not with
+    # the TypeError of its comparison; a bool is not a tolerance
     with pytest.raises(InputError, match=r"must lie in \[0, inf\)"):
         _TOLERANCE_CALLS[name](tol)
 

@@ -13,6 +13,7 @@ from fermibundle.bundles import (
     serialize_bundle,
     validate_bundle,
 )
+from fermibundle.cli import main
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.nambu import CliffordSet, Generator, _eigensplit, make_nambu
 from fermibundle.planes import (
@@ -213,6 +214,54 @@ def test_suspension_input_reports_bad_fibers():
     assert "points 1" in str(err.value)
 
 
+@pytest.mark.parametrize("indices", [(0.0,), (1, 0.0), (True,), (1, False),
+                                     ("1",), (None,)],
+                         ids=["k float", "i float", "k bool", "i bool",
+                              "k string", "k None"])
+def test_suspension_indices_follow_the_integer_rule(indices):
+    b = _diii_equator_input(8).bundle
+    key = ("k_index", "i_index")[len(indices) - 1]
+    with pytest.raises(InputError, match=f"{key} {indices[-1]} out of range "
+                                         f"for 2 generators"):
+        SuspensionInput(b, *indices)
+    # numpy integers are integers
+    inp = SuspensionInput(b, np.int64(1), np.int32(0))
+    assert inp.K is b.cset.generators[1]
+
+
+def _tilted_diii_equator(eps):
+    """The dIII equator circle with every frame F replaced by the QR frame
+    of F + i eps K F, off K's pseudo-symmetry by about 2 eps."""
+    b = _diii_equator_input(16).bundle
+    K = b.cset.generators[1].matrix
+    G = np.linalg.qr(b.frames + 1j * eps * _apply(K, b.frames))[0]
+    return Bundle(b.space, b.cset, b.grid, G, b.label)
+
+
+def test_suspend_output_recheck_refuses_what_the_input_check_admits(
+        tmp_path, capsys):
+    # SuspensionInput bounds the pseudo deviation by ALG_TOL (1e-10), but
+    # the Gram matrix of a rotated frame differs from 1 by i sin t F^H K F,
+    # which Bundle checks against ORTHO_TOL (1e-12): Bundle's check of the
+    # frames that suspend computes is the one that refuses this input
+    tilted = _tilted_diii_equator(1e-12)
+    assert 1e-12 < validate_bundle(tilted).pseudo_max.max() < 1e-11
+    inp = SuspensionInput(tilted, 1, 0)
+    with pytest.raises(ValidationError, match="frame columns are not "
+                                              "orthonormal at point 0"):
+        suspend(inp)
+    src, out = tmp_path / "tilted.json", tmp_path / "sphere.json"
+    src.write_text(json.dumps(serialize_bundle(tilted)))
+    capsys.readouterr()
+    assert main(["suspend", "--input", str(src), "--k-index", "1",
+                 "--i-index", "0", "--output", str(out)]) == 1
+    assert "not orthonormal at point 0" in capsys.readouterr().err
+    assert not out.exists()
+    # ten times closer, the suspension goes through and validates
+    assert validate_bundle(suspend(SuspensionInput(
+        _tilted_diii_equator(1e-13), 1, 0))).ok
+
+
 # ---------------------------------------------------------------------------
 # circle example
 
@@ -405,8 +454,13 @@ def test_chain_argument_errors():
     (lambda: example_dIII(N=8, rows=5.0), "must be an integer"),
     (lambda: example_kitaev_chain(1, 0.5), "must be an integer"),
     (lambda: example_kitaev_chain(True, 0, N=8),
-     "band count must be a positive integer, got True")],
-    ids=["majorana N", "dIII N", "dIII rows", "chain n_plus", "chain bool n"])
+     "band count must be a positive integer, got True"),
+    (lambda: example_majorana(N="8"), "grid.N: must be an integer, got '8'"),
+    (lambda: example_dIII(N=8, rows="5"),
+     "grid.M: must be an integer, got '5'"),
+    (lambda: example_dIII(N=8, rows=True), "grid.M: must be an integer")],
+    ids=["majorana N", "dIII N", "dIII rows", "chain n_plus", "chain bool n",
+         "majorana N string", "dIII rows string", "dIII rows bool"])
 def test_examples_refuse_non_integer_sizes(make, match):
     with pytest.raises(InputError, match=match):
         make()

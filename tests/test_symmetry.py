@@ -25,7 +25,6 @@ from fermibundle.symmetry import (
     imaginary_realization,
     kitaev_generators,
     lift_plane,
-    make_symmetry_class,
     spin_embed,
     true_symmetries,
     unlift_plane,
@@ -124,6 +123,7 @@ def test_kitaev_generators_form_clifford_set(label):
     sp = make_nambu(smallest_n(label))
     cset = kitaev_generators(sp, label)
     assert len(cset) == class_info(label).s
+    assert cset.signature == (class_info(label).s, 0)
     report = check_clifford(cset)
     assert report.ok
     assert report.max_deviation < 1e-12
@@ -183,12 +183,6 @@ def test_spin_class_product_is_the_doubling_generator():
     for M in (J1, J2, J3):
         assert np.abs(K @ M - M @ K).max() < 1e-12
     assert np.abs(K @ J4 + J4 @ K).max() < 1e-12
-
-
-def test_make_symmetry_class_signature():
-    sc = make_symmetry_class(make_nambu(4), "CI")
-    assert sc.label == "CI"
-    assert sc.signature == (5, 0)
 
 
 # ---------------------------------------------------------------------------
