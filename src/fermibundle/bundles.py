@@ -324,11 +324,12 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
         # matrix F_k^T B F_{-k}.
         fermi = np.empty(size)
         B = bundle.space.bracket_matrix
+        bracket = bundle.space.bracket_monomial
         anti = grid.antipode
         for blk in _blocks(size, 16 * dim * m):
             fermi[blk] = _spectral_norms(_mm(
                 np.swapaxes(frames[blk], 1, 2),
-                _apply(B, frames.take(anti[blk], 0))))
+                _apply(B, frames.take(anti[blk], 0), bracket)))
         if fermi.max() > tol:
             p = int(np.argmax(fermi))
             messages.append(

@@ -22,8 +22,8 @@ import numpy as np
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
-                    _generator_matrix, _require_finite, _require_tolerance,
-                    make_nambu)
+                    _generator_matrix, _monomial_form, _require_finite,
+                    _require_tolerance, make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, CHERN_RESIDUAL
@@ -111,7 +111,11 @@ def pfaffian(X, tol: float = ALG_TOL) -> complex:
     case returns 0 with a warning since it usually signals a caller bug.
     """
     _require_tolerance(tol, "tol")
-    A = np.asarray(X, dtype=complex)
+    try:
+        A = np.asarray(X, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InputError(
+            f"matrix must be a rectangular array of numbers ({exc})") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     _require_finite(A, "matrix")
@@ -130,6 +134,11 @@ class OmegaForm:
 
     space: NambuSpace
     matrix: np.ndarray
+
+    @functools.cached_property
+    def monomial(self) -> tuple | None:
+        """:func:`_monomial_form` of the matrix, found on first use."""
+        return _monomial_form(self.matrix)
 
 
 def omega_form(space: NambuSpace, J1) -> OmegaForm:
@@ -163,7 +172,8 @@ def pfaffian_field(bundle: Bundle, form) -> np.ndarray:
     if bundle.rank % 2:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
-    return _pfaffians(_mm(np.swapaxes(F, 1, 2), _apply(om.matrix, F)))
+    return _pfaffians(_mm(np.swapaxes(F, 1, 2),
+                          _apply(om.matrix, F, om.monomial)))
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
@@ -306,7 +316,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     row = M // 2 * N + np.arange(N)
     F = bundle.frames[row]
     Fm = F[-np.arange(N) % N]
-    TF = _apply(T, F.conj())
+    TF = _apply(T, F.conj(), _monomial_form(T))
     dev = _spectral_norms(TF - _mm(Fm, _mm(_dagger(Fm), TF)))
     theta_max = float(dev.max())
     if not theta_max <= ALG_TOL:
@@ -343,7 +353,7 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
         raise InputError("the chiral winding needs an imaginary generator")
     K = _generator_matrix(K1, bundle.space.dim)
     F = bundle.frames
-    _require_pseudo([K], F, "under K1")
+    _require_pseudo([K1], F, "under K1")
 
     V = _eigensplit(K)
     # the off-diagonal block of V^H Pi V, with Pi = F F^H

@@ -82,6 +82,11 @@ class NambuSpace:
         return _frozen(B)
 
     @cached_property
+    def bracket_monomial(self) -> tuple:
+        """:func:`_monomial_form` of ``bracket_matrix``."""
+        return _monomial_form(self.bracket_matrix)
+
+    @cached_property
     def gamma_matrix(self) -> np.ndarray:
         # gamma swaps c_i and c_i^dagger, so its matrix coincides with B
         return self.bracket_matrix
@@ -185,6 +190,33 @@ class Generator(object):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def monomial(self) -> tuple | None:
+        """:func:`_monomial_form` of the matrix, found on first use."""
+        return _monomial_form(self.matrix)
+
+
+_UNITS = frozenset((1, -1, 1j, -1j))
+
+
+def _monomial_form(M: np.ndarray) -> tuple | None:
+    """The form (perm, sign) of a monomial matrix, or None.
+
+    M is monomial when row i has one nonzero entry, M[i, perm[i]] =
+    sign[i], and each sign is 1, -1, 1j or -1j.  Every generator the
+    library builds is: the Clifford generators of the ten classes, their
+    copy-block doublings, the bracket, gamma and the charge operator.
+    Applied through its form, M moves coordinates and multiplies them by
+    units, which is exact, so the product equals the dense one.
+    """
+    nonzero = M != 0
+    perm = nonzero.argmax(axis=1)
+    sign = M[np.arange(len(M)), perm]
+    if (np.count_nonzero(nonzero) != len(M)
+            or not _UNITS.issuperset(sign.tolist())):
+        return None
+    return _frozen(perm), _frozen(sign)
 
 
 def _generator_matrix(J, d: int, what: str = "generator") -> np.ndarray:

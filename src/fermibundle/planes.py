@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import (NambuSpace, _frozen, _generator_matrix, _require_finite,
-                    _require_tolerance)
+from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
+                    _monomial_form, _require_finite, _require_tolerance)
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -175,9 +175,18 @@ def _cmul(a, b) -> np.ndarray:
     return out
 
 
-def _apply(M: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """M F for a matrix M and every F of a (P, d, m) stack, as one GEMM
-    over the stack reshaped to (P m, d) rows."""
+def _apply(M: np.ndarray, F: np.ndarray, form=None) -> np.ndarray:
+    """M F for a matrix M and every F of a (P, d, m) stack.
+
+    Given M's monomial ``form`` (perm, sign), row i of M F is sign[i]
+    F[perm[i]], a gather and an exact product equal to the dense one.
+    Otherwise M F is one GEMM over the stack reshaped to (P m, d) rows.
+    """
+    if form is not None:
+        perm, sign = form
+        MF = F[:, perm]
+        MF *= sign[:, None]
+        return MF
     P, d, m = F.shape
     rows = np.swapaxes(F, 1, 2).reshape(-1, d) @ M.T
     return rows.reshape(P, m, -1).swapaxes(1, 2)
@@ -241,21 +250,45 @@ def _spectral_norms(X: np.ndarray) -> np.ndarray:
 def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:
     """Largest :func:`pseudo_check` over ``gens`` at every frame of a stack.
 
-    ``frames`` is a (P, d, m) array of orthonormal frames; J Pi J^dagger is
-    formed as (J F)(J F)^dagger, and 1 - Pi once per block for all
-    generators.  No generators give zero deviations.
+    ``frames`` is a (P, d, m) array of orthonormal frames, and Pi = F F^H
+    and 1 - Pi are formed once per block for all generators.  For a
+    monomial J, J[i, perm[i]] = sign[i], the entries of J Pi J^dagger are
+    sign[i] conj(sign[j]) Pi[perm[i], perm[j]]: one gather from Pi and a
+    product by units, which is exact.  Any other J takes (J F)(J F)^dagger.
+    No generators give zero deviations.
     """
     d = frames.shape[1]
-    mats = [_generator_matrix(J, d) for J in gens]
+    ops = []
+    for J in gens:
+        M = _generator_matrix(J, d)
+        # a generator keeps its form; a raw matrix is classified per call
+        form = J.monomial if isinstance(J, Generator) else _monomial_form(M)
+        if form is not None:
+            perm, sign = form
+            form = ((perm[:, None] * d + perm).ravel(),
+                    np.outer(sign, sign.conj()))
+        ops.append((M, form))
     eye = np.eye(d)
     out = np.zeros(len(frames))
     for blk in _blocks(len(frames), 16 * d * d):
         F = frames[blk]
-        comp = eye - _mm(F, _dagger(F))
-        for M in mats:
-            MF = _apply(M, F)
-            out[blk] = np.maximum(out[blk], np.abs(_mm(MF, _dagger(MF)) - comp
-                                                   ).max(axis=(1, 2)))
+        Pi = _mm(F, _dagger(F))
+        comp = eye - Pi
+        # gather in Pi's layout: _mm returns small products with the stack
+        # axis last, which a fancy index keeps and take does not
+        flat = Pi.reshape(len(Pi), d * d)
+        last = flat.strides[0] < flat.strides[1]
+        for M, form in ops:
+            if form is None:
+                MF = _apply(M, F)
+                dev = _mm(MF, _dagger(MF))
+            else:
+                index, phases = form
+                dev = (flat[:, index] if last else flat.take(index, 1)
+                       ).reshape(Pi.shape)
+                dev *= phases
+            dev -= comp
+            out[blk] = np.maximum(out[blk], np.abs(dev).max(axis=(1, 2)))
     return out
 
 

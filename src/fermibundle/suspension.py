@@ -11,6 +11,7 @@ process: the output Clifford set is the input set without it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,15 @@ def rotor(K, A: Plane, t: float) -> np.ndarray:
 
     Raises
     ------
+    InputError
+        If t is not a finite real number, or is a bool.
     ValidationError
         If K is not a pseudo-symmetry of A.
     """
+    if (not isinstance(t, numbers.Real) or isinstance(t, bool)
+            or not math.isfinite(t)):
+        raise InputError(f"rotation angle must be a finite real number, "
+                         f"got {t!r}")
     M = _generator_matrix(K, A.space.dim)
     dev = pseudo_check(M, A)
     if dev > ALG_TOL:
@@ -181,7 +188,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
     half = (ts / 2)[:, None, None]
     frames = np.empty((len(ts) + len(poles), *poles.shape[1:]), complex)
     rot = b.frames.take(seeds, 0, out=frames[:len(ts)])
-    KF = _apply(K.matrix, b.frames).take(seeds, 0)
+    KF = _apply(K.matrix, b.frames, K.monomial).take(seeds, 0)
     np.multiply(np.cos(half), rot, out=rot)
     rot += np.multiply(1j * np.sin(half), KF, out=KF)
     rot[ts == 0] = b.frames[seeds[ts == 0]]

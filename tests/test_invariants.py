@@ -130,6 +130,12 @@ def test_pfaffian_rejects_non_skew():
         pfaffian(np.ones((4, 4)))
 
 
+@pytest.mark.parametrize("X", ["ab", [[0, "x"], ["y", 0]], [[0, 1], [-1]]])
+def test_pfaffian_refuses_what_is_not_an_array_of_numbers(X):
+    with pytest.raises(InputError, match="rectangular array of numbers"):
+        pfaffian(X)
+
+
 def test_pfaffian_rejects_non_square():
     with pytest.raises(InputError):
         pfaffian(np.zeros((2, 3)))

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from fermibundle.bundles import double_bundle
+from fermibundle import nambu, planes
+from fermibundle.bundles import double_bundle, validate_bundle
 from fermibundle.errors import InputError, ValidationError
-from fermibundle.nambu import Generator, make_nambu
+from fermibundle.nambu import Generator, _monomial_form, make_nambu
 from fermibundle.planes import (
     Plane,
+    _blocks,
     _complements,
     _dagger,
+    _pseudo_deviations,
     complement,
     fermi_check,
     fermi_perp,
@@ -22,6 +25,8 @@ from fermibundle.planes import (
     vacuum_plane,
 )
 from fermibundle.suspension import example_dIII, example_kitaev_chain
+from fermibundle.symmetry import (CLASS_TABLE, double_one_one,
+                                  imaginary_realization, kitaev_generators)
 
 
 def _random_plane(space, m, rng):
@@ -318,3 +323,76 @@ def test_apply_matches_matmul(P, r, d, m):
     for X in (F, F[rng.integers(P, size=P)],
               np.swapaxes(_gaussian((P, m, d), rng), 1, 2)):
         assert _within_scale(_apply(M, X), M, X)
+
+
+def _library_operators(n):
+    """(matrix, monomial form) of the bracket and of every generator the
+    library builds on n bands: the ten classes, the all-imaginary sets,
+    and for n <= 8 their copy-block doublings."""
+    sp = make_nambu(n)
+    ops = [(sp.bracket_matrix, sp.bracket_monomial)]
+    sets = [kitaev_generators(sp, label) for label in CLASS_TABLE
+            if n % CLASS_TABLE[label].n_multiple == 0]
+    sets += [imaginary_realization(sp, label) for label in ("BDI", "AI")]
+    if n <= 8:
+        sets += [double_one_one(sp, cset)[1] for cset in sets]
+    return ops + [(g.matrix, g.monomial) for cset in sets
+                  for g in cset.generators]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_monomial_apply_is_the_product_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for M, form in _library_operators(n):
+        assert form is not None
+        d = len(M)
+        for m in sorted({1, d // 2}):
+            X = _gaussian((7, d, m), rng)
+            for F in (X, np.swapaxes(_gaussian((7, m, d), rng), 1, 2)):
+                got, ref = _apply(M, F, form), _apply(M, F)
+                assert (np.ascontiguousarray(got).tobytes()
+                        == np.ascontiguousarray(ref).tobytes())
+
+
+def _haar_unitary(d, rng):
+    Q, R = np.linalg.qr(_gaussian((d, d), rng))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def test_a_non_monomial_operator_takes_the_dense_path():
+    b = double_bundle(example_kitaev_chain(2, 1, N=16))
+    rng = np.random.default_rng(7)
+    U = _haar_unitary(b.space.dim, rng)
+    F = b.frames
+    X = np.linalg.qr(_gaussian(F.shape, rng))[0]   # not pseudo-symmetric
+    for g in b.cset.generators:
+        J = U @ g.matrix @ U.conj().T
+        assert _monomial_form(J) is None
+        assert np.abs(_apply(J, U @ F) - U @ _apply(g.matrix, F, g.monomial)
+                      ).max() < 1e-14
+        dense = _pseudo_deviations([J], U @ F)
+        assert dense.max() < 1e-14
+        assert np.abs(dense - _pseudo_deviations([g], F)).max() < 1e-14
+        # off the bundle each path equals the per-plane product oracle
+        for op, Y in ((J, U @ X), (g, X)):
+            oracle = [pseudo_check(op, Plane(b.space, f)) for f in Y]
+            assert np.abs(_pseudo_deviations([op], Y) - oracle).max() < 1e-14
+
+
+def test_validation_classifies_each_operator_once(monkeypatch):
+    b = double_bundle(example_kitaev_chain(8, 3, N=128))
+    size, d, _ = b.frames.shape
+    assert len(_blocks(size, 16 * d * d)) > 3 * len(b.cset.generators)
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return _monomial_form(M)
+
+    for module in (nambu, planes):
+        monkeypatch.setattr(module, "_monomial_form", counted)
+    assert validate_bundle(b).ok
+    assert len(calls) <= len(b.cset.generators) + 1    # and the bracket
+    first = len(calls)
+    assert validate_bundle(b).ok
+    assert len(calls) == first          # the forms live on the operators

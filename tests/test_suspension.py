@@ -69,6 +69,15 @@ def test_rotor_is_unitary_and_a_one_parameter_group():
         assert np.abs(R1 @ rotor(K, A, -t1) - np.eye(2)).max() < 1e-14
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "0.3", None,
+                               1 + 2j, True])
+def test_rotor_refuses_an_angle_that_is_not_a_finite_real(t):
+    b = example_dIII(N=8)
+    K = Generator(1j * np.fliplr(np.eye(4)), "imaginary")
+    with pytest.raises(InputError, match="finite real number"):
+        rotor(K, b.fibers[2 * 8], t)
+
+
 def test_rotor_matches_matrix_exponential():
     b = example_dIII(N=8)          # equator row fibers are K-pseudo
     K = Generator(1j * np.fliplr(np.eye(4)), "imaginary")
