@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _is_int,
-                    _require_finite, _require_tolerance, make_nambu)
+                    _numbers, _require_tolerance, make_nambu)
 from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
                      _mm, _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
@@ -183,7 +183,8 @@ def _frame_stack(space, frames, size):
         if len(ranks) > 1:
             raise InputError(f"fibers have mixed ranks {sorted(ranks)}")
         frames = [A.frame for A in planes]
-    F = np.array(frames, dtype=complex)
+    # a caller's array is copied; the stack of planes is new already
+    F = _numbers(frames, "frame", copy=isinstance(frames, np.ndarray))
     d = space.dim
     if F.ndim != 3 or F.shape[1] != d:
         raise InputError(
@@ -356,7 +357,7 @@ def _complex_to_json(M) -> list:
     return M.view(float).reshape(*M.shape, 2).tolist()
 
 
-def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
+def _complex_from_json(obj, path, rows, cols) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise InputError(f"{path}: expected a non-empty matrix")
     width = None
@@ -382,8 +383,8 @@ def _complex_from_json(obj, path, rows=None, cols=None) -> np.ndarray:
                 raise InputError(f"{path}: entry ({r}, {c}) is too large "
                                  f"for a float") from exc
         out.append(vals)
-    M = np.array(out, dtype=complex)
-    if rows is not None and M.shape != (rows, cols):
+    M = _numbers(out, path)
+    if M.shape != (rows, cols):
         raise InputError(f"{path}: shape {M.shape} does not match "
                          f"expected ({rows}, {cols})")
     return M
@@ -469,9 +470,8 @@ def _frames_v2(data, size, dim):
         raise InputError(f"frames.base64: not valid base64: {exc}") from exc
     if len(raw) != 16 * math.prod(shape):
         raise InputError(f"frames.base64: {len(raw)} bytes do not fill {shape}")
-    frames = np.frombuffer(raw, dtype="<c16").reshape(shape)
-    _require_finite(frames, "frames.base64")
-    return frames
+    return _numbers(np.frombuffer(raw, dtype="<c16").reshape(shape),
+                    "frames.base64")
 
 
 def deserialize_bundle(data: dict) -> Bundle:

@@ -22,7 +22,7 @@ import numpy as np
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
-                    _generator_matrix, _monomial_form, _require_finite,
+                    _generator_matrix, _monomial_form, _numbers,
                     _require_tolerance, make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
@@ -111,14 +111,9 @@ def pfaffian(X, tol: float = ALG_TOL) -> complex:
     case returns 0 with a warning since it usually signals a caller bug.
     """
     _require_tolerance(tol, "tol")
-    try:
-        A = np.asarray(X, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InputError(
-            f"matrix must be a rectangular array of numbers ({exc})") from None
+    A = _numbers(X, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
-    _require_finite(A, "matrix")
     if A.shape[0] == 0:
         return complex(1.0)
     pf = complex(_pfaffians(A[None], tol)[0])
@@ -134,11 +129,6 @@ class OmegaForm:
 
     space: NambuSpace
     matrix: np.ndarray
-
-    @functools.cached_property
-    def monomial(self) -> tuple | None:
-        """:func:`_monomial_form` of the matrix, found on first use."""
-        return _monomial_form(self.matrix)
 
 
 def omega_form(space: NambuSpace, J1) -> OmegaForm:
@@ -173,7 +163,7 @@ def pfaffian_field(bundle: Bundle, form) -> np.ndarray:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
     return _pfaffians(_mm(np.swapaxes(F, 1, 2),
-                          _apply(om.matrix, F, om.monomial)))
+                          _apply(om.matrix, F, _monomial_form(om.matrix))))
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:

@@ -25,10 +25,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    # NaN compares False against every tolerance, so residual checks pass it
-    if not np.isfinite(a).all():
+def _numbers(a, what: str, shape: tuple | None = None,
+             copy: bool = False) -> np.ndarray:
+    """``a`` as a complex array: the one intake rule for caller arrays.
+
+    InputError refuses anything but a rectangular array of numbers (ragged
+    rows, strings, bools, None or other objects), a shape other than
+    ``shape`` when one is given, and NaN or infinite entries, which compare
+    False against every tolerance and so would pass residual checks.  With
+    ``copy`` the result is never ``a`` itself.
+    """
+    try:
+        A = np.asarray(a)
+    except (TypeError, ValueError):     # ragged rows, or unreadable
+        A = None
+    if A is None or A.dtype.kind not in "iufc":
+        raise InputError(f"{what} must be a rectangular array of numbers")
+    if shape is not None and A.shape != shape:
+        raise InputError(f"{what} has shape {A.shape}, expected {shape}")
+    A = A.astype(complex, copy=copy)
+    if not np.isfinite(A).all():
         raise InputError(f"{what} has non-finite entries")
+    return A
 
 
 def _require_tolerance(tol: float, what: str) -> None:
@@ -110,25 +128,15 @@ def make_nambu(n: int) -> NambuSpace:
 _nambu = cache(NambuSpace)
 
 
-def _check_vector(space: NambuSpace, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (space.dim,):
-        raise InputError(
-            f"vector has shape {v.shape}, expected ({space.dim},)")
-    return v
-
-
 def bracket(space: NambuSpace, v, w) -> complex:
     """Canonical anti-commutator {v, w} = v^T B w (bilinear, symmetric)."""
-    v = _check_vector(space, v)
-    w = _check_vector(space, w)
+    v, w = (_numbers(x, "vector", (space.dim,)) for x in (v, w))
     return complex(v @ space.bracket_matrix @ w)
 
 
 def apply_gamma(space: NambuSpace, v) -> np.ndarray:
     """Particle-hole conjugation gamma(v) = G conj(v), an anti-linear involution."""
-    v = _check_vector(space, v)
-    return space.gamma_matrix @ np.conj(v)
+    return space.gamma_matrix @ np.conj(_numbers(v, "vector", (space.dim,)))
 
 
 def classify_generator(space: NambuSpace, U, tol: float = ALG_TOL) -> str:
@@ -170,12 +178,12 @@ class Generator(object):
     parity: str
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=complex)    # not the caller's array
+        # not the caller's array
+        M = _numbers(self.matrix, "generator matrix", copy=True)
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
             raise InputError("generator matrix must be square of even dimension")
         if self.parity not in ("real", "imaginary"):
             raise InputError(f"unknown parity tag {self.parity!r}")
-        _require_finite(M, "generator matrix")
         object.__setattr__(self, "matrix", _frozen(M))
         d = M.shape[0]
         got = classify_generator(make_nambu(d // 2), M)
@@ -220,12 +228,9 @@ def _monomial_form(M: np.ndarray) -> tuple | None:
 
 
 def _generator_matrix(J, d: int, what: str = "generator") -> np.ndarray:
-    """Matrix of a :class:`Generator` or array-like, checked finite and d x d."""
-    M = J.matrix if isinstance(J, Generator) else np.asarray(J, dtype=complex)
-    if M.shape != (d, d):
-        raise InputError(f"{what} has shape {M.shape}, expected ({d}, {d})")
-    _require_finite(M, what)
-    return M
+    """Matrix of a :class:`Generator` or array-like, checked by :func:`_numbers`
+    to be d x d."""
+    return _numbers(J.matrix if isinstance(J, Generator) else J, what, (d, d))
 
 
 def _eigensplit(K: np.ndarray) -> np.ndarray:

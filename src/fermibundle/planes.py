@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InputError, ValidationError
 from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
-                    _monomial_form, _require_finite, _require_tolerance)
+                    _monomial_form, _numbers, _require_tolerance)
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -27,7 +27,7 @@ class Plane(object):
     frame: np.ndarray
 
     def __post_init__(self):
-        F = np.array(self.frame, dtype=complex)     # not the caller's array
+        F = _numbers(self.frame, "frame", copy=True)    # not the caller's array
         d = self.space.dim
         if F.ndim != 2 or F.shape[0] != d:
             raise InputError(
@@ -53,7 +53,7 @@ class Plane(object):
 
 
 def _check_frames(F: np.ndarray) -> None:
-    """Rank, finiteness and orthonormality of a (P, d, m) frame stack.
+    """Rank and orthonormality of a (P, d, m) frame stack of finite entries.
 
     A failed orthonormality check names the first bad point of a stack
     of more than one frame.
@@ -61,7 +61,6 @@ def _check_frames(F: np.ndarray) -> None:
     P, d, m = F.shape
     if not 1 <= m < d:
         raise InputError(f"plane rank must lie in [1, {d - 1}], got {m}")
-    _require_finite(F, "frame")
     dev = np.empty(P)
     for blk in _blocks(P, 16 * d * m):
         X = F[blk]
@@ -82,16 +81,15 @@ def plane_from_vectors(space: NambuSpace, vectors, rank_tol: float = RANK_TOL) -
         below ``rank_tol``).
     """
     _require_tolerance(rank_tol, "rank_tol")
-    M = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
-    if M.shape[0] != space.dim:
-        raise InputError(
-            f"vectors live in dimension {M.shape[0]}, expected {space.dim}")
-    _require_finite(M, "vectors")
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    V = _numbers(vectors, "vectors")
+    if V.ndim != 2 or not len(V) or V.shape[1] != space.dim:
+        raise InputError(f"vectors have shape {V.shape}, expected "
+                         f"(k, {space.dim}) with k >= 1")
+    U, s, _ = np.linalg.svd(V.T, full_matrices=False)
     if s.min() < rank_tol:
         raise InputError(
             f"rank-deficient input: smallest singular value {s.min():.3e}")
-    return Plane(space, U[:, : M.shape[1]])
+    return Plane(space, U[:, : len(V)])
 
 
 def complement(A: Plane) -> Plane:

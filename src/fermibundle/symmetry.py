@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import CliffordSet, Generator, NambuSpace, make_nambu
+from .nambu import CliffordSet, Generator, NambuSpace, _numbers, make_nambu
 from .planes import Plane, _complements, plane_distance
 from .tolerances import ALG_TOL, RANK_TOL
 
@@ -348,9 +348,7 @@ def spin_embed(space: NambuSpace, spins, extras=()) -> CliffordSet:
         raise InputError("spin embedding needs a doubled (even) band count")
     nb = space.n // 2
     dim_b = 2 * nb
-    spins = tuple(np.asarray(S, dtype=complex) for S in spins)
-    if len(spins) != 3 or any(S.shape != (dim_b, dim_b) for S in spins):
-        raise InputError("expected three spin matrices on the base space")
+    spins = _numbers(spins, "spins", (3, dim_b, dim_b))
     if isinstance(extras, CliffordSet):
         extras = extras.generators
     extras = tuple(extras)

@@ -286,6 +286,14 @@ def test_bundle_from_a_frame_array():
     assert not again.frames.flags.writeable
 
 
+def test_bundle_copies_its_frame_array():
+    b = _constant_creator_bundle(N=4)
+    F = np.array(b.frames)
+    again = Bundle(b.space, b.cset, b.grid, F)
+    F[:] = np.nan
+    assert np.array_equal(again.frames, b.frames)
+
+
 def _bad_frames(kind):
     F = np.array(_constant_creator_bundle(N=4).frames)
     if kind == "nan":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fermibundle.bundles import validate_bundle
+from fermibundle.bundles import Bundle, make_sphere_grid, validate_bundle
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.invariants import (chiral_winding, component_index_ai,
                                     omega_form, pfaffian, pfaffian_field)
@@ -16,10 +16,11 @@ from fermibundle.nambu import (
     classify_generator,
     make_nambu,
 )
-from fermibundle.planes import (is_lagrangian, plane_from_vectors,
+from fermibundle.planes import (Plane, is_lagrangian, plane_from_vectors,
                                 pseudo_check, vacuum_plane)
 from fermibundle.suspension import (example_dIII, example_kitaev_chain,
                                     example_majorana, rotor)
+from fermibundle.symmetry import spin_embed
 
 
 def test_canonical_bracket_matrix():
@@ -286,6 +287,14 @@ _MATRIX_CALLS = {
     "pfaffian": (2, "matrix", pfaffian),
     "plane_from_vectors": (2, "vectors", lambda X: plane_from_vectors(
         make_nambu(1), X[:1])),
+    "Generator": (2, "generator matrix", lambda X: Generator(X, "real")),
+    "Plane": (2, "frame", lambda X: Plane(make_nambu(1), X[:, 1:])),
+    "Bundle": (2, "frame", lambda X: Bundle(
+        make_nambu(1), CliffordSet(make_nambu(1), ()), make_sphere_grid(0),
+        np.stack([X[:, 1:]] * 2))),
+    "bracket": (2, "vector", lambda X: bracket(make_nambu(1), X[0], X[0])),
+    "apply_gamma": (2, "vector", lambda X: apply_gamma(make_nambu(1), X[0])),
+    "spin_embed": (2, "spins", lambda X: spin_embed(make_nambu(2), [X] * 3)),
 }
 
 
@@ -297,6 +306,43 @@ def test_non_finite_matrices_are_refused(name, value):
         X[0, -1] = value
         with pytest.raises(InputError, match=f"{what} has non-finite"):
             call(X)
+
+
+def _nested(dim, entry):
+    X = np.eye(dim).astype(object)
+    X[0, -1] = entry
+    return X
+
+
+# (dim, dim) arrays that are no arrays of numbers; an object array keeps its
+# odd entry at [0, -1], where every call of _MATRIX_CALLS reads it
+_NOT_NUMBERS = {
+    "numeric strings": lambda dim: np.eye(dim).astype(str),
+    "ragged rows": lambda dim: _nested(dim, [0.0, 1.0]),
+    "None": lambda dim: _nested(dim, None),
+    "bool array": lambda dim: np.eye(dim, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NOT_NUMBERS))
+@pytest.mark.parametrize("name", list(_MATRIX_CALLS))
+def test_what_is_not_an_array_of_numbers_is_refused(name, kind):
+    dim, what, call = _MATRIX_CALLS[name]
+    with pytest.raises(InputError,
+                       match=f"{what} must be a rectangular array of numbers"):
+        call(_NOT_NUMBERS[kind](dim))
+
+
+@pytest.mark.parametrize("X", [[[0.0, 1.0], [1.0]], [["0", "1"], ["1", "0"]],
+                               None, [[True, False], [False, True]]])
+def test_generator_refuses_lists_that_are_not_numbers(X):
+    with pytest.raises(InputError, match="rectangular array of numbers"):
+        Generator(X, "real")
+
+
+def test_plane_from_no_vectors_is_refused():
+    with pytest.raises(InputError, match=r"vectors have shape \(0,\)"):
+        plane_from_vectors(make_nambu(1), [])
 
 
 def _duplicated_generator_set():
