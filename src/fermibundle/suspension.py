@@ -158,18 +158,14 @@ def suspend(inp: SuspensionInput, points: int = 64,
     out_gens = _consumed_set(inp)
     label = _next_label(b.label)
     if b.grid.d == 0:
-        N = points
-        if N is None or _is_int(N) and (N < 2 or N % 2):
-            raise InputError("suspension to a circle needs an even point count")
-        grid = make_sphere_grid(1, N)       # which refuses a non-integer N
+        grid = make_sphere_grid(1, points)  # refuses all but an even N >= 2
         ks = grid.points[:, 0]
         west = np.abs(ks) > math.pi / 2 + 1e-12
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
         poles = np.empty((0, *b.frames.shape[1:]))
     elif b.grid.d == 1:
-        if b.rank != space.n:
-            raise InputError("suspension to a sphere needs half-rank fibers")
+        # the pseudo check of SuspensionInput forces rank n (by traces)
         N = b.grid.N
         M = default_row_count(N) if rows is None else rows
         if _is_int(M) and (M < 1 or M % 2 == 0):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import CliffordSet, Generator, NambuSpace, _numbers, make_nambu
+from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _numbers,
+                    make_nambu)
 from .planes import Plane, _complements, plane_distance
 from .tolerances import ALG_TOL, RANK_TOL
 
@@ -31,6 +32,12 @@ class AntiUnitary:
     """An anti-unitary operator v -> matrix @ conj(v)."""
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        M = _numbers(self.matrix, "anti-unitary matrix", copy=True)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise InputError("anti-unitary matrix must be square")
+        object.__setattr__(self, "matrix", _frozen(M))
 
     @property
     def square(self) -> np.ndarray:

@@ -15,6 +15,3 @@ RANK_TOL = 1e-10
 
 # spectral distance between adjacent fibers above which a bundle is flagged
 CONTINUITY_TOL = 0.5
-
-# allowed defect between the plaquette flux sum and an integer Chern number
-CHERN_RESIDUAL = 0.05

@@ -622,3 +622,28 @@ def test_checked_in_v1_files_load_bit_for_bit(name, bundle):
         assert h.parity == g.parity
     assert (back.label, back.grid.d, back.grid.N) == (
         bundle.label, bundle.grid.d, bundle.grid.N)
+
+
+# Each entry is an input that a refusal of this module exists to stop.
+_REFUSALS = {
+    "poles off the sphere": (
+        "poles exist only on the d = 2 grid",
+        lambda: make_sphere_grid(1, 8).pole_indices()),
+    "a fiber that is not a Plane": (
+        "fiber 1 is not a Plane",
+        lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
+                       make_sphere_grid(0),
+                       (vacuum_plane(make_nambu(1)), np.eye(2)[:, :1]))),
+    "a Clifford set of another space": (
+        "Clifford set and bundle space disagree",
+        lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(2), ()),
+                       make_sphere_grid(0),
+                       (vacuum_plane(make_nambu(1)),) * 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_input_refusal_fires(name):
+    match, call = _REFUSALS[name]
+    with pytest.raises(InputError, match=match):
+        call()

@@ -2,6 +2,8 @@ import base64
 import csv
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1157,3 +1159,14 @@ def test_validate_prints_its_tolerances_and_worst_edge(tmp_path, capsys,
     text = capsys.readouterr().out
     assert "continuity worst edge: none\n" in text
     assert "tolerances: pseudo/Fermi 1e-10, " in text
+
+
+# run_module executes a fresh copy of the imported module, as python -m does
+@pytest.mark.filterwarnings("ignore:'fermibundle.cli' found in sys.modules")
+@pytest.mark.parametrize("argv, code", [(["classinfo", "--label", "D"], 0),
+                                        (["classinfo", "--label", "X"], 2)])
+def test_python_m_exits_with_the_code_of_main(monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["fermibundle", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("fermibundle.cli", run_name="__main__")
+    assert exc.value.code == code

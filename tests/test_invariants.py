@@ -716,6 +716,25 @@ def test_chern_of_suspended_chain():
     assert chern_number(_suspended_chain(0)).value == 0
 
 
+def test_chern_flux_sum_is_an_integer_on_random_discontinuous_bundles():
+    # every link enters two faces with opposite phase, so the flux sum of
+    # a closed grid is 2 pi times an integer up to rounding, whatever the
+    # fibers; no continuity is needed, and no face wraps the sum off it
+    rng = np.random.default_rng(2024)
+    count = 0
+    for _ in range(250):
+        N, M = 2 * int(rng.integers(1, 17)), int(rng.integers(1, 12))
+        n = int(rng.choice([1, 2, 4]))
+        sp, grid = make_nambu(n), make_sphere_grid(2, N, M)
+        for m in {n, n // 2} - {0}:
+            Z = (rng.standard_normal((grid.size, 2 * n, m))
+                 + 1j * rng.standard_normal((grid.size, 2 * n, m)))
+            b = Bundle(sp, CliffordSet(sp, ()), grid, np.linalg.qr(Z)[0])
+            assert chern_number(b).diagnostics["residual"] < 1e-12
+            count += 1
+    assert count > 400
+
+
 def _count_edge_passes(monkeypatch):
     """The ``distances`` flag of every ``Bundle._edge_pass`` call, the one
     place that forms edge overlaps."""
@@ -963,3 +982,51 @@ def test_result_rejects_unknown_kind():
 def test_result_rejects_out_of_range_bits():
     with pytest.raises(InputError):
         InvariantResult("z2_bit", 2)
+
+
+def _constant_bundle(n, m, d):
+    """Constant rank-m coordinate frames on the standard S^d grid of 4
+    columns and 3 rows, with no generators."""
+    sp = make_nambu(n)
+    grid = make_sphere_grid(d, *((), (4,), (4, 3))[d])
+    return Bundle(sp, CliffordSet(sp, ()), grid,
+                  np.tile(np.eye(2 * n)[:, :m], (grid.size, 1, 1)))
+
+
+# Each entry is an input that a refusal of this module exists to stop:
+# (error, message, call).
+_REFUSALS = {
+    "parity of a plane of another space": (
+        InputError, "plane lives on the wrong space",
+        lambda: fermion_parity(make_nambu(2), vacuum_plane(make_nambu(1)))),
+    "Kane-Mele of rank 1 < n": (
+        InputError, "rank-n fibers with n even are required",
+        lambda: kane_mele_z2(_constant_bundle(2, 1, 2), np.eye(4))),
+    "Kane-Mele of odd n": (
+        InputError, "rank-n fibers with n even are required",
+        lambda: kane_mele_z2(_suspended_chain(1, N=8), np.eye(2))),
+    "winding off the circle": (
+        InputError, "the chiral winding lives on S",
+        lambda: chiral_winding(_constant_bundle(1, 1, 2), np.eye(2))),
+    "winding of rank 1 < n": (
+        InputError, "rank-n fibers are required",
+        lambda: chiral_winding(_constant_bundle(2, 1, 1), np.eye(4))),
+    "form of the zero matrix": (
+        ValidationError, "bilinear form is degenerate",
+        lambda: omega_form(make_nambu(1), np.zeros((2, 2)))),
+    # the swap maps (1, i) to (i, 1), the orthogonal line, but squares to +1
+    "winding with the swap as K1": (
+        NumericError, r"projector block at point 0 is not unitary",
+        lambda: chiral_winding(
+            Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
+                   make_sphere_grid(1, 8),
+                   np.tile([[1.0], [1j]], (8, 1, 1)) / np.sqrt(2)),
+            np.array([[0.0, 1.0], [1.0, 0.0]]))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_refusal_fires(name):
+    error, match, call = _REFUSALS[name]
+    with pytest.raises(error, match=match):
+        call()

@@ -20,7 +20,7 @@ from fermibundle.planes import (Plane, is_lagrangian, plane_from_vectors,
                                 pseudo_check, vacuum_plane)
 from fermibundle.suspension import (example_dIII, example_kitaev_chain,
                                     example_majorana, rotor)
-from fermibundle.symmetry import spin_embed
+from fermibundle.symmetry import AntiUnitary, spin_embed
 
 
 def test_canonical_bracket_matrix():
@@ -295,6 +295,7 @@ _MATRIX_CALLS = {
     "bracket": (2, "vector", lambda X: bracket(make_nambu(1), X[0], X[0])),
     "apply_gamma": (2, "vector", lambda X: apply_gamma(make_nambu(1), X[0])),
     "spin_embed": (2, "spins", lambda X: spin_embed(make_nambu(2), [X] * 3)),
+    "AntiUnitary": (2, "anti-unitary matrix", AntiUnitary),
 }
 
 
@@ -384,3 +385,36 @@ def test_zero_tolerance_is_allowed(name):
         _TOLERANCE_CALLS[name](0.0)
     except (InputError, ValidationError) as exc:
         assert "must lie in" not in str(exc)
+
+
+def test_anti_unitary_keeps_a_frozen_copy():
+    X = np.eye(2)
+    T = AntiUnitary(X)
+    X[0, 0] = 5.0
+    assert np.array_equal(T.matrix, np.eye(2))
+    with pytest.raises(ValueError):
+        T.matrix[0, 0] = 5.0
+
+
+# Each entry is an input that a refusal of this module exists to stop.
+_REFUSALS = {
+    "a generator that is not square": (
+        "generator matrix must be square of even dimension",
+        lambda: Generator(np.zeros((2, 4)), "real")),
+    "a generator of odd dimension": (
+        "generator matrix must be square of even dimension",
+        lambda: Generator(-1j * np.eye(3), "imaginary")),
+    "a Clifford set entry that is not a Generator": (
+        "generator 0 is not a Generator",
+        lambda: CliffordSet(make_nambu(1), (1j * np.eye(2),))),
+    "an anti-unitary that is not square": (
+        "anti-unitary matrix must be square",
+        lambda: AntiUnitary(np.zeros((2, 4)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_input_refusal_fires(name):
+    match, call = _REFUSALS[name]
+    with pytest.raises(InputError, match=match):
+        call()

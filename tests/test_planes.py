@@ -396,3 +396,21 @@ def test_validation_classifies_each_operator_once(monkeypatch):
     first = len(calls)
     assert validate_bundle(b).ok
     assert len(calls) == first          # the forms live on the operators
+
+
+# Each entry is an input that a refusal of this module exists to stop.
+_REFUSALS = {
+    "a frame of too many rows": (
+        r"frame has shape \(3, 1\), expected \(2, m\)",
+        lambda: Plane(make_nambu(1), np.eye(3)[:, :1])),
+    "a frame that is one vector": (
+        r"frame has shape \(2,\), expected \(2, m\)",
+        lambda: Plane(make_nambu(1), np.array([1.0, 0.0]))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_input_refusal_fires(name):
+    match, call = _REFUSALS[name]
+    with pytest.raises(InputError, match=match):
+        call()

@@ -551,3 +551,53 @@ def test_nearest_neighbor_refinement_stays_valid():
     report = validate_bundle(fine)
     assert report.ok
     assert report.fermi_max.max() < 1e-14
+
+
+def test_suspend_of_an_unlabeled_bundle_stays_unlabeled():
+    b = _majorana_input()
+    unlabeled = Bundle(b.space, b.cset, b.grid, b.frames)
+    out = suspend(SuspensionInput(unlabeled, 0), points=8)
+    assert out.label is None
+    assert np.array_equal(out.frames,
+                          suspend(SuspensionInput(b, 0), points=8).frames)
+
+
+def _circle_of_rank(m):
+    """A two-band circle of constant rank-m coordinate frames, with the
+    imaginary generator i gamma."""
+    sp = make_nambu(2)
+    return Bundle(sp, imaginary_realization(sp, "BDI"), make_sphere_grid(1, 4),
+                  np.tile(np.eye(4)[:, :m], (4, 1, 1)))
+
+
+# Each entry is an input that a refusal of suspension.py exists to stop:
+# (error, message, call).  A circle bundle whose rank is not n fails the
+# pseudo check of SuspensionInput before suspend could see its rank.
+_REFUSALS = {
+    "rotor whose K J(A) squares to +1": (
+        ValidationError, "does not square to minus the identity",
+        lambda: rotor(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                      vacuum_plane(make_nambu(1)), 0.3)),
+    "circle of rank 1 < n": (
+        ValidationError, "not pseudo-symmetric for the designated",
+        lambda: SuspensionInput(_circle_of_rank(1), 0)),
+    "circle of rank 3 > n": (
+        ValidationError, "not pseudo-symmetric for the designated",
+        lambda: SuspensionInput(_circle_of_rank(3), 0)),
+    "point pair to an odd circle": (
+        InputError, "circle grids need an even N >= 2",
+        lambda: suspend(SuspensionInput(_majorana_input(), 0), points=15)),
+    "point pair to no circle": (
+        InputError, "circle grids need an even N >= 2",
+        lambda: suspend(SuspensionInput(_majorana_input(), 0), points=None)),
+    "point pair to an empty circle": (
+        InputError, "circle grids need an even N >= 2",
+        lambda: suspend(SuspensionInput(_majorana_input(), 0), points=0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_refusal_fires(name):
+    error, match, call = _REFUSALS[name]
+    with pytest.raises(error, match=match):
+        call()

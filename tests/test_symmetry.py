@@ -360,3 +360,37 @@ def test_spin_embed_input_checks():
     wrong = Generator(np.diag([1j, -1j, 1j, -1j, -1j, 1j, -1j, 1j]), "real")
     with pytest.raises(InputError):
         spin_embed(sp, ts.S, (wrong,))
+
+
+def test_spin_embed_takes_a_clifford_set_as_extras():
+    sp = make_nambu(4)
+    ts = true_symmetries(make_nambu(2), spinful=True)
+    extras = kitaev_generators(make_nambu(2), "DIII")
+    from_set = spin_embed(sp, ts.S, extras)
+    from_tuple = spin_embed(sp, ts.S, extras.generators)
+    assert len(from_set) == len(from_tuple) == 5
+    for g, h in zip(from_set.generators, from_tuple.generators):
+        assert np.array_equal(g.matrix, h.matrix) and g.parity == h.parity
+
+
+# Each entry is an input that a refusal of this module exists to stop.
+_REFUSALS = {
+    "unlift on an odd space": (
+        "not a doubled space",
+        lambda: unlift_plane(vacuum_plane(make_nambu(1)))),
+    # (w, -w) columns only: the symmetric copy component is zero
+    "unlift off the lift's image": (
+        "not in the image of the doubling lift",
+        lambda: unlift_plane(Plane(make_nambu(2), np.array(
+            [[1, 0], [-1, 0], [0, 1], [0, -1]]) / np.sqrt(2)))),
+    "spin embedding of an odd band count": (
+        r"spin embedding needs a doubled \(even\) band count",
+        lambda: spin_embed(make_nambu(1), np.zeros((3, 2, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSALS))
+def test_every_input_refusal_fires(name):
+    match, call = _REFUSALS[name]
+    with pytest.raises(InputError, match=match):
+        call()
