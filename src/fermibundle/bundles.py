@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _is_int,
-                    _numbers, _require_tolerance, make_nambu)
+                    _numbers, _require_tolerance, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
                      _mm, _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
@@ -83,6 +83,11 @@ def _grid_size(d, N, M) -> int:
     for key, v in (("d", d), ("N", N), ("M", M)):
         if v is not None and not _is_int(v):
             raise InputError(f"grid.{key}: must be an integer, got {v!r}")
+    if d in (0, 1):     # S^0 uses neither size, S^1 only N
+        for key, v in (("N", N), ("M", M))[d:]:
+            if v is not None:
+                raise InputError(f"grid.{key}: S^{d} grids take no {key}, "
+                                 f"got {v!r}")
     if d == 0:
         return 2
     if d == 1:
@@ -99,10 +104,10 @@ def _grid_size(d, N, M) -> int:
 def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> MomentumGrid:
     """Build the standard grid on S^d, cached per int value of d, N and M.
 
-    d = 0 is the fixed two point set {0, pi}.  d = 1 is a circle of N
-    points k_i = -pi + 2 pi i / N.  d = 2 has N columns times M interior
-    latitude rows plus two poles; the rows sit at
-    t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
+    d = 0 is the fixed two point set {0, pi}, which takes no N or M.
+    d = 1 is a circle of N points k_i = -pi + 2 pi i / N, which takes no
+    M.  d = 2 has N columns times M interior latitude rows plus two poles;
+    the rows sit at t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
     """
     _grid_size(d, N, M)
     return _sphere_grid(*(v if v is None else int(v) for v in (d, N, M)))
@@ -226,7 +231,7 @@ class Bundle:
     @functools.cached_property
     def fibers(self) -> tuple:
         """The fiber at every grid point as a :class:`Plane` on its frame."""
-        return tuple(Plane._prechecked(self.space, F) for F in self.frames)
+        return tuple(_unchecked(Plane, self.space, F) for F in self.frames)
 
     @property
     def rank(self) -> int:
@@ -515,6 +520,9 @@ def deserialize_bundle(data: dict) -> Bundle:
         raise InputError(
             f"class.s: declares {declared_s} generators, found {len(gens)}")
     sig = _need(cdata, "signature", "class", list)
+    # exact ints, as for frames.shape: [true, false] and [1.0, 0.0] equal [1, 0]
+    if any(type(v) is not int for v in sig):
+        raise InputError(f"class.signature: expected integers, got {sig!r}")
     cset = CliffordSet(space, tuple(gens))
     if list(cset.signature) != sig:
         raise InputError(
@@ -535,4 +543,4 @@ def double_bundle(bundle: Bundle) -> Bundle:
     """
     doubled, big = double_one_one(bundle.space, bundle.cset)
     _, frames = lift_frames(bundle.space, bundle.frames)
-    return Bundle(doubled, big, bundle.grid, frames, bundle.label)
+    return _unchecked(Bundle, doubled, big, bundle.grid, frames, bundle.label)

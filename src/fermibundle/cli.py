@@ -28,7 +28,6 @@ from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
                          component_index_ai, fermion_parity, kane_mele_z2,
                          pfaffian_field)
-from .planes import Plane
 from .suspension import (SuspensionInput, example_dIII,
                          example_kitaev_chain, example_majorana, suspend)
 from .symmetry import class_info, true_symmetries
@@ -240,12 +239,13 @@ def _cmd_invariant(args):
     kind = args.kind
     _refuse_inapplicable(args, kind, f"kind {kind!r}")
     bundle = _load_bundle(args.input)
-    gen = None
+    gen = A = None
     if kind in _APPLIES["--generator-index"]:
         gen = _pick(bundle.cset.generators, args.generator_index, "generator")
+    if kind in _APPLIES["--point-index"]:
+        A = _pick(bundle.fibers, args.point_index, "point")
     if kind == "parity":
-        result = fermion_parity(bundle.space, Plane._prechecked(
-            bundle.space, _pick(bundle.frames, args.point_index, "point")))
+        result = fermion_parity(bundle.space, A)
     elif kind == "class_d_z2":
         result = class_d_z2(bundle)
     elif kind == "kane_mele_z2":
@@ -255,9 +255,7 @@ def _cmd_invariant(args):
     elif kind == "chern_number":
         result = chern_number(bundle)
     else:                               # component_index
-        Q = true_symmetries(bundle.space).Q
-        result = component_index_ai(Plane._prechecked(
-            bundle.space, _pick(bundle.frames, args.point_index, "point")), Q)
+        result = component_index_ai(A, true_symmetries(bundle.space).Q)
     # json takes tuples and np.float64 as they are; tolist() the rest
     print(json.dumps({"kind": result.kind, "value": result.value,
                       "diagnostics": result.diagnostics}, sort_keys=True,

@@ -23,7 +23,7 @@ from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
                     _generator_matrix, _monomial_form, _numbers,
-                    _require_tolerance, make_nambu)
+                    _require_tolerance, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL
@@ -223,8 +223,8 @@ def class_d_z2(bundle: Bundle) -> InvariantResult:
     grid = bundle.grid
     if grid.d not in (0, 1):
         raise InputError("the class-D index lives on S^0 or S^1")
-    bits = tuple(fermion_parity(bundle.space, Plane._prechecked(
-        bundle.space, bundle.frames[p])).value for p in grid.trims)
+    bits = tuple(fermion_parity(bundle.space, _unchecked(
+        Plane, bundle.space, bundle.frames[p])).value for p in grid.trims)
     momenta = tuple(float(grid.points[p, 0]) for p in grid.trims)
     return InvariantResult("z2_bit", bits[0] ^ bits[1],
                            {"parity_bits": bits, "momenta": momenta})
@@ -285,7 +285,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     The diagnostics are ``n``, the integer (S - Φ)/2π; ``residual``, the
     distance of (S - Φ)/2π from n; ``theta_max``, the largest
     ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row; and ``max_abs_flux``, the
-    largest |flux| in Φ, its margin against ±π.  The grid must be a sphere
+    largest |flux| in Φ (see :func:`chern_number`).  The grid must be a sphere
     with an odd row count, so that it has a t = 0 row, and the fibers
     must have rank n with n even (InputError); a ``theta_max`` above
     ``ALG_TOL`` raises ValidationError, and a singular overlap on a
@@ -375,8 +375,9 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     product of frame overlap determinants around its boundary.  Each link
     enters two faces with opposite phase, so on every closed grid the flux
     sum is 2 pi times an integer up to rounding, ``residual``.  A coarse
-    grid can wrap a face past +-pi, which ``max_abs_flux`` measures and
-    nothing refuses yet.  A singular overlap raises NumericError.
+    grid can wrap a face past +-pi, and at rank m > 1 no diagnostic detects
+    that, ``max_abs_flux`` included: a determinant phase sums m eigenphases
+    (ROADMAP item 13).  A singular overlap raises NumericError.
     """
     grid = bundle.grid
     if grid.d != 2:

@@ -25,6 +25,14 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, *values):
+    """The dataclass ``cls`` with its fields set to ``values`` in order and
+    no check run; arrays come complex, C-contiguous and read-only."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values, strict=True))
+    return obj
+
+
 def _numbers(a, what: str, shape: tuple | None = None,
              copy: bool = False) -> np.ndarray:
     """``a`` as a complex array: the one intake rule for caller arrays.

@@ -35,14 +35,6 @@ class Plane(object):
         _check_frames(F[None])
         object.__setattr__(self, "frame", _frozen(F))
 
-    @classmethod
-    def _prechecked(cls, space: NambuSpace, frame: np.ndarray) -> "Plane":
-        """A plane over a read-only frame whose checks were already run."""
-        A = object.__new__(cls)
-        object.__setattr__(A, "space", space)
-        object.__setattr__(A, "frame", frame)
-        return A
-
     @property
     def rank(self) -> int:
         return self.frame.shape[1]

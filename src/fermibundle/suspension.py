@@ -18,8 +18,8 @@ import numpy as np
 
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
-from .nambu import (CliffordSet, Generator, _eigensplit, _generator_matrix,
-                    _is_int, make_nambu)
+from .nambu import (CliffordSet, Generator, _eigensplit, _frozen,
+                    _generator_matrix, _is_int, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _require_pseudo, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
@@ -231,10 +231,11 @@ def example_dIII(N: int = 64, rows: int | None = None) -> Bundle:
     pseudo-symmetry I.
     """
     sp = make_nambu(2)
-    K = Generator(1j * np.fliplr(np.eye(4)), "imaginary")
+    K = _unchecked(Generator, _frozen(1j * np.fliplr(np.eye(4))), "imaginary")
     cset = CliffordSet(sp, kitaev_generators(sp, "DIII").generators + (K,))
     grid1 = make_sphere_grid(1, N)
-    b1 = Bundle(sp, cset, grid1, _diii_equator_frame(grid1.points[:, 0]), "D")
+    b1 = _unchecked(Bundle, sp, cset, grid1, _frozen(
+        _diii_equator_frame(grid1.points[:, 0])), "D")
     return suspend(SuspensionInput(b1, k_index=1, i_index=0), rows=rows)
 
 

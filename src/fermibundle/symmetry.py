@@ -6,6 +6,8 @@ the real sequence) are built on a band-doubled space, with the spin
 generators placed on the diagonal copy blocks and the remaining
 pseudo-symmetries on the off-diagonal blocks.  The same doubling machinery
 provides the (1,1)-periodicity map and the plane-lifting bijection.
+Generators built from the library's own matrices, or placed in copy blocks
+from checked ones, skip the checks of :class:`Generator`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _numbers,
-                    make_nambu)
+                    _unchecked, make_nambu)
 from .planes import Plane, _complements, plane_distance
 from .tolerances import ALG_TOL, RANK_TOL
 
@@ -181,7 +183,7 @@ def _time_reversal_generators(space: NambuSpace, count: int):
     ts = true_symmetries(space, spinful=True)
     J = space.gamma_matrix @ ts.T_minus.matrix
     mats = (J, 1j * ts.Q @ J, 1j * ts.Q)[:count]
-    return ts, tuple(Generator(M, "real") for M in mats)
+    return ts, tuple(_unchecked(Generator, _frozen(M), "real") for M in mats)
 
 
 def kitaev_generators(space: NambuSpace, label: str) -> CliffordSet:
@@ -199,9 +201,9 @@ def kitaev_generators(space: NambuSpace, label: str) -> CliffordSet:
         return CliffordSet(space, ())
     if info.label == "AIII":
         D = _charge(n // 2)
-        J1 = 1j * np.block(
-            [[-D, np.zeros((n, n))], [np.zeros((n, n)), D]])
-        return CliffordSet(space, (Generator(J1, "real"),))
+        J1 = _frozen(1j * np.block(
+            [[-D, np.zeros((n, n))], [np.zeros((n, n)), D]]))
+        return CliffordSet(space, (_unchecked(Generator, J1, "real"),))
     if info.label in ("DIII", "AII", "CII"):
         _, gens = _time_reversal_generators(space, info.s)
         return CliffordSet(space, gens)
@@ -221,15 +223,13 @@ def imaginary_realization(space: NambuSpace, label: str) -> CliffordSet:
     key = str(label).upper()
     G = space.gamma_matrix
     Q = _charge(space.n)
-    if key == "BDI":
-        return CliffordSet(space, (Generator(1j * G, "imaginary"),))
-    if key == "AI":
-        K1 = -Q @ G
-        K2 = 1j * Q @ K1          # equals -i G
-        return CliffordSet(
-            space, (Generator(K1, "imaginary"), Generator(K2, "imaginary")))
-    raise InputError(
-        f"imaginary realization exists for BDI and AI, not {label!r}")
+    K1 = -Q @ G
+    mats = {"BDI": (1j * G,), "AI": (K1.astype(complex), 1j * Q @ K1)}
+    if key not in mats:
+        raise InputError(
+            f"imaginary realization exists for BDI and AI, not {label!r}")
+    return CliffordSet(space, tuple(
+        _unchecked(Generator, _frozen(M), "imaginary") for M in mats[key]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +252,13 @@ def copy_indices(doubled: NambuSpace):
 
 def _copy_blocks(doubled, X1, X2, swap=False):
     """The matrix [[X1, 0], [0, X2]] in copy blocks of a doubled space, or
-    [[0, X1], [X2, 0]] with ``swap``."""
+    [[0, X1], [X2, 0]] with ``swap``, read-only.  The bracket being B + B
+    here, [[0, J], [J, 0]] passes every check that J passes, as I and K do."""
     idx1, idx2 = copy_indices(doubled)
     M = np.zeros((doubled.dim, doubled.dim), dtype=complex)
     M[np.ix_(idx1, idx2 if swap else idx1)] = X1
     M[np.ix_(idx2, idx1 if swap else idx2)] = X2
-    return M
+    return _frozen(M)
 
 
 def double_one_one(space: NambuSpace, cset: CliffordSet):
@@ -273,17 +274,17 @@ def double_one_one(space: NambuSpace, cset: CliffordSet):
     nb = space.n
     doubled = make_nambu(2 * nb)
     eye = np.eye(2 * nb)
-    gens = [Generator(_copy_blocks(doubled, g.matrix, g.matrix, swap=True),
-                      g.parity) for g in cset.generators]
-    gens += [Generator(_copy_blocks(doubled, eye, -eye, swap=True), "real"),
-             Generator(_copy_blocks(doubled, 1j * eye, -1j * eye),
-                       "imaginary")]
-    return doubled, CliffordSet(doubled, tuple(gens))
+    blocks = [(g.matrix, g.matrix, True, g.parity) for g in cset.generators]
+    blocks += [(eye, -eye, True, "real"),
+               (1j * eye, -1j * eye, False, "imaginary")]
+    return doubled, CliffordSet(doubled, tuple(
+        _unchecked(Generator, _copy_blocks(doubled, X1, X2, swap), parity)
+        for X1, X2, swap, parity in blocks))
 
 
 def lift_frames(space: NambuSpace, frames: np.ndarray):
     """Lift a (P, 2n, n) frame stack as :func:`lift_plane` lifts a frame;
-    returns the doubled space and the (P, 4n, 2n) lifted frames."""
+    returns the doubled space and the read-only (P, 4n, 2n) lifted frames."""
     nb = space.n
     if frames.shape[2] != nb:
         raise InputError(
@@ -296,7 +297,7 @@ def lift_frames(space: NambuSpace, frames: np.ndarray):
     out[:, idx2, :nb] = frames / np.sqrt(2)
     out[:, idx1, nb:] = Fc / np.sqrt(2)
     out[:, idx2, nb:] = -Fc / np.sqrt(2)
-    return doubled, out
+    return doubled, _frozen(out)
 
 
 def lift_plane(A: Plane) -> Plane:
@@ -369,9 +370,8 @@ def spin_embed(space: NambuSpace, spins, extras=()) -> CliffordSet:
                     f"extra generator {m}")
     gens = [Generator(_copy_blocks(space, 2j * S, -2j * S), "real")
             for S in spins]
-    eye = np.eye(dim_b)
-    gens.append(Generator(_copy_blocks(space, eye, -eye, swap=True), "real"))
-    gens.extend(
-        Generator(_copy_blocks(space, g.matrix, g.matrix, swap=True),
-                  g.parity) for g in extras)
+    blocks = [(np.eye(dim_b), -np.eye(dim_b), "real")]
+    blocks += [(g.matrix, g.matrix, g.parity) for g in extras]
+    gens += [_unchecked(Generator, _copy_blocks(space, X1, X2, swap=True),
+                        parity) for X1, X2, parity in blocks]
     return CliffordSet(space, tuple(gens))

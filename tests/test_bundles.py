@@ -167,6 +167,11 @@ def test_grid_input_errors():
         make_sphere_grid(2, 8)
     with pytest.raises(InputError):
         make_sphere_grid(2, 8, 0)
+    # sizes that the dimension does not use
+    for args, key in (((0, 5, 7), "N"), ((0, None, 7), "M"), ((0, 4), "N"),
+                      ((1, 8, 3), "M"), ((np.int64(1), 8, np.int64(1)), "M")):
+        with pytest.raises(InputError, match=f"grid.{key}: S"):
+            make_sphere_grid(*args)
 
 
 @pytest.mark.parametrize("args", [(1, 4.0), (2, 8, 5.0), (1.0, 8), (1, True),
@@ -499,6 +504,10 @@ def test_serialize_layout():
     (lambda d: d["fibers"][2]["frame"][0].pop(), "fibers[2].frame"),
     (lambda d: d["class"].update(s=3), "class.s"),
     (lambda d: d["grid"].pop("d"), "grid.d"),
+    (lambda d: d["grid"].update(M=3), "grid.M: S^1 grids take no M"),
+    (lambda d: d["grid"].update(d=0, N=2), "grid.N: S^0 grids take no N"),
+    (lambda d: d["class"].update(signature=[False, True]), "class.signature"),
+    (lambda d: d["class"].update(signature=[0.0, 1.0]), "class.signature"),
 ])
 def test_deserialize_reports_offending_path(mangle, fragment):
     data = v1_document(_constant_creator_bundle(N=4))

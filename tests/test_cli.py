@@ -782,6 +782,22 @@ _REFUSALS = {
                                signature=[1, 0])),
                            "class.signature: declares [1, 0], generators "
                            "give [0, 1]"),
+    "signature of bools": (["validate", "--input", "{in}"],
+                           _v2_with(lambda d: d["class"].update(
+                               signature=[False, True])),
+                           "class.signature: expected integers, got "
+                           "[False, True]"),
+    "signature of floats": (["validate", "--input", "{in}"],
+                            _v2_with(lambda d: d["class"].update(
+                                signature=[0.0, 1.0])),
+                            "class.signature: expected integers, got "
+                            "[0.0, 1.0]"),
+    "M on a circle": (["validate", "--input", "{in}"],
+                      _v2_with(lambda d: d["grid"].update(M=3)),
+                      "grid.M: S^1 grids take no M, got 3"),
+    "N on the point pair": (["validate", "--input", "{in}"],
+                            _v2_with(lambda d: d["grid"].update(d=0, N=2)),
+                            "grid.N: S^0 grids take no N, got 2"),
     "bundle not an object": (["validate", "--input", "{in}"], [1, 2],
                              "in.json does not hold a bundle object"),
     "config not an object": (["classinfo", "--config", "{in}"], ["AI"],
