@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _is_int,
-                    _numbers, _require_tolerance, _unchecked, make_nambu)
+                    _monomial_form, _numbers, _require_tolerance, _unchecked,
+                    make_nambu)
 from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
                      _mm, _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
@@ -107,7 +108,8 @@ def make_sphere_grid(d: int, N: int | None = None, M: int | None = None) -> Mome
     d = 0 is the fixed two point set {0, pi}, which takes no N or M.
     d = 1 is a circle of N points k_i = -pi + 2 pi i / N, which takes no
     M.  d = 2 has N columns times M interior latitude rows plus two poles;
-    the rows sit at t_j = -pi/2 + pi (j+1)/(M+1) from south to north.
+    the rows sit at t_j = -pi/2 + pi (j+1)/(M+1) from south to north,
+    the middle row of an odd M at exactly t = 0.
     """
     _grid_size(d, N, M)
     return _sphere_grid(*(v if v is None else int(v) for v in (d, N, M)))
@@ -127,6 +129,8 @@ def _sphere_grid(d: int, N: int | None, M: int | None) -> MomentumGrid:
     else:
         ks = _circle_angles(N)
         ts = -math.pi / 2 + math.pi * (np.arange(M) + 1) / (M + 1)
+        if M % 2:
+            ts[M // 2] = 0.0    # which rounds to +-2.2e-16 for some M
         south, north = N * M, N * M + 1
         pts = np.vstack([np.column_stack([np.tile(ks, M), np.repeat(ts, N)]),
                          [(0.0, -math.pi / 2), (0.0, math.pi / 2)]])
@@ -261,22 +265,13 @@ class Bundle:
         return dist
 
     @functools.cached_property
-    def _link_variables(self):
-        """Fukui-Hatsugai-Suzuki link variables around every plaquette.
-
-        ``(L, edge)``: L is a read-only (Q, 4) array holding det(F_a^H F_b)
-        along the sides of each plaquette in order, a triangle's fourth
-        entry being exactly 1, and ``edge`` marks the entries that are
-        edges.  Each grid edge (a, b) takes det O from ``_edge_pass``, or
-        from its cache; a side running against it takes the complex
-        conjugate (see ``MomentumGrid.slots``).  Kept with the bundle, whose
-        frames are read-only, so its Chern and Kane-Mele invariants share it.
-        """
-        if "_edge_dets" not in self.__dict__:
-            self._edge_pass()
-        o, slots = self.__dict__["_edge_dets"], self.grid.slots
-        return (_frozen(np.concatenate([o, o.conj(), [1.0]]).take(slots)),
-                _frozen(slots < 2 * len(o)))
+    def _edge_dets(self):
+        """det(F_a^H F_b) of every grid edge (a, b), read-only: the
+        Fukui-Hatsugai-Suzuki link variables, which faces gather through
+        ``grid.slots``.  Kept with the bundle, whose frames are read-only,
+        so its Chern and Kane-Mele invariants share them."""
+        self._edge_pass()
+        return self.__dict__["_edge_dets"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +325,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
         # matrix F_k^T B F_{-k}.
         fermi = np.empty(size)
         B = bundle.space.bracket_matrix
-        bracket = bundle.space.bracket_monomial
+        bracket = _monomial_form(B)
         anti = grid.antipode
         for blk in _blocks(size, 16 * dim * m):
             fermi[blk] = _spectral_norms(_mm(

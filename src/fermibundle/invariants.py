@@ -236,16 +236,20 @@ def _nearest(x):
     return k, abs(x - k)
 
 
-def _fluxes(bundle: Bundle, rows):
-    """Principal fluxes of the faces ``rows`` (indices, or a slice, which
-    copies no link table) of a sphere bundle: the phases of the products
-    of their link variables in order; also the smallest |det O| of a link.
-    A link below ``_OVERLAP_FLOOR`` raises NumericError naming its face."""
-    L, edge = (x[rows] for x in bundle._link_variables)
+def _fluxes(bundle: Bundle, faces):
+    """Principal fluxes of the faces ``faces`` (indices, or a slice) of a
+    sphere bundle: the phases of the products of their link variables in
+    order; also the smallest |det O| of a link.  Side c of face q takes
+    ``_edge_dets`` at ``grid.slots[q, c]``, conjugated against its edge and
+    exactly 1 when degenerate.  A link below ``_OVERLAP_FLOOR`` raises
+    NumericError naming its face."""
+    o, slots = bundle._edge_dets, bundle.grid.slots[faces]
+    L = np.concatenate([o, o.conj(), [1.0]]).take(slots)
+    edge = slots < 2 * len(o)
     moduli = np.abs(L)
     small = (moduli < _OVERLAP_FLOOR).any(axis=1)
     if small.any():
-        q = np.arange(len(bundle.grid.plaquettes))[rows][np.argmax(small)]
+        q = np.arange(len(bundle.grid.plaquettes))[faces][np.argmax(small)]
         raise NumericError(
             f"singular frame overlap on plaquette {q}; refine the grid")
     prod = np.ones(len(L), dtype=complex)

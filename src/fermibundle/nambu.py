@@ -108,11 +108,6 @@ class NambuSpace:
         return _frozen(B)
 
     @cached_property
-    def bracket_monomial(self) -> tuple:
-        """:func:`_monomial_form` of ``bracket_matrix``."""
-        return _monomial_form(self.bracket_matrix)
-
-    @cached_property
     def gamma_matrix(self) -> np.ndarray:
         # gamma swaps c_i and c_i^dagger, so its matrix coincides with B
         return self.bracket_matrix
@@ -206,11 +201,6 @@ class Generator(object):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def monomial(self) -> tuple | None:
-        """:func:`_monomial_form` of the matrix, found on first use."""
-        return _monomial_form(self.matrix)
 
 
 _UNITS = frozenset((1, -1, 1j, -1j))

@@ -8,8 +8,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ValidationError
-from .nambu import (Generator, NambuSpace, _frozen, _generator_matrix,
-                    _monomial_form, _numbers, _require_tolerance)
+from .nambu import (NambuSpace, _frozen, _generator_matrix, _monomial_form,
+                    _numbers, _require_tolerance)
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -251,8 +251,7 @@ def _pseudo_deviations(gens, frames: np.ndarray) -> np.ndarray:
     ops = []
     for J in gens:
         M = _generator_matrix(J, d)
-        # a generator keeps its form; a raw matrix is classified per call
-        form = J.monomial if isinstance(J, Generator) else _monomial_form(M)
+        form = _monomial_form(M)
         if form is not None:
             perm, sign = form
             form = ((perm[:, None] * d + perm).ravel(),

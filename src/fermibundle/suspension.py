@@ -19,7 +19,8 @@ import numpy as np
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, _eigensplit, _frozen,
-                    _generator_matrix, _is_int, _unchecked, make_nambu)
+                    _generator_matrix, _is_int, _monomial_form, _unchecked,
+                    make_nambu)
 from .planes import (Plane, _apply, _require_pseudo, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
@@ -76,7 +77,8 @@ class SuspensionInput:
 
     ``k_index`` names the imaginary generator to be consumed; the optional
     ``i_index`` names a real generator that is kept and moved to the end
-    of the output set.  Construction verifies the algebraic requirements
+    of the output set.  Construction refuses a bundle over a sphere S^d,
+    d = 2 (InputError), then verifies the algebraic requirements
     (parities, anti-commutation with the rest of the set) and that every
     fiber is a pseudo-symmetric plane for the designated generators.
     """
@@ -86,6 +88,9 @@ class SuspensionInput:
     i_index: int | None = None
 
     def __post_init__(self):
+        if self.bundle.grid.d not in (0, 1):
+            raise InputError(
+                "suspension is supported for d = 0 and d = 1 inputs")
         gens = self.bundle.cset.generators
         named = {"k_index": self.k_index}
         if self.i_index is not None:
@@ -164,7 +169,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
         poles = np.empty((0, *b.frames.shape[1:]))
-    elif b.grid.d == 1:
+    else:   # d = 1, as SuspensionInput checked
         # the pseudo check of SuspensionInput forces rank n (by traces)
         N = b.grid.N
         M = default_row_count(N) if rows is None else rows
@@ -175,8 +180,6 @@ def suspend(inp: SuspensionInput, points: int = 64,
         ts = grid.points[:N * M, 1]
         # the south pole is E_{+i} of K, the north pole E_{-i}
         poles = np.stack(np.split(_eigensplit(K.matrix), 2, axis=1))
-    else:
-        raise InputError("suspension is supported for d = 0 and d = 1 inputs")
     # SuspensionInput checked K A = A^c on every fiber, which makes
     # rotor(K, A, t) @ F equal cos(t/2) F + i sin(t/2) K F on a frame F.
     # K F is formed once per input frame, and the rotation is written in
@@ -184,7 +187,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
     half = (ts / 2)[:, None, None]
     frames = np.empty((len(ts) + len(poles), *poles.shape[1:]), complex)
     rot = b.frames.take(seeds, 0, out=frames[:len(ts)])
-    KF = _apply(K.matrix, b.frames, K.monomial).take(seeds, 0)
+    KF = _apply(K.matrix, b.frames, _monomial_form(K.matrix)).take(seeds, 0)
     np.multiply(np.cos(half), rot, out=rot)
     rot += np.multiply(1j * np.sin(half), KF, out=KF)
     rot[ts == 0] = b.frames[seeds[ts == 0]]

@@ -96,6 +96,13 @@ def test_sphere_grid_layout():
     assert np.allclose(g.points[: 8, 1], -math.pi / 4)
 
 
+def test_the_middle_row_of_an_odd_sphere_grid_is_at_t_zero():
+    # -pi/2 + pi (M+1)/2/(M+1) rounds to +-2.2e-16 for M = 21, 25, 29, ...
+    for M in range(1, 100, 2):
+        g = make_sphere_grid(2, 4, M)
+        assert (g.points[M // 2 * 4:(M // 2 + 1) * 4, 1] == 0.0).all(), M
+
+
 def test_sphere_antipode_is_an_involution_and_swaps_poles():
     g = make_sphere_grid(2, 6, 4)
     assert np.array_equal(g.antipode[g.antipode], np.arange(g.size))

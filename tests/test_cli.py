@@ -798,6 +798,11 @@ _REFUSALS = {
     "N on the point pair": (["validate", "--input", "{in}"],
                             _v2_with(lambda d: d["grid"].update(d=0, N=2)),
                             "grid.N: S^0 grids take no N, got 2"),
+    "suspend a sphere": (["suspend", "--input", "{in}", "--k-index", 0,
+                          "--output", "{out}"],
+                         lambda chain: serialize_bundle(example_dIII(16)),
+                         "suspension is supported for d = 0 and d = 1 "
+                         "inputs"),
     "bundle not an object": (["validate", "--input", "{in}"], [1, 2],
                              "in.json does not hold a bundle object"),
     "config not an object": (["classinfo", "--config", "{in}"], ["AI"],

@@ -397,6 +397,15 @@ def _alpha_bundle(sp, alpha, N, M):
     return Bundle(sp, cset, grid, fibers, "DIII"), grid
 
 
+def _link_table(bundle):
+    """(L, edge): the link variable on each side of each face, gathered
+    from ``_edge_dets`` through ``grid.slots`` (conjugated against its edge,
+    1 on a degenerate side), and whether that side is an edge."""
+    o, slots = bundle._edge_dets, bundle.grid.slots
+    return (np.concatenate([o, o.conj(), [1.0]])[slots],
+            slots < 2 * len(o))
+
+
 def _pfaffian_zeros(bundle, J1):
     """The zeros of the Pfaffian field p, located from p and the link
     table alone: its grid zero points, the crossing faces (a zero corner,
@@ -408,7 +417,7 @@ def _pfaffian_zeros(bundle, J1):
     corners = bundle.grid.plaquettes
     crossing = zero[corners].any(axis=1)
     rows = np.flatnonzero(~crossing)
-    L, edge = (x[rows] for x in bundle._link_variables)
+    L, edge = (x[rows] for x in _link_table(bundle))
     a = corners[rows]
     steps = np.where(edge, np.angle(p[np.roll(a, -1, axis=1)] / p[a]
                                     * L.conj()), 0.0)
@@ -630,21 +639,22 @@ def _ladder_z(rng, N):
             -chern_number(sphere).value)
 
 
-def _ladder_z2(rng, N):
+def _ladder_z2(rng, N, n=None):
     """A BDI point pair's class-D bit, then that of its suspended ring, then
     the Kane-Mele bit of the suspension of the ring's doubling; the
     doubled ring's own class-D bit is 0, so the last step reads the
     ring's."""
-    pair, ring, sphere = _ladder_z2_bundles(rng, N)
+    pair, ring, sphere = _ladder_z2_bundles(rng, N, n)
     return (class_d_z2(pair).value, class_d_z2(ring).value,
             kane_mele_z2(sphere, sphere.cset.generators[0]).value)
 
 
-def _ladder_z2_bundles(rng, N):
-    """The pair, ring and sphere of :func:`_ladder_z2`.  The pair's fibers
-    are random real Lagrangian planes {x + O x}, O an orthogonal map
-    between the eigenspaces of the bracket."""
-    n = int(rng.integers(1, 3))
+def _ladder_z2_bundles(rng, N, n=None):
+    """The pair, ring and sphere of :func:`_ladder_z2` on n bands, by
+    default 1 or 2 drawn from ``rng``.  The pair's fibers are random real
+    Lagrangian planes {x + O x}, O an orthogonal map between the
+    eigenspaces of the bracket."""
+    n = int(rng.integers(1, 3)) if n is None else n
     sp = make_nambu(n)
     frames = []
     for _ in range(2):
@@ -665,6 +675,16 @@ def test_the_diagonal_map_ladder_keeps_each_invariant(leg, seed):
     # is regauged, and the ladder runs at two grid sizes
     for N in (8, 16):
         values = leg(np.random.default_rng([seed, N]), N)
+        assert len(set(values)) == 1, values
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_the_z2_ladder_keeps_its_bit_at_larger_rank(n, seed):
+    # the doubled spheres have rank 2 n = 6 to 16, so Kane-Mele reads the
+    # link determinants that validation leaves lazy above rank 2
+    for N in (8, 16):
+        values = _ladder_z2(np.random.default_rng([seed, N, n]), N, n)
         assert len(set(values)) == 1, values
 
 
@@ -786,10 +806,7 @@ def test_validated_link_determinants_equal_a_fresh_build(rank):
     assert b.rank == rank and len(b.grid.edges) > 1024
     validate_bundle(b)
     assert "_edge_dets" in b.__dict__ and "_edge_dets" not in fresh.__dict__
-    for cached, built in zip(b._link_variables, fresh._link_variables):
-        assert cached.tobytes() == built.tobytes()
-    assert (b.__dict__["_edge_dets"].tobytes()
-            == fresh.__dict__["_edge_dets"].tobytes())
+    assert b._edge_dets.tobytes() == fresh._edge_dets.tobytes()
 
 
 def test_link_determinants_stay_lazy_above_rank_two(monkeypatch):
@@ -803,7 +820,7 @@ def test_link_determinants_stay_lazy_above_rank_two(monkeypatch):
 
 def _abs_fluxes(bundle):
     """|principal flux| of every face, from the link table."""
-    L, edge = bundle._link_variables
+    L, edge = _link_table(bundle)
     return np.abs(np.angle(np.where(edge, L, 1.0).prod(axis=1)))
 
 
@@ -834,15 +851,11 @@ def test_link_determinants_match_linalg_det(rank):
     if rank == 4:
         b = double_bundle(b)
     b = regauge(b, np.random.default_rng(rank))
-    edges, slots = b.grid.edges, b.grid.slots
-    F = b.frames
+    edges, F = b.grid.edges, b.frames
     o = np.linalg.det(
         np.conj(np.swapaxes(F[edges[:, 0]], 1, 2)) @ F[edges[:, 1]])
-    L, edge = b._link_variables
     assert b.rank == rank and len(edges) >= 128
-    assert np.array_equal(edge, slots < 2 * len(edges))
-    assert (np.abs(L - np.concatenate([o, o.conj(), [1.0]])[slots])
-            <= 1e-15).all()
+    assert (np.abs(b._edge_dets - o) <= 1e-15).all()
 
 
 def test_chern_is_gauge_invariant():
@@ -931,6 +944,20 @@ def test_component_index_rejects_bad_charge_operators():
         component_index_ai(vac, 2.0 * Q)
     with pytest.raises(InputError):
         component_index_ai(vac, sp.bracket_matrix)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_component_index_refuses_an_occupation_off_the_integers(n):
+    # Q = [[1, 0], [C, -1]] squares to 1 and keeps the creation modes as
+    # its -1 eigenspace; its +1 eigenspace {(x, C x / 2)} passes the charge
+    # check, but with C = 1e12 times the anti-identity the trace of the
+    # creator projector against Pi rounds about 2e-5 off the integers
+    sp = make_nambu(n)
+    C = 1e12 * np.fliplr(np.eye(n))
+    Q = np.block([[np.eye(n), np.zeros((n, n))], [C, -np.eye(n)]])
+    frame = np.linalg.qr(np.vstack([np.eye(n), C / 2]))[0]
+    with pytest.raises(NumericError, match="is not an integer"):
+        component_index_ai(Plane(sp, frame), Q)
 
 
 # ------------------------------------------------------ gauge invariance

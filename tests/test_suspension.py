@@ -355,6 +355,18 @@ def test_diii_equator_row_is_the_input_exactly():
                               _diii_equator_frame(k))
 
 
+@pytest.mark.parametrize("N", [40, 48, 56])
+def test_diii_equator_row_is_the_input_bit_for_bit(N):
+    # the default rows M = 21, 25, 29 put the middle row's t at -pi/2 +
+    # pi (M+1)/2/(M+1), which rounds off 0 unless it is set to 0 exactly
+    b = example_dIII(N)
+    M = b.grid.M
+    row = b.frames[M // 2 * N:(M // 2 + 1) * N]
+    assert M == default_row_count(N) and M % 2
+    assert row.tobytes() == _diii_equator_frame(
+        make_sphere_grid(1, N).points[:, 0]).tobytes()
+
+
 def test_diii_generator_pair_anticommutes():
     b = example_dIII(N=8)
     I = b.cset.generators[0].matrix
@@ -584,6 +596,9 @@ _REFUSALS = {
     "circle of rank 3 > n": (
         ValidationError, "not pseudo-symmetric for the designated",
         lambda: SuspensionInput(_circle_of_rank(3), 0)),
+    "sphere input, before its generators are read": (
+        InputError, "suspension is supported for d = 0 and d = 1 inputs",
+        lambda: SuspensionInput(example_dIII(8), 0)),
     "point pair to an odd circle": (
         InputError, "circle grids need an even N >= 2",
         lambda: suspend(SuspensionInput(_majorana_input(), 0), points=15)),
