@@ -18,12 +18,14 @@ repetitions in one process can misread a cell on a shared host:
   ``validate_bundle + kane_mele_z2 + chern_number``, the chain of
   perfbench's sphere-mem workload, in which the invariants read the edge
   determinants that validation leaves on the bundle;
-- ``encode`` (``serialize_bundle`` + ``json.dumps``), ``decode``
-  (``json.loads`` + ``deserialize_bundle``) and ``double_bundle``;
+- ``encode`` and ``decode``: the sphere's bundle file written by the
+  CLI's writer ``cli._write_bundle`` and read back by ``cli._load_bundle``,
+  in a temporary directory;
+- ``double_bundle``;
 - ``csv``: writing the sphere's ``kane_mele_z2`` and ``chern_number``
   tables, which ``cli._invariant_table`` builds (untimed) as ``fermibundle
-  invariant --csv`` does, through ``cli._write_csv`` into a temporary
-  directory.
+  invariant --csv`` does, through ``cli._write_csv`` into the same
+  temporary directory.
 
 The six validation and invariant stages take a fresh copy of their bundle
 per call, so none reuses a per-bundle table from an earlier repetition.
@@ -110,17 +112,17 @@ def _stages(N: int) -> dict:
     t["validate_bundle + kane_mele_z2 + chern_number"] = _times_ms(
         lambda b: (fb.validate_bundle(b), fb.kane_mele_z2(b, gen),
                    fb.chern_number(b)), fresh())
-    t["encode"] = _times_ms(lambda b: json.dumps(fb.serialize_bundle(b)),
-                            [s] * REPEAT)
-    text = json.dumps(fb.serialize_bundle(s))
-    t["decode"] = _times_ms(lambda x: fb.deserialize_bundle(json.loads(x)),
-                            [text] * REPEAT)
-    t["double_bundle"] = _times_ms(fb.double_bundle, [s] * REPEAT)
     tables = [("kane_mele.csv", *cli._invariant_table(
                   "kane_mele_z2", s, fb.kane_mele_z2(s, gen), gen)),
               ("chern.csv", *cli._invariant_table(
                   "chern_number", s, fb.chern_number(s), None))]
     with tempfile.TemporaryDirectory() as tmp:
+        sphere = os.path.join(tmp, "sphere.json")
+        t["encode"] = _times_ms(lambda b: cli._write_bundle(sphere, b),
+                                [s] * REPEAT)
+        t["decode"] = _times_ms(cli._load_bundle, [sphere] * REPEAT)
+        t["double_bundle"] = _times_ms(fb.double_bundle, [s] * REPEAT)
+
         def write_tables(_):
             for name, header, columns in tables:
                 cli._write_csv(os.path.join(tmp, name), header, columns)

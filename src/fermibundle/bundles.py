@@ -205,6 +205,11 @@ def _frame_stack(space, frames, size):
     return F
 
 
+def _check_label(label):
+    if label is not None and str(label).upper() not in CLASS_TABLE:
+        raise InputError(f"unknown class label {label!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Bundle:
     """Planes over a momentum grid, tied to a Clifford set.
@@ -229,8 +234,7 @@ class Bundle:
             raise InputError("Clifford set and bundle space disagree")
         object.__setattr__(self, "frames", _frozen(
             _frame_stack(self.space, self.frames, self.grid.size)))
-        if self.label is not None and str(self.label).upper() not in CLASS_TABLE:
-            raise InputError(f"unknown class label {self.label!r}")
+        _check_label(self.label)
 
     @functools.cached_property
     def fibers(self) -> tuple:
@@ -397,8 +401,14 @@ def serialize_bundle(bundle: Bundle) -> dict:
     the frame array's little-endian complex128 bytes in C order, so every
     float reads back exactly; generator matrices are ``[re, im]`` pairs.
     """
-    grid = bundle.grid
     frames = np.ascontiguousarray(bundle.frames, dtype="<c16")
+    return _document(bundle, base64.b64encode(frames).decode("ascii"))
+
+
+def _document(bundle: Bundle, payload: str) -> dict:
+    """The version-2 document of ``bundle`` with ``payload`` as the frames'
+    base64, its last value: the JSON text ends in the payload and ``"}}``."""
+    grid = bundle.grid
     return {
         "version": 2,
         "class": {
@@ -412,8 +422,8 @@ def serialize_bundle(bundle: Bundle) -> dict:
         },
         "n": bundle.space.n,
         "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
-        "frames": {"dtype": "<c16", "shape": list(frames.shape),
-                   "base64": base64.b64encode(frames).decode("ascii")},
+        "frames": {"dtype": "<c16", "shape": list(bundle.frames.shape),
+                   "base64": payload},
     }
 
 
@@ -451,6 +461,12 @@ def _frames_v1(data, size, dim):
     return np.stack(frames)
 
 
+# base64 characters decoded per step: whole 4-character groups, so the
+# steps decode to the bytes of the whole text; each step's temporaries stay
+# below 128 KiB, where malloc would map fresh pages that fault on each use
+_DECODE_STEP = 4 << 14
+
+
 def _frames_v2(data, size, dim):
     """The frame array of a version-2 base64 ``frames`` payload."""
     fdata = _need(data, "frames", "", dict)
@@ -464,14 +480,23 @@ def _frames_v2(data, size, dim):
         raise InputError(f"frames.shape: expected [{size}, {dim}, m] with "
                          f"1 <= m < {dim}, got {shape!r}")
     text = _need(fdata, "base64", "frames", str)
+    # step by step into one buffer: b64decode of the whole str would first
+    # copy it to ASCII bytes, a third copy of the payload at the read's peak
+    step = _DECODE_STEP
+    raw = np.empty(len(text) // 4 * 3, np.uint8)
+    end = 0
     try:
-        raw = base64.b64decode(text, validate=True)
+        for at in range(0, len(text), step):
+            part = base64.b64decode(text[at:at + step], validate=True)
+            if len(part) < 3 * step // 4 and at + step < len(text):
+                raise ValueError("padding before the end")
+            raw[end:end + len(part)] = np.frombuffer(part, np.uint8)
+            end += len(part)
     except ValueError as exc:       # binascii.Error, or a non-ASCII str
         raise InputError(f"frames.base64: not valid base64: {exc}") from exc
-    if len(raw) != 16 * math.prod(shape):
-        raise InputError(f"frames.base64: {len(raw)} bytes do not fill {shape}")
-    return _numbers(np.frombuffer(raw, dtype="<c16").reshape(shape),
-                    "frames.base64")
+    if end != 16 * math.prod(shape):
+        raise InputError(f"frames.base64: {end} bytes do not fill {shape}")
+    return _numbers(raw[:end].view("<c16").reshape(shape), "frames.base64")
 
 
 def deserialize_bundle(data: dict) -> Bundle:
@@ -480,7 +505,9 @@ def deserialize_bundle(data: dict) -> Bundle:
     Version 1 holds one ``{"rank", "frame"}`` object per grid point and is
     decoded fiber by fiber.  Structural problems raise ``InputError`` naming
     the offending path, before the grid is built; invalid content (a skew
-    frame) raises ``ValidationError`` from the constructors.
+    frame) raises ``ValidationError`` from the constructors and the frame
+    check.  The bundle's frames are the decoded array itself, read-only: for
+    version 2 a view of the buffer that the payload is decoded into.
     """
     version = _need(data, "version", "", int)
     if version not in (1, 2):
@@ -525,7 +552,11 @@ def deserialize_bundle(data: dict) -> Bundle:
             f"{list(cset.signature)}")
 
     frames = (_frames_v1 if version == 1 else _frames_v2)(data, size, dim)
-    return Bundle(space, cset, make_sphere_grid(d, N, M), frames, label)
+    # Bundle's checks without its copy: nothing else holds the decoded array
+    _check_frames(frames)
+    _check_label(label)
+    return _unchecked(Bundle, space, cset, make_sphere_grid(d, N, M),
+                      _frozen(frames), label)
 
 
 def double_bundle(bundle: Bundle) -> Bundle:

@@ -13,6 +13,7 @@ of option values; explicit flags win over the config file.
 from __future__ import annotations
 
 import argparse
+import binascii
 import contextlib
 import functools
 import json
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bundles import (deserialize_bundle, double_bundle, serialize_bundle,
+from .bundles import (_document, deserialize_bundle, double_bundle,
                       validate_bundle)
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
@@ -58,10 +59,25 @@ def _writing(path, newline=None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_json(path, data):
+# frame bytes per base64 chunk: whole 3-byte groups, so the chunks' base64
+# concatenates to that of the whole array; 64 KiB of text, below 128 KiB as
+# the reader's steps in bundles.py are
+_CHUNK = 3 << 14
+
+
+def _write_bundle(path, bundle):
+    """Write ``json.dumps(serialize_bundle(bundle)) + "\\n"`` to ``path``
+    without building that text: the document's head, the frame bytes as
+    base64 chunk by chunk, then its tail ``"}}`` and the newline."""
     # one line: only json.dumps without indent runs the C encoder
+    head = json.dumps(_document(bundle, ""))
+    raw = memoryview(np.ascontiguousarray(bundle.frames, "<c16")).cast("B")
     with _writing(path) as fh:
-        fh.write(json.dumps(data) + "\n")
+        fh.write(head[:-3])
+        for at in range(0, len(raw), _CHUNK):
+            fh.write(binascii.b2a_base64(raw[at:at + _CHUNK],
+                                         newline=False).decode("ascii"))
+        fh.write(head[-3:] + "\n")
 
 
 def _cells(column):
@@ -185,7 +201,7 @@ def _cmd_example(args):
         bundle = example_dIII(N=args.N, rows=args.M)
     else:
         bundle = example_kitaev_chain(args.n, args.n_plus, N=args.N)
-    _write_json(args.output, serialize_bundle(bundle))
+    _write_bundle(args.output, bundle)
     print(f"wrote {args.output} (class {bundle.label}, d={bundle.grid.d}, "
           f"{bundle.grid.size} points)")
     return 0
@@ -222,7 +238,7 @@ def _cmd_suspend(args):
     _refuse_inapplicable(args, bundle.grid.d, f"a d={bundle.grid.d} input")
     inp = SuspensionInput(bundle, args.k_index, args.i_index)
     out = suspend(inp, points=args.points, rows=args.rows)
-    _write_json(args.output, serialize_bundle(out))
+    _write_bundle(args.output, out)
     print(f"wrote {args.output} (class {out.label}, d={out.grid.d}, "
           f"{out.grid.size} points)")
     return 0
@@ -288,7 +304,7 @@ def _cmd_classinfo(args):
 
 def _cmd_doubling(args):
     out = double_bundle(_load_bundle(args.input))
-    _write_json(args.output, serialize_bundle(out))
+    _write_bundle(args.output, out)
     print(f"wrote {args.output} (class {out.label}, n={out.space.n}, "
           f"{len(out.cset)} generators)")
     return 0

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermibundle import bundles
 from fermibundle.bundles import (
     _sphere_grid,
     Bundle,
@@ -301,9 +302,13 @@ def test_bundle_from_a_frame_array():
 def test_bundle_copies_its_frame_array():
     b = _constant_creator_bundle(N=4)
     F = np.array(b.frames)
+    view = F.view()
+    view.flags.writeable = False    # read-only, yet F still writes to it
     again = Bundle(b.space, b.cset, b.grid, F)
+    through_view = Bundle(b.space, b.cset, b.grid, view)
     F[:] = np.nan
     assert np.array_equal(again.frames, b.frames)
+    assert np.array_equal(through_view.frames, b.frames)
 
 
 def _bad_frames(kind):
@@ -547,6 +552,55 @@ def test_v2_shape_is_checked_before_building_the_grid(monkeypatch):
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
     assert str(err.value).startswith("frames.shape: expected [1000000000002")
+
+
+@pytest.mark.parametrize("step", [4, 64, 256, 4 << 14])
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_stepped_decode_reads_the_whole_payload(monkeypatch, N, step):
+    # 32 N frame bytes: payloads of 256, 344 and 428 characters that end
+    # in no padding, "==" and "="
+    monkeypatch.setattr(bundles, "_DECODE_STEP", step)
+    b = _constant_creator_bundle(N=N)
+    back = deserialize_bundle(serialize_bundle(b))
+    assert np.array_equal(_bits(back.frames), _bits(b.frames))
+
+
+def test_padding_before_the_last_step_is_refused(monkeypatch):
+    monkeypatch.setattr(bundles, "_DECODE_STEP", 4)
+    data = serialize_bundle(_constant_creator_bundle(N=4))
+    raw = base64.b64decode(data["frames"]["base64"])
+    # two strict base64 texts run together: each step decodes, the whole
+    # text is not strict base64
+    text = base64.b64encode(raw[:1]).decode() + base64.b64encode(
+        raw[1:]).decode()
+    with pytest.raises(ValueError):
+        base64.b64decode(text, validate=True)
+    data["frames"]["base64"] = text
+    with pytest.raises(InputError) as err:
+        deserialize_bundle(data)
+    assert str(err.value) == ("frames.base64: not valid base64: padding "
+                              "before the end")
+
+
+def test_decoded_frames_are_the_decode_buffer_read_only():
+    b = _constant_creator_bundle(N=4)
+    P = 1 << 17                 # (P, 2, 1) frames: 4 MiB
+    big = Bundle(b.space, b.cset, make_sphere_grid(1, P),
+                 np.broadcast_to(b.frames[:1], (P, 2, 1)), b.label)
+    data = serialize_bundle(big)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        back = deserialize_bundle(data)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not back.frames.flags.writeable
+    assert np.array_equal(_bits(back.frames), _bits(big.frames))
+    # the buffer, its finiteness mask, a float per point for the frame
+    # check and one step; a copy of the frames, or the ASCII copy of the
+    # whole text, would add 4 MiB or more
+    assert peak < 1.5 * big.frames.nbytes
 
 
 def test_deserialize_rejects_skew_frame():

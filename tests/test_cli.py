@@ -4,6 +4,7 @@ import json
 import math
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
                                  make_sphere_grid, serialize_bundle,
                                  validate_bundle)
+from fermibundle import cli
 from fermibundle.cli import _COMMANDS, _cells, main
 from fermibundle.invariants import (chern_number, chiral_winding,
                                     class_d_z2, component_index_ai,
@@ -717,6 +719,76 @@ def test_v2_files_keep_negative_zeros(tmp_path, capsys, indent):
             assert np.array_equal(_bits(h.matrix), _bits(g.matrix))
 
 
+# ---------------------------------------------------------------------------
+# streamed bundle files
+
+
+def _whole_text_file(tmp_path, bundle):
+    """The bytes of ``json.dumps(serialize_bundle(bundle)) + "\\n"`` written
+    in one piece in text mode, as bundle files were before streaming."""
+    path = tmp_path / "whole.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(serialize_bundle(bundle)) + "\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("argv, make", [
+    (["example", "--name", "dIII", "--N", 16], lambda src: example_dIII(16)),
+    (["example", "--name", "kitaev_chain", "--n", 8, "--n-plus", 3, "--N",
+      32], lambda src: example_kitaev_chain(8, 3, N=32)),
+    (["suspend", "--input", "{in}", "--k-index", 0],
+     lambda src: suspend(SuspensionInput(src, 0))),
+    (["doubling", "--input", "{in}"], double_bundle),
+], ids=["example dIII", "example chain8", "suspend chain8",
+        "doubling chain8"])
+@pytest.mark.parametrize("same_path", [False, True],
+                         ids=["new file", "output is input"])
+def test_bundle_files_are_the_serialized_document(tmp_path, argv, make,
+                                                  same_path):
+    # chain8 suspends to 1.1 MB of frames, about 23 chunks
+    src = example_kitaev_chain(8, 3, N=32)
+    path_in = tmp_path / "in.json"
+    path_in.write_text(json.dumps(serialize_bundle(src)))
+    out = path_in if same_path else tmp_path / "out.json"
+    assert run(*[str(a).format(**{"in": path_in}) for a in argv],
+               "--output", out) == 0
+    assert out.read_bytes() == _whole_text_file(tmp_path, make(src))
+
+
+@pytest.mark.parametrize("N, chunk, padding", [
+    (8, 3 << 14, 2), (6, 48, 0), (8, 3, 2), (10, 6, 1)],
+    ids=["shorter than a chunk", "exactly four chunks", "ends in ==",
+         "ends in ="])
+def test_streamed_payload_at_chunk_edges(tmp_path, monkeypatch, N, chunk,
+                                         padding):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    bundle = example_majorana(True, N=N)      # 32 N bytes of frames
+    payload = serialize_bundle(bundle)["frames"]["base64"]
+    assert len(payload) - len(payload.rstrip("=")) == padding
+    out = tmp_path / "maj.json"
+    assert run("example", "--name", "majorana", "--N", N,
+               "--output", out) == 0
+    assert out.read_bytes() == _whole_text_file(tmp_path, bundle)
+
+
+def test_writing_a_bundle_holds_two_chunks_at_most(tmp_path):
+    small = example_majorana(True, N=8)
+    P = 1 << 17                 # (P, 2, 1) frames: 4 MiB, 5.3 MiB of base64
+    big = Bundle(small.space, small.cset, make_sphere_grid(1, P),
+                 np.broadcast_to(small.frames[:1], (P, 2, 1)), small.label)
+    out = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        cli._write_bundle(out, big)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # two chunks of base64 text and a margin, against 3x the file before
+    assert peak < 2 * (4 * cli._CHUNK // 3) + (64 << 10)
+    assert out.read_bytes() == _whole_text_file(tmp_path, big)
+
+
 def test_checked_in_v1_file_through_the_cli(tmp_path, capsys):
     v1 = Path(__file__).parent / "data" / "kitaev_chain_2_1_N8_v1.json"
     assert run("validate", "--input", v1) == 0
@@ -814,6 +886,11 @@ _REFUSALS = {
         "unknown example 'bogus'"),
     "cannot write": (["example", "--name", "majorana", "--N", 8,
                       "--output", "{missing}"], None, "cannot write"),
+    "suspend cannot write": (["suspend", "--input", "{in}", "--k-index", 0,
+                              "--output", "{missing}"], _load, "cannot write"),
+    "doubling cannot write": (["doubling", "--input", "{in}",
+                               "--output", "{missing}"], _load,
+                              "cannot write"),
 }
 
 

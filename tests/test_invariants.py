@@ -543,6 +543,23 @@ def test_kane_mele_of_a_null_homotopic_sphere_is_zero():
     assert kane_mele_z2(s, s.cset.generators[0]).value == 0
 
 
+def test_the_constant_diii_equator_suspends_to_kane_mele_zero():
+    # example_dIII's own Clifford set and suspension, on the constant
+    # equator frame of k = 0: a null-homotopic sphere
+    sp = make_nambu(2)
+    K = Generator(1j * np.fliplr(np.eye(4)), "imaginary")
+    cset = CliffordSet(sp, kitaev_generators(sp, "DIII").generators + (K,))
+    frames = np.repeat(_diii_equator_frame(0.0)[None], 16, axis=0)
+    ring = Bundle(sp, cset, make_sphere_grid(1, 16), frames, "D")
+    assert validate_bundle(ring).ok
+    s = suspend(SuspensionInput(ring, 1, 0))
+    assert [g.matrix.tobytes() for g in s.cset.generators] == [
+        g.matrix.tobytes() for g in example_dIII(16).cset.generators]
+    assert validate_bundle(s).ok
+    assert chern_number(s).value == 0
+    assert kane_mele_z2(s, s.cset.generators[0]).value == 0
+
+
 def test_kane_mele_rejects_unpaired_zeros():
     # M = 4 has no t = 0 row
     sp = make_nambu(2)

@@ -59,3 +59,17 @@ def test_every_stage_runs_at_a_tiny_size(sweep):
     for stage in stages:
         assert 0 < out["stages_ms"][stage] <= out["stages_median_ms"][stage]
         assert out["stages_minflt"][stage] >= 0
+
+
+def test_encode_and_decode_time_the_cli_file_path(sweep, monkeypatch):
+    from fermibundle import cli
+
+    calls = []
+    for name in ("_write_bundle", "_load_bundle"):
+        def record(*args, _fn=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, record)
+    sweep._stages(8)
+    assert calls == (["_write_bundle"] * sweep.REPEAT
+                     + ["_load_bundle"] * sweep.REPEAT)
