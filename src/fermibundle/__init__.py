@@ -23,10 +23,9 @@ from .bundles import (Bundle, BundleReport, MomentumGrid, deserialize_bundle,
 from .suspension import (SuspensionInput, default_row_count, example_dIII,
                          example_kitaev_chain, example_majorana, rotor,
                          suspend)
-from .invariants import (InvariantResult, OmegaForm, chern_number,
-                         chiral_winding, class_d_z2, component_index_ai,
-                         fermion_parity, kane_mele_z2, omega_form, pfaffian,
-                         pfaffian_field)
+from .invariants import (InvariantResult, chern_number, chiral_winding,
+                         class_d_z2, component_index_ai, fermion_parity,
+                         kane_mele_z2, omega_form, pfaffian, pfaffian_field)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,7 @@ __all__ = [
     "validate_bundle",
     "SuspensionInput", "default_row_count", "example_dIII",
     "example_kitaev_chain", "example_majorana", "rotor", "suspend",
-    "InvariantResult", "OmegaForm", "chern_number", "chiral_winding",
-    "class_d_z2", "component_index_ai", "fermion_parity", "kane_mele_z2",
-    "omega_form", "pfaffian", "pfaffian_field",
+    "InvariantResult", "chern_number", "chiral_winding", "class_d_z2",
+    "component_index_ai", "fermion_parity", "kane_mele_z2", "omega_form",
+    "pfaffian", "pfaffian_field",
 ]

@@ -9,7 +9,7 @@ neighboring fibers stay close.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import functools
 import math
 from dataclasses import dataclass
@@ -205,6 +205,19 @@ def _frame_stack(space, frames, size):
     return F
 
 
+def _standard_grid(grid):
+    """The cached :func:`make_sphere_grid` grid that ``grid`` equals, table
+    by table; InputError for anything else."""
+    if isinstance(grid, MomentumGrid):
+        sizes = (grid.d, grid.N, grid.M)
+        _grid_size(*sizes)
+        std = _sphere_grid(*(v if v is None else int(v) for v in sizes))
+        if grid is std or all(np.array_equal(v, getattr(std, k))
+                              for k, v in vars(grid).items()):
+            return std
+    raise InputError("grid: not the make_sphere_grid grid of its sizes")
+
+
 def _check_label(label):
     if label is not None and str(label).upper() not in CLASS_TABLE:
         raise InputError(f"unknown class label {label!r}")
@@ -217,7 +230,8 @@ class Bundle:
     ``frames`` may be given as a sequence of :class:`Plane` objects or as
     a (P, 2n, m) array of orthonormal frames, one per grid point, and is
     stored as a read-only complex array of that shape.  ``fibers`` is the
-    tuple of planes over it, built on first access.
+    tuple of planes over it, built on first access.  ``grid`` must equal
+    the :func:`make_sphere_grid` grid of its sizes, which the bundle keeps.
 
     ``label`` optionally names the symmetry class the Clifford set was
     built from; it is informational and carried through serialization.
@@ -232,6 +246,7 @@ class Bundle:
     def __post_init__(self):
         if self.cset.space.n != self.space.n:
             raise InputError("Clifford set and bundle space disagree")
+        object.__setattr__(self, "grid", _standard_grid(self.grid))
         object.__setattr__(self, "frames", _frozen(
             _frame_stack(self.space, self.frames, self.grid.size)))
         _check_label(self.label)
@@ -401,8 +416,8 @@ def serialize_bundle(bundle: Bundle) -> dict:
     the frame array's little-endian complex128 bytes in C order, so every
     float reads back exactly; generator matrices are ``[re, im]`` pairs.
     """
-    frames = np.ascontiguousarray(bundle.frames, dtype="<c16")
-    return _document(bundle, base64.b64encode(frames).decode("ascii"))
+    F = np.ascontiguousarray(bundle.frames, dtype="<c16")
+    return _document(bundle, binascii.b2a_base64(F, newline=False).decode())
 
 
 def _document(bundle: Bundle, payload: str) -> dict:
@@ -461,14 +476,8 @@ def _frames_v1(data, size, dim):
     return np.stack(frames)
 
 
-# base64 characters decoded per step: whole 4-character groups, so the
-# steps decode to the bytes of the whole text; each step's temporaries stay
-# below 128 KiB, where malloc would map fresh pages that fault on each use
-_DECODE_STEP = 4 << 14
-
-
 def _frames_v2(data, size, dim):
-    """The frame array of a version-2 base64 ``frames`` payload."""
+    """The read-only frame array of a version-2 base64 ``frames`` payload."""
     fdata = _need(data, "frames", "", dict)
     dtype = _need(fdata, "dtype", "frames", str)
     if dtype != "<c16":
@@ -480,23 +489,13 @@ def _frames_v2(data, size, dim):
         raise InputError(f"frames.shape: expected [{size}, {dim}, m] with "
                          f"1 <= m < {dim}, got {shape!r}")
     text = _need(fdata, "base64", "frames", str)
-    # step by step into one buffer: b64decode of the whole str would first
-    # copy it to ASCII bytes, a third copy of the payload at the read's peak
-    step = _DECODE_STEP
-    raw = np.empty(len(text) // 4 * 3, np.uint8)
-    end = 0
-    try:
-        for at in range(0, len(text), step):
-            part = base64.b64decode(text[at:at + step], validate=True)
-            if len(part) < 3 * step // 4 and at + step < len(text):
-                raise ValueError("padding before the end")
-            raw[end:end + len(part)] = np.frombuffer(part, np.uint8)
-            end += len(part)
+    try:    # reads an ASCII str in place, with no copy of the text
+        raw = binascii.a2b_base64(text, strict_mode=True)
     except ValueError as exc:       # binascii.Error, or a non-ASCII str
         raise InputError(f"frames.base64: not valid base64: {exc}") from exc
-    if end != 16 * math.prod(shape):
-        raise InputError(f"frames.base64: {end} bytes do not fill {shape}")
-    return _numbers(raw[:end].view("<c16").reshape(shape), "frames.base64")
+    if len(raw) != 16 * math.prod(shape):
+        raise InputError(f"frames.base64: {len(raw)} bytes do not fill {shape}")
+    return _numbers(np.frombuffer(raw, "<c16").reshape(shape), "frames.base64")
 
 
 def deserialize_bundle(data: dict) -> Bundle:

@@ -18,7 +18,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -60,8 +59,8 @@ def _writing(path, newline=None):
 
 
 # frame bytes per base64 chunk: whole 3-byte groups, so the chunks' base64
-# concatenates to that of the whole array; 64 KiB of text, below 128 KiB as
-# the reader's steps in bundles.py are
+# concatenates to that of the whole array; 64 KiB of text, below the 128 KiB
+# at which malloc would map fresh pages that fault on each use
 _CHUNK = 3 << 14
 
 
@@ -107,22 +106,6 @@ def _load_bundle(path):
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a bundle object")
     return deserialize_bundle(data)
-
-
-def _tolerance(explicit):
-    """Resolve the working tolerance: flag, then environment, then default."""
-    if explicit is None:
-        raw = os.environ.get("FERMIBUNDLE_TOL")
-        if raw is None:
-            return ALG_TOL
-        try:
-            explicit = float(raw)
-        except ValueError as exc:
-            raise InputError(
-                f"FERMIBUNDLE_TOL={raw!r} is not a number") from exc
-    if not 0.0 < explicit <= 1e-3:
-        raise InputError(f"tolerance {explicit} is outside (0, 1e-3]")
-    return explicit
 
 
 def _apply_config(args):
@@ -209,7 +192,9 @@ def _cmd_example(args):
 
 def _cmd_validate(args):
     bundle = _load_bundle(args.input)
-    report = validate_bundle(bundle, tol=_tolerance(args.tol))
+    if not 0.0 < args.tol <= 1e-3:
+        raise InputError(f"tolerance {args.tol} is outside (0, 1e-3]")
+    report = validate_bundle(bundle, tol=args.tol)
     fermi = ("n/a" if report.fermi_max is None
              else f"{float(np.max(report.fermi_max)):.3e}")
     print(f"pseudo-symmetry max deviation: "
@@ -331,8 +316,8 @@ _COMMANDS = {
         ("--output", str, REQUIRED, "bundle JSON path to write"))),
     "validate": (_cmd_validate, "validate a bundle file", (
         ("--input", str, REQUIRED, "bundle JSON path to check"),
-        ("--tol", float, None, "pseudo/Fermi tolerance in (0, 1e-3]; "
-                               "defaults to FERMIBUNDLE_TOL or 1e-10"),
+        ("--tol", float, ALG_TOL, "pseudo/Fermi tolerance in (0, 1e-3] "
+                                  f"(default {ALG_TOL!r})"),
         ("--csv", str, None, "write per-point report CSV with columns "
                              "index,k[,t],pseudo_max,fermi_max"))),
     "suspend": (_cmd_suspend, "suspend a bundle one dimension up", (

@@ -123,20 +123,13 @@ def pfaffian(X, tol: float = ALG_TOL) -> complex:
     return pf
 
 
-@dataclass(frozen=True, eq=False)
-class OmegaForm:
-    """The skew bilinear form (v, w) -> (J1 v)^T B w on a Nambu space."""
+def omega_form(space: NambuSpace, J1) -> np.ndarray:
+    """The read-only matrix W = J1^T B of the skew bilinear form
+    (v, w) -> (J1 v)^T B w of a real pseudo-symmetry generator.
 
-    space: NambuSpace
-    matrix: np.ndarray
-
-
-def omega_form(space: NambuSpace, J1) -> OmegaForm:
-    """Build the bilinear form of a real pseudo-symmetry generator.
-
-    The matrix is W = J1^T B.  Skew-symmetry of W is equivalent to J1
-    being a real generator squaring to -1, so passing an imaginary
-    generator fails the skewness check.
+    ``J1`` may be a :class:`Generator` or a matrix.  Skew-symmetry of W is
+    equivalent to J1 being a real generator squaring to -1, so passing an
+    imaginary generator fails the skewness check.
     """
     M = _generator_matrix(J1, space.dim)
     W = M.T @ space.bracket_matrix
@@ -146,24 +139,18 @@ def omega_form(space: NambuSpace, J1) -> OmegaForm:
             "square -1 is required")
     if abs(np.linalg.det(W)) < 1e-8:
         raise ValidationError("bilinear form is degenerate")
-    return OmegaForm(space, _frozen(W))
+    return _frozen(W)
 
 
-def pfaffian_field(bundle: Bundle, form) -> np.ndarray:
-    """Pfaffian of the restricted form at every grid point.
-
-    ``form`` may be an :class:`OmegaForm`, a :class:`Generator`, or a raw
-    matrix; generators and matrices are passed through :func:`omega_form`.
-    """
-    om = form if isinstance(form, OmegaForm) else omega_form(bundle.space,
-                                                             form)
-    if om.space.dim != bundle.space.dim:
-        raise InputError("form lives on the wrong space")
+def pfaffian_field(bundle: Bundle, J1) -> np.ndarray:
+    """Pfaffian at every grid point of the :func:`omega_form` of ``J1``, a
+    generator or its matrix (not a form), restricted to the fiber."""
+    W = omega_form(bundle.space, J1)
     if bundle.rank % 2:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
     return _pfaffians(_mm(np.swapaxes(F, 1, 2),
-                          _apply(om.matrix, F, _monomial_form(om.matrix))))
+                          _apply(W, F, _monomial_form(W))))
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
@@ -306,7 +293,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
         raise InputError(f"the Kane-Mele index needs a t = 0 row, so an "
                          f"odd row count; got M = {M}")
     # Θv = B conj(J1 v) = W^H conj(v) for the form W = J1^T B
-    T = omega_form(bundle.space, J1).matrix.conj().T
+    T = omega_form(bundle.space, J1).conj().T
     row = M // 2 * N + np.arange(N)
     F = bundle.frames[row]
     Fm = F[-np.arange(N) % N]

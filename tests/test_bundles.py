@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import struct
@@ -8,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermibundle import bundles
 from fermibundle.bundles import (
     _sphere_grid,
     Bundle,
@@ -311,6 +311,31 @@ def test_bundle_copies_its_frame_array():
     assert np.array_equal(through_view.frames, b.frames)
 
 
+@pytest.mark.parametrize("change", [
+    {"edges": np.zeros((0, 2), int)},
+    {"antipode": np.arange(8) + 8},
+    {"edges": np.array([[0, 8]] * 8)},
+    {"N": 6},
+    {"points": np.zeros((8, 1))},
+], ids=["no edges", "antipode out of range", "edge out of range",
+        "wrong N", "moved points"])
+def test_bundle_refuses_a_hand_built_grid(change):
+    b = example_kitaev_chain(1, 1, N=8)
+    grid = dataclasses.replace(b.grid, **change)
+    with pytest.raises(InputError, match="grid: not the make_sphere_grid "
+                                         "grid of its sizes"):
+        Bundle(b.space, b.cset, grid, b.frames, b.label)
+
+
+def test_bundle_keeps_the_standard_grid_its_grid_equals():
+    b = example_kitaev_chain(1, 1, N=8)
+    copy = dataclasses.replace(
+        b.grid, N=np.int64(8), edges=np.array(b.grid.edges).tolist())
+    again = Bundle(b.space, b.cset, copy, b.frames, b.label)
+    assert again.grid is make_sphere_grid(1, 8)
+    assert type(again.grid.N) is int
+
+
 def _bad_frames(kind):
     F = np.array(_constant_creator_bundle(N=4).frames)
     if kind == "nan":
@@ -554,23 +579,22 @@ def test_v2_shape_is_checked_before_building_the_grid(monkeypatch):
     assert str(err.value).startswith("frames.shape: expected [1000000000002")
 
 
-@pytest.mark.parametrize("step", [4, 64, 256, 4 << 14])
 @pytest.mark.parametrize("N", [6, 8, 10])
-def test_stepped_decode_reads_the_whole_payload(monkeypatch, N, step):
+def test_decode_round_trips_every_padding(N):
     # 32 N frame bytes: payloads of 256, 344 and 428 characters that end
     # in no padding, "==" and "="
-    monkeypatch.setattr(bundles, "_DECODE_STEP", step)
     b = _constant_creator_bundle(N=N)
-    back = deserialize_bundle(serialize_bundle(b))
+    data = serialize_bundle(b)
+    assert data["frames"]["base64"][-3:].count("=") == {6: 0, 8: 2, 10: 1}[N]
+    back = deserialize_bundle(data)
     assert np.array_equal(_bits(back.frames), _bits(b.frames))
 
 
-def test_padding_before_the_last_step_is_refused(monkeypatch):
-    monkeypatch.setattr(bundles, "_DECODE_STEP", 4)
+def test_payloads_run_together_are_refused():
     data = serialize_bundle(_constant_creator_bundle(N=4))
     raw = base64.b64decode(data["frames"]["base64"])
-    # two strict base64 texts run together: each step decodes, the whole
-    # text is not strict base64
+    # two strict base64 texts run together decode, piece by piece, to the
+    # right byte count; the whole text is not strict base64
     text = base64.b64encode(raw[:1]).decode() + base64.b64encode(
         raw[1:]).decode()
     with pytest.raises(ValueError):
@@ -578,8 +602,8 @@ def test_padding_before_the_last_step_is_refused(monkeypatch):
     data["frames"]["base64"] = text
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
-    assert str(err.value) == ("frames.base64: not valid base64: padding "
-                              "before the end")
+    assert str(err.value) == ("frames.base64: not valid base64: Excess data "
+                              "after padding")
 
 
 def test_decoded_frames_are_the_decode_buffer_read_only():
@@ -597,9 +621,9 @@ def test_decoded_frames_are_the_decode_buffer_read_only():
         tracemalloc.stop()
     assert not back.frames.flags.writeable
     assert np.array_equal(_bits(back.frames), _bits(big.frames))
-    # the buffer, its finiteness mask, a float per point for the frame
-    # check and one step; a copy of the frames, or the ASCII copy of the
-    # whole text, would add 4 MiB or more
+    # the buffer, its finiteness mask and a float per point for the frame
+    # check; a copy of the frames, or the ASCII copy of the whole text,
+    # would add 4 MiB or more
     assert peak < 1.5 * big.frames.nbytes
 
 
@@ -704,6 +728,10 @@ _REFUSALS = {
         lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
                        make_sphere_grid(0),
                        (vacuum_plane(make_nambu(1)), np.eye(2)[:, :1]))),
+    "a grid that is not a MomentumGrid": (
+        "grid: not the make_sphere_grid grid of its sizes",
+        lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
+                       {"d": 0}, (vacuum_plane(make_nambu(1)),) * 2)),
     "a Clifford set of another space": (
         "Clifford set and bundle space disagree",
         lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(2), ()),

@@ -153,9 +153,10 @@ def test_pfaffian_odd_dimension_warns_and_returns_zero():
 def test_omega_form_is_skew_and_invertible():
     sp = make_nambu(2)
     J1 = kitaev_generators(sp, "DIII").generators[0]
-    om = omega_form(sp, J1)
-    assert np.abs(om.matrix + om.matrix.T).max() < 1e-12
-    assert abs(abs(np.linalg.det(om.matrix)) - 1.0) < 1e-10
+    W = omega_form(sp, J1)
+    assert not W.flags.writeable
+    assert np.abs(W + W.T).max() < 1e-12
+    assert abs(abs(np.linalg.det(W)) - 1.0) < 1e-10
 
 
 def test_omega_form_rejects_imaginary_generator():
