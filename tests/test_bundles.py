@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermibundle import cli
 from fermibundle.bundles import (
     _sphere_grid,
     Bundle,
@@ -587,6 +588,22 @@ def test_decode_round_trips_every_padding(N):
     data = serialize_bundle(b)
     assert data["frames"]["base64"][-3:].count("=") == {6: 0, 8: 2, 10: 1}[N]
     back = deserialize_bundle(data)
+    assert np.array_equal(_bits(back.frames), _bits(b.frames))
+
+
+@pytest.mark.parametrize("step", [4, 64, 256, 4 << 14])
+@pytest.mark.parametrize("N", [6, 8, 10])
+def test_stepped_decode_reads_the_whole_payload(monkeypatch, tmp_path, N,
+                                                step):
+    # the file writer emits the payload in steps of `step` base64
+    # characters (3 step / 4 frame bytes; 4 << 14 is its own step); the
+    # one-call decoder reads them back as one payload
+    monkeypatch.setattr(cli, "_CHUNK", 3 * step // 4)
+    b = _constant_creator_bundle(N=N)
+    path = tmp_path / "b.json"
+    cli._write_bundle(path, b)
+    assert path.read_text() == json.dumps(serialize_bundle(b)) + "\n"
+    back = deserialize_bundle(cli._read_json(path))
     assert np.array_equal(_bits(back.frames), _bits(b.frames))
 
 
