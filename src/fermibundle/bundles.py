@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import binascii
 import functools
+import json
 import math
 from dataclasses import dataclass
 
@@ -442,6 +443,27 @@ def _document(bundle: Bundle, payload: str) -> dict:
     }
 
 
+# frame bytes per base64 chunk: whole 3-byte groups, so the chunks' base64
+# concatenates to that of the whole array; 64 KiB of text, below the 128 KiB
+# at which malloc would map fresh pages that fault on each use
+_CHUNK = 3 << 14
+
+
+def _write_document(fh, bundle: Bundle) -> None:
+    """Write ``json.dumps(serialize_bundle(bundle)) + "\\n"`` to the open
+    text file ``fh`` without building that text: the document's head, the
+    frame bytes as base64 chunk by chunk, then its tail ``"}}`` and the
+    newline."""
+    # one line: only json.dumps without indent runs the C encoder
+    head = json.dumps(_document(bundle, ""))
+    raw = memoryview(np.ascontiguousarray(bundle.frames, "<c16")).cast("B")
+    fh.write(head[:-3])
+    for at in range(0, len(raw), _CHUNK):
+        fh.write(binascii.b2a_base64(raw[at:at + _CHUNK],
+                                     newline=False).decode("ascii"))
+    fh.write(head[-3:] + "\n")
+
+
 def _need(data, key, path, kind=None):
     if not isinstance(data, dict):
         raise InputError(f"{path or 'document'}: expected an object")
@@ -456,28 +478,8 @@ def _need(data, key, path, kind=None):
     return val
 
 
-def _frames_v1(data, size, dim):
-    """The frame array of a version-1 ``fibers`` list, fiber by fiber."""
-    fdata = _need(data, "fibers", "", list)
-    if len(fdata) != size:
-        raise InputError(
-            f"fibers: expected {size} entries, got {len(fdata)}")
-    frames = []
-    for p, entry in enumerate(fdata):
-        path = f"fibers[{p}]"
-        rank = _need(entry, "rank", path, int)
-        if not 1 <= rank <= dim - 1:
-            raise InputError(f"{path}.rank: out of range value {rank}")
-        frames.append(_complex_from_json(
-            _need(entry, "frame", path, list), f"{path}.frame", dim, rank))
-    ranks = sorted({F.shape[1] for F in frames})
-    if len(ranks) != 1:
-        raise InputError(f"fibers have mixed ranks {ranks}")
-    return np.stack(frames)
-
-
-def _frames_v2(data, size, dim):
-    """The read-only frame array of a version-2 base64 ``frames`` payload."""
+def _frames(data, size, dim):
+    """The read-only frame array of the base64 ``frames`` payload."""
     fdata = _need(data, "frames", "", dict)
     dtype = _need(fdata, "dtype", "frames", str)
     if dtype != "<c16":
@@ -499,17 +501,16 @@ def _frames_v2(data, size, dim):
 
 
 def deserialize_bundle(data: dict) -> Bundle:
-    """Rebuild a bundle from its dict encoding, version 2 or version 1.
+    """Rebuild a bundle from its version-2 dict encoding.
 
-    Version 1 holds one ``{"rank", "frame"}`` object per grid point and is
-    decoded fiber by fiber.  Structural problems raise ``InputError`` naming
-    the offending path, before the grid is built; invalid content (a skew
-    frame) raises ``ValidationError`` from the constructors and the frame
-    check.  The bundle's frames are the decoded array itself, read-only: for
-    version 2 a view of the buffer that the payload is decoded into.
+    Structural problems, any other version (1 included) among them, raise
+    ``InputError`` naming the offending path, before the grid is built;
+    invalid content (a skew frame) raises ``ValidationError`` from the
+    constructors and the frame check.  The bundle's frames are the decoded
+    array itself, read-only: a view of the buffer the payload decodes into.
     """
     version = _need(data, "version", "", int)
-    if version not in (1, 2):
+    if version != 2:
         raise InputError(f"version: unsupported value {version}")
     n = _need(data, "n", "", int)
     if n < 1:
@@ -550,7 +551,7 @@ def deserialize_bundle(data: dict) -> Bundle:
             f"class.signature: declares {sig}, generators give "
             f"{list(cset.signature)}")
 
-    frames = (_frames_v1 if version == 1 else _frames_v2)(data, size, dim)
+    frames = _frames(data, size, dim)
     # Bundle's checks without its copy: nothing else holds the decoded array
     _check_frames(frames)
     _check_label(label)

@@ -13,7 +13,6 @@ of option values; explicit flags win over the config file.
 from __future__ import annotations
 
 import argparse
-import binascii
 import contextlib
 import functools
 import json
@@ -22,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bundles import (_document, deserialize_bundle, double_bundle,
+from .bundles import (_write_document, deserialize_bundle, double_bundle,
                       validate_bundle)
 from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
@@ -58,25 +57,10 @@ def _writing(path, newline=None):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-# frame bytes per base64 chunk: whole 3-byte groups, so the chunks' base64
-# concatenates to that of the whole array; 64 KiB of text, below the 128 KiB
-# at which malloc would map fresh pages that fault on each use
-_CHUNK = 3 << 14
-
-
 def _write_bundle(path, bundle):
-    """Write ``json.dumps(serialize_bundle(bundle)) + "\\n"`` to ``path``
-    without building that text: the document's head, the frame bytes as
-    base64 chunk by chunk, then its tail ``"}}`` and the newline."""
-    # one line: only json.dumps without indent runs the C encoder
-    head = json.dumps(_document(bundle, ""))
-    raw = memoryview(np.ascontiguousarray(bundle.frames, "<c16")).cast("B")
+    """Write the bundle's version-2 document to ``path``, streamed."""
     with _writing(path) as fh:
-        fh.write(head[:-3])
-        for at in range(0, len(raw), _CHUNK):
-            fh.write(binascii.b2a_base64(raw[at:at + _CHUNK],
-                                         newline=False).decode("ascii"))
-        fh.write(head[-3:] + "\n")
+        _write_document(fh, bundle)
 
 
 def _cells(column):

@@ -144,11 +144,13 @@ def omega_form(space: NambuSpace, J1) -> np.ndarray:
 
 def pfaffian_field(bundle: Bundle, J1) -> np.ndarray:
     """Pfaffian at every grid point of the :func:`omega_form` of ``J1``, a
-    generator or its matrix (not a form), restricted to the fiber."""
+    generator or its matrix, restricted to the fiber.  A ``J1`` that some
+    fiber is not pseudo-symmetric under, a form W say, is a ValidationError."""
     W = omega_form(bundle.space, J1)
     if bundle.rank % 2:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
+    _require_pseudo([J1], F, "under J1")
     return _pfaffians(_mm(np.swapaxes(F, 1, 2),
                           _apply(W, F, _monomial_form(W))))
 

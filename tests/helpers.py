@@ -4,11 +4,13 @@ Everything here takes an explicit ``numpy.random.Generator`` so the
 calling test controls the seed.
 """
 
+import base64
+
 import numpy as np
 from scipy.linalg import expm
 
-from fermibundle.bundles import (Bundle, _complex_to_json, double_bundle,
-                                 make_sphere_grid)
+from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
+                                 serialize_bundle)
 from fermibundle.nambu import CliffordSet, make_nambu
 from fermibundle.planes import Plane, vacuum_plane
 from fermibundle.suspension import SuspensionInput, suspend
@@ -119,28 +121,15 @@ def random_suspension_inputs(rng, copies=20):
     return inputs
 
 
-def v1_document(bundle):
-    """The version-1 dict encoding of a bundle: one ``{"rank", "frame"}``
-    object per grid point, every complex entry an ``[re, im]`` pair."""
-    grid = bundle.grid
-    return {
-        "version": 1,
-        "class": {
-            "label": bundle.label,
-            "s": len(bundle.cset),
-            "signature": list(bundle.cset.signature),
-            "generators": [
-                {"matrix": _complex_to_json(g.matrix), "parity": g.parity}
-                for g in bundle.cset.generators
-            ],
-        },
-        "n": bundle.space.n,
-        "grid": {"d": grid.d, "N": grid.N, "M": grid.M},
-        "fibers": [
-            {"rank": bundle.rank, "frame": F}
-            for F in _complex_to_json(bundle.frames)
-        ],
-    }
+def with_frames(bundle, frames):
+    """``serialize_bundle(bundle)`` with its payload re-encoded from the
+    (P, 2n, m) array ``frames``, and ``frames.shape`` set to its shape, so
+    a test can hand the decoder skew, non-finite or misshapen frames."""
+    data = serialize_bundle(bundle)
+    F = np.ascontiguousarray(frames, "<c16")
+    data["frames"].update(shape=list(F.shape),
+                          base64=base64.b64encode(F).decode("ascii"))
+    return data
 
 
 def reference_sphere_tables(N, M):

@@ -4,12 +4,11 @@ import json
 import math
 import struct
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermibundle import cli
+from fermibundle import bundles, cli
 from fermibundle.bundles import (
     _sphere_grid,
     Bundle,
@@ -20,7 +19,7 @@ from fermibundle.bundles import (
     validate_bundle,
 )
 from helpers import (nudge, random_suspension_inputs, reference_sphere_tables,
-                     regauge, v1_document)
+                     regauge, with_frames)
 
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.invariants import chern_number, pfaffian_field
@@ -535,11 +534,14 @@ def test_serialize_layout():
 
 
 @pytest.mark.parametrize("mangle, fragment", [
-    (lambda d: d.pop("fibers"), "fibers"),
+    (lambda d: d.pop("frames"), "frames"),
     (lambda d: d.update(version=3), "version"),
+    (lambda d: d.update(version=1), "version: unsupported value 1"),
     (lambda d: d["class"]["generators"][0].update(parity="odd"), "parity"),
-    (lambda d: d["fibers"].pop(), "fibers"),
-    (lambda d: d["fibers"][2]["frame"][0].pop(), "fibers[2].frame"),
+    (lambda d: d["frames"]["shape"].__setitem__(0, 3), "frames.shape"),
+    # one 3-byte group short of the shape
+    (lambda d: d["frames"].update(base64=d["frames"]["base64"][4:]),
+     "frames.base64"),
     (lambda d: d["class"].update(s=3), "class.s"),
     (lambda d: d["grid"].pop("d"), "grid.d"),
     (lambda d: d["grid"].update(M=3), "grid.M: S^1 grids take no M"),
@@ -548,24 +550,11 @@ def test_serialize_layout():
     (lambda d: d["class"].update(signature=[0.0, 1.0]), "class.signature"),
 ])
 def test_deserialize_reports_offending_path(mangle, fragment):
-    data = v1_document(_constant_creator_bundle(N=4))
+    data = serialize_bundle(_constant_creator_bundle(N=4))
     mangle(data)
     with pytest.raises(InputError) as err:
         deserialize_bundle(data)
     assert fragment in str(err.value)
-
-
-def test_deserialize_checks_fiber_count_before_building_the_grid(
-        monkeypatch):
-    def refuse(*args):
-        raise AssertionError("grid built before the fiber count check")
-
-    monkeypatch.setattr("fermibundle.bundles.make_sphere_grid", refuse)
-    data = v1_document(_constant_creator_bundle(N=4))
-    data["grid"] = {"d": 2, "N": 10**6, "M": 10**6}
-    with pytest.raises(InputError) as err:
-        deserialize_bundle(data)
-    assert "fibers" in str(err.value)
 
 
 def test_v2_shape_is_checked_before_building_the_grid(monkeypatch):
@@ -598,7 +587,7 @@ def test_stepped_decode_reads_the_whole_payload(monkeypatch, tmp_path, N,
     # the file writer emits the payload in steps of `step` base64
     # characters (3 step / 4 frame bytes; 4 << 14 is its own step); the
     # one-call decoder reads them back as one payload
-    monkeypatch.setattr(cli, "_CHUNK", 3 * step // 4)
+    monkeypatch.setattr(bundles, "_CHUNK", 3 * step // 4)
     b = _constant_creator_bundle(N=N)
     path = tmp_path / "b.json"
     cli._write_bundle(path, b)
@@ -645,10 +634,11 @@ def test_decoded_frames_are_the_decode_buffer_read_only():
 
 
 def test_deserialize_rejects_skew_frame():
-    data = v1_document(_constant_creator_bundle(N=4))
-    data["fibers"][0]["frame"][0] = [[0.7, 0.0]]
-    with pytest.raises(ValidationError):
-        deserialize_bundle(data)
+    b = _constant_creator_bundle(N=4)
+    F = b.frames.copy()
+    F[0, 0] = 0.7
+    with pytest.raises(ValidationError, match="not orthonormal at point 0"):
+        deserialize_bundle(with_frames(b, F))
 
 
 # ---------------------------------------------------------------------------
@@ -708,31 +698,6 @@ def test_double_bundle_refuses_the_rank_lift_plane_refuses():
         lift_plane(b.fibers[0])
     assert str(batched.value) == str(single.value) == (
         "lift needs a rank-2 plane, got rank 1")
-
-
-# ---------------------------------------------------------------------------
-# version-1 files written before the version-2 layout
-
-
-DATA = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("name, bundle", [
-    ("kitaev_chain_2_1_N8_v1.json", example_kitaev_chain(2, 1, N=8)),
-    ("kitaev_chain_2_1_N8_v1_indented.json", example_kitaev_chain(2, 1, N=8)),
-    ("majorana_N8_v1.json", example_majorana(N=8)),
-])
-def test_checked_in_v1_files_load_bit_for_bit(name, bundle):
-    data = json.loads((DATA / name).read_text())
-    assert data["version"] == 1 and "fibers" in data
-    back = deserialize_bundle(data)
-    assert np.array_equal(_bits(back.frames), _bits(bundle.frames))
-    assert len(back.cset) == len(bundle.cset)
-    for g, h in zip(bundle.cset.generators, back.cset.generators):
-        assert np.array_equal(_bits(h.matrix), _bits(g.matrix))
-        assert h.parity == g.parity
-    assert (back.label, back.grid.d, back.grid.N) == (
-        bundle.label, bundle.grid.d, bundle.grid.N)
 
 
 # Each entry is an input that a refusal of this module exists to stop.

@@ -5,7 +5,6 @@ import math
 import runpy
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ import pytest
 from fermibundle.bundles import (Bundle, deserialize_bundle, double_bundle,
                                  make_sphere_grid, serialize_bundle,
                                  validate_bundle)
-from fermibundle import cli
+from fermibundle import bundles, cli
 from fermibundle.cli import _COMMANDS, _cells, main
 from fermibundle.invariants import (chern_number, chiral_winding,
                                     class_d_z2, component_index_ai,
@@ -27,8 +26,7 @@ from fermibundle.suspension import (SuspensionInput, example_dIII,
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   kitaev_generators, true_symmetries)
 from fermibundle.tolerances import CONTINUITY_TOL
-from helpers import (nudge, random_suspension_inputs, regauge,
-                     v1_document)
+from helpers import nudge, random_suspension_inputs, regauge, with_frames
 
 
 def run(*argv):
@@ -87,13 +85,20 @@ def test_validate_clean_bundle(tmp_path, capsys):
     assert "continuity max jump" in text
 
 
+def _with_fiber(path, p, frame):
+    """The document of the bundle file ``path`` with the frame at point
+    ``p`` replaced by ``frame``."""
+    bundle = _read_bundle(path)
+    F = bundle.frames.copy()
+    F[p] = frame
+    return with_frames(bundle, F)
+
+
 def test_validate_flags_a_corrupted_fiber(tmp_path, capsys):
     out = tmp_path / "maj.json"
     run("example", "--name", "majorana", "--N", 16, "--output", out)
-    data = v1_document(_read_bundle(out))
-    data["fibers"][3]["frame"] = [[[1.0, 0.0]], [[0.0, 0.0]]]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(json.dumps(_with_fiber(out, 3, [[1.0], [0.0]])))
     capsys.readouterr()
     assert run("validate", "--input", bad) == 1
     text = capsys.readouterr().out
@@ -295,10 +300,10 @@ def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = v1_document(_read_bundle(out))
     if where == "fiber":
-        data["fibers"][3]["frame"][0][0] = [bad, 0.0]
+        data = _with_fiber(out, 3, [[bad], [0.0]])
     else:
+        data = _load(out)
         data["class"]["generators"][0]["matrix"][0][1] = [0.0, bad]
     out.write_text(json.dumps(data))
     assert run("validate", "--input", out) == 2
@@ -308,14 +313,13 @@ def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
     lambda d: d.update(version=True),
     lambda d: d.update(n=True),
     lambda d: d["grid"].update(N=True),
-    lambda d: d["fibers"][1].update(frame=[[[False, False]], [[True, False]]]),
-], ids=["version", "n", "grid.N", "frame entry"])
+], ids=["version", "n", "grid.N"])
 def test_booleans_are_not_integers(tmp_path, mangle):
     # on the point pair grid.N is unused, so only its type can reject it
     sp = make_nambu(1)
     pair = Bundle(sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
                   (vacuum_plane(sp),) * 2, "BDI")
-    data = v1_document(pair)
+    data = serialize_bundle(pair)
     out = tmp_path / "pair.json"
     out.write_text(json.dumps(data))
     assert run("validate", "--input", out) == 0
@@ -339,10 +343,8 @@ def test_invariant_parity_of_the_majorana_zero_fiber(tmp_path, capsys):
 def test_exit_code_for_validation_errors(tmp_path, capsys):
     out = tmp_path / "maj.json"
     run("example", "--name", "majorana", "--N", 8, "--output", out)
-    data = v1_document(_read_bundle(out))
     # span{(c + c^dagger)/sqrt(2)} is a unit line but not Lagrangian
-    data["fibers"][4]["frame"] = [[[math.sqrt(0.5), 0.0]],
-                                  [[math.sqrt(0.5), 0.0]]]
+    data = _with_fiber(out, 4, [[math.sqrt(0.5)], [math.sqrt(0.5)]])
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert run("invariant", "--input", out, "--kind", "parity",
@@ -418,18 +420,19 @@ def test_numpy_linalg_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numeric error: Singular matrix\n"
 
 
-@pytest.mark.parametrize("frame, code, fragment", [
-    ([[[float("nan"), 0.0]], [[0.0, 0.0]]], 2, "non-finite"),
-    ([[[0.7, 0.0]], [[0.0, 0.0]]], 1, "not orthonormal at point 5"),
-    ([[[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]], 2, "fibers[5].frame"),
+@pytest.mark.parametrize("document, code, fragment", [
+    (lambda path: _with_fiber(path, 5, [[float("nan")], [0.0]]), 2,
+     "non-finite"),
+    (lambda path: _with_fiber(path, 5, [[0.7], [0.0]]), 1,
+     "not orthonormal at point 5"),
+    (lambda path: with_frames(_read_bundle(path), np.zeros((8, 3, 1))), 2,
+     "frames.shape: expected [8, 2, m] with 1 <= m < 2, got [8, 3, 1]"),
 ], ids=["nan", "skew", "shape"])
-def test_bad_frames_exit_codes(tmp_path, capsys, frame, code, fragment):
+def test_bad_frames_exit_codes(tmp_path, capsys, document, code, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = v1_document(_read_bundle(out))
-    data["fibers"][5]["frame"] = frame
-    out.write_text(json.dumps(data))
+    out.write_text(json.dumps(document(out)))
     capsys.readouterr()
     assert run("validate", "--input", out) == code
     assert fragment in capsys.readouterr().err
@@ -487,18 +490,14 @@ def test_undecodable_files_exit_2(tmp_path, capsys, content, flag):
 
 
 @pytest.mark.parametrize("where, fragment", [
-    ("fiber", "fibers[2].frame: entry (0, 0) is too large"),
     ("generator", "class.generators[0].matrix: entry (0, 1) is too large"),
 ])
 def test_oversized_integer_entries_exit_2(tmp_path, capsys, where, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    data = v1_document(_read_bundle(out))
-    if where == "fiber":
-        data["fibers"][2]["frame"][0][0] = [10**400, 0]
-    else:
-        data["class"]["generators"][0]["matrix"][0][1] = [10**400, 0]
+    data = _load(out)
+    data["class"]["generators"][0]["matrix"][0][1] = [10**400, 0]
     out.write_text(json.dumps(data))
     capsys.readouterr()
     assert run("validate", "--input", out) == 2
@@ -556,38 +555,6 @@ def test_indented_files_load_bit_for_bit(tmp_path):
     assert run("validate", "--input", path) == 0
     assert np.array_equal(_bits(_read_bundle(path).frames),
                           _bits(bundle.frames))
-
-
-def _set_cell(r, c, value):
-    def mangle(entry):
-        entry["frame"][r][c] = value
-    return mangle
-
-
-@pytest.mark.parametrize("mangle, fragment", [
-    (_set_cell(0, 0, [True, 0.0]), "fibers[63].frame: entry (0, 0)"),
-    (_set_cell(1, 1, ["0.5", 0.0]), "fibers[63].frame: entry (1, 1)"),
-    (_set_cell(2, 0, [None, 0.0]), "fibers[63].frame: entry (2, 0)"),
-    (_set_cell(3, 1, [0.0, 0.0, 0.0]), "fibers[63].frame: entry (3, 1)"),
-    (lambda e: e["frame"][3].pop(), "fibers[63].frame: row 3 has length 1"),
-    (lambda e: e["frame"][0].__setitem__(
-        0, [[x] for x in e["frame"][0][0]]), "fibers[63].frame: entry (0, 0)"),
-    (lambda e: e.update(rank=1), "fibers[63].frame: shape (4, 2)"),
-    (lambda e: e.update(rank=1, frame=[[[1.0, 0.0]], [[0.0, 0.0]],
-                                       [[0.0, 0.0]], [[0.0, 0.0]]]),
-     "fibers have mixed ranks [1, 2]"),
-], ids=["boolean", "string", "null", "triple", "ragged row",
-        "extra nesting", "rank field", "mixed rank"])
-def test_malformed_last_fiber_exits_2(tmp_path, capsys, mangle, fragment):
-    out = tmp_path / "chain.json"
-    run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 1,
-        "--N", 64, "--output", out)
-    data = v1_document(_read_bundle(out))
-    mangle(data["fibers"][63])
-    out.write_text(json.dumps(data))
-    capsys.readouterr()
-    assert run("validate", "--input", out) == 2
-    assert fragment in capsys.readouterr().err
 
 
 def test_kane_mele_csv_pins_the_scalar_abs_and_angle(tmp_path, capsys):
@@ -649,6 +616,7 @@ def _with_frame(p, frame):
     (lambda f: f.update(shape=[8, 4, 1]), "frames.shape: expected [8, 2, m]"),
     (lambda f: f.update(shape=[16, 2, 1]), "frames.shape: expected [8, 2, m]"),
     (lambda f: f.update(shape=[8, 2, 2]), "frames.shape: expected [8, 2, m]"),
+    (lambda f: f.update(shape=[8, 2, 0]), "frames.shape: expected [8, 2, m]"),
     (lambda f: f.update(shape=[8, 2, True]), "frames.shape: expected"),
     (lambda f: f.update(shape=[8.0, 2, 1]), "frames.shape: expected"),
     (lambda f: f.update(shape=[8, 2]), "frames.shape: expected"),
@@ -662,6 +630,7 @@ def _with_frame(p, frame):
         "too many bytes", "too few bytes", "payload not a string",
         "payload missing", "dtype <c8", "dtype >c16", "dtype missing",
         "shape against n", "shape against grid", "rank out of range",
+        "rank zero",
         "bool in shape", "float in shape", "two-entry shape", "string shape",
         "nan", "inf"])
 def test_malformed_v2_frames_exit_2(tmp_path, capsys, mangle, fragment):
@@ -763,7 +732,7 @@ def test_bundle_files_are_the_serialized_document(tmp_path, argv, make,
          "ends in ="])
 def test_streamed_payload_at_chunk_edges(tmp_path, monkeypatch, N, chunk,
                                          padding):
-    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(bundles, "_CHUNK", chunk)
     bundle = example_majorana(True, N=N)      # 32 N bytes of frames
     payload = serialize_bundle(bundle)["frames"]["base64"]
     assert len(payload) - len(payload.rstrip("=")) == padding
@@ -787,19 +756,8 @@ def test_writing_a_bundle_holds_two_chunks_at_most(tmp_path):
     finally:
         tracemalloc.stop()
     # two chunks of base64 text and a margin, against 3x the file before
-    assert peak < 2 * (4 * cli._CHUNK // 3) + (64 << 10)
+    assert peak < 2 * (4 * bundles._CHUNK // 3) + (64 << 10)
     assert out.read_bytes() == _whole_text_file(tmp_path, big)
-
-
-def test_checked_in_v1_file_through_the_cli(tmp_path, capsys):
-    v1 = Path(__file__).parent / "data" / "kitaev_chain_2_1_N8_v1.json"
-    assert run("validate", "--input", v1) == 0
-    out = tmp_path / "doubled.json"
-    assert run("doubling", "--input", v1, "--output", out) == 0
-    assert _load(out)["version"] == 2
-    assert np.array_equal(
-        _bits(_read_bundle(out).frames),
-        _bits(double_bundle(example_kitaev_chain(2, 1, N=8)).frames))
 
 
 def _v2_with(mangle):
@@ -811,17 +769,18 @@ def _v2_with(mangle):
     return make
 
 
-def _v1_with(mangle):
-    """The version-1 document of the same chain, changed by ``mangle``."""
-    def make(chain):
-        doc = v1_document(_read_bundle(chain))
-        mangle(doc)
-        return doc
-    return make
-
-
 def _generators(doc):
     return doc["class"]["generators"]
+
+
+def _with_entry(r, c, value):
+    """The chain document with entry (r, c) of its generator's matrix set
+    to ``value``."""
+    return _v2_with(lambda d: _generators(d)[0]["matrix"][r].__setitem__(
+        c, value))
+
+
+_MATRIX = "class.generators[0].matrix"
 
 
 # (argv, the document that "{in}" names, message); a callable builds the
@@ -839,12 +798,27 @@ _REFUSALS = {
                                 _v2_with(lambda d: _generators(d)
                                          .__setitem__(0, [1])),
                                 "class.generators[0]: expected an object"),
-    "v1 rank too large": (["validate", "--input", "{in}"],
-                          _v1_with(lambda d: d["fibers"][3].update(rank=2)),
-                          "fibers[3].rank: out of range value 2"),
-    "v1 rank zero": (["validate", "--input", "{in}"],
-                     _v1_with(lambda d: d["fibers"][0].update(rank=0)),
-                     "fibers[0].rank: out of range value 0"),
+    "entry a bool pair": (["validate", "--input", "{in}"],
+                          _with_entry(0, 0, [True, 0.0]),
+                          f"{_MATRIX}: entry (0, 0) is not an [re, im] pair"),
+    "entry a string": (["validate", "--input", "{in}"],
+                       _with_entry(1, 1, ["0.5", 0.0]),
+                       f"{_MATRIX}: entry (1, 1) is not an [re, im] pair"),
+    "entry null": (["validate", "--input", "{in}"],
+                   _with_entry(1, 0, [None, 0.0]),
+                   f"{_MATRIX}: entry (1, 0) is not an [re, im] pair"),
+    "entry a triple": (["validate", "--input", "{in}"],
+                       _with_entry(0, 1, [0.0, 0.0, 0.0]),
+                       f"{_MATRIX}: entry (0, 1) is not an [re, im] pair"),
+    "entry nested": (["validate", "--input", "{in}"],
+                     _with_entry(0, 0, [[0.0], [0.0]]),
+                     f"{_MATRIX}: entry (0, 0) is not an [re, im] pair"),
+    "ragged row": (["validate", "--input", "{in}"],
+                   _v2_with(lambda d: _generators(d)[0]["matrix"][1].pop()),
+                   f"{_MATRIX}: row 1 has length 1, expected 2"),
+    "version 1": (["validate", "--input", "{in}", "--csv", "{out}"],
+                  _v2_with(lambda d: d.update(version=1)),
+                  "version: unsupported value 1"),
     "n < 1": (["validate", "--input", "{in}"],
               _v2_with(lambda d: d.update(n=0)), "n: must be positive, got 0"),
     "label not a string": (["validate", "--input", "{in}"],

@@ -194,6 +194,16 @@ def test_pfaffian_field_rejects_a_form_on_another_space():
         pfaffian_field(b, other)
 
 
+def test_pfaffian_field_refuses_the_form_in_place_of_the_generator():
+    # W = J1^T B passes every generator check but is no pseudo-symmetry of
+    # the fibers; read as a generator it would give a field of zeros
+    b = example_dIII(N=8)
+    J1 = b.cset.generators[0]
+    assert np.abs(pfaffian_field(b, J1)).max() > 0.5
+    with pytest.raises(ValidationError, match="not pseudo-symmetric under J1"):
+        pfaffian_field(b, omega_form(b.space, J1))
+
+
 def test_pfaffian_field_rejects_odd_rank():
     sp = make_nambu(1)
     grid = make_sphere_grid(2, 8, 3)
@@ -383,7 +393,11 @@ def test_kane_mele_refuses_a_t0_row_that_breaks_time_reversal():
 
 
 def _alpha_bundle(sp, alpha, N, M):
-    """Sphere bundle whose Pfaffian field is -alpha up to normalization."""
+    """Sphere bundle whose Pfaffian field is -alpha up to normalization.
+
+    Its fibers span (alpha, 0, 1, 0) and e_1, which J1 is no
+    pseudo-symmetry of, so :func:`pfaffian_field` refuses it and
+    :func:`_form_pfaffians` reads its field."""
     cset, _ = _diii_cset(sp)
     grid = make_sphere_grid(2, N, M)
     fibers = []
@@ -407,13 +421,21 @@ def _link_table(bundle):
             slots < 2 * len(o))
 
 
+def _form_pfaffians(bundle, J1):
+    """Pf(F^T W F) at every grid point, W the :func:`omega_form` of J1:
+    the Pfaffian field without its pseudo-symmetry check."""
+    W = omega_form(bundle.space, J1)
+    F = bundle.frames
+    return _pfaffians(np.swapaxes(F, 1, 2) @ W @ F)
+
+
 def _pfaffian_zeros(bundle, J1):
     """The zeros of the Pfaffian field p, located from p and the link
     table alone: its grid zero points, the crossing faces (a zero corner,
     a phase step within 0.35 of the branch cut, or a winding), and the
     winding of the frame-compensated phase of p around each vortex face.
     """
-    p = pfaffian_field(bundle, J1)
+    p = _form_pfaffians(bundle, J1)
     zero = np.abs(p) < 1e-8 * np.abs(p).max()
     corners = bundle.grid.plaquettes
     crossing = zero[corners].any(axis=1)
@@ -460,6 +482,8 @@ def test_kane_mele_detects_an_off_grid_vortex_pair():
     assert len(set(root[ids])) == 2
     with pytest.raises(InputError, match="odd row count"):
         kane_mele_z2(b, J1)
+    with pytest.raises(ValidationError, match="pseudo-symmetric under J1"):
+        pfaffian_field(b, J1)
 
 
 _KM_PINNED = {
