@@ -557,6 +557,22 @@ def test_deserialize_reports_offending_path(mangle, fragment):
     assert fragment in str(err.value)
 
 
+def test_deserialize_checks_fiber_count_before_building_the_grid(
+        monkeypatch):
+    # the shape declares the huge grid's fiber count; the payload holds 4
+    def refuse(*args):
+        raise AssertionError("grid built before the fiber count check")
+
+    monkeypatch.setattr("fermibundle.bundles.make_sphere_grid", refuse)
+    data = serialize_bundle(_constant_creator_bundle(N=4))
+    data["grid"] = {"d": 2, "N": 10**6, "M": 10**6}
+    data["frames"]["shape"][0] = 10**12 + 2
+    with pytest.raises(InputError) as err:
+        deserialize_bundle(data)
+    assert str(err.value).startswith("frames.base64: ")
+    assert "bytes do not fill [1000000000002," in str(err.value)
+
+
 def test_v2_shape_is_checked_before_building_the_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("grid built before the frame shape check")

@@ -313,9 +313,11 @@ def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
     lambda d: d.update(version=True),
     lambda d: d.update(n=True),
     lambda d: d["grid"].update(N=True),
-], ids=["version", "n", "grid.N"])
+    lambda d: d["frames"]["shape"].__setitem__(2, True),
+], ids=["version", "n", "grid.N", "frame entry"])
 def test_booleans_are_not_integers(tmp_path, mangle):
-    # on the point pair grid.N is unused, so only its type can reject it
+    # on the point pair grid.N is unused, and true equals the frames' rank 1,
+    # so only their types can reject them
     sp = make_nambu(1)
     pair = Bundle(sp, imaginary_realization(sp, "BDI"), make_sphere_grid(0),
                   (vacuum_plane(sp),) * 2, "BDI")
@@ -769,6 +771,19 @@ def _v2_with(mangle):
     return make
 
 
+def _v1_layout(doc):
+    """``doc`` in the version-1 layout: one ``{"rank", "frame"}`` object per
+    grid point, every entry an ``[re, im]`` pair, in place of the payload."""
+    fdata = doc.pop("frames")
+    F = np.frombuffer(base64.b64decode(fdata["base64"]), "<c16").reshape(
+        fdata["shape"])
+    doc.update(version=1, fibers=[
+        {"rank": f.shape[1],
+         "frame": [[[z.real, z.imag] for z in row] for row in f.tolist()]}
+        for f in F])
+    return doc
+
+
 def _generators(doc):
     return doc["class"]["generators"]
 
@@ -819,6 +834,11 @@ _REFUSALS = {
     "version 1": (["validate", "--input", "{in}", "--csv", "{out}"],
                   _v2_with(lambda d: d.update(version=1)),
                   "version: unsupported value 1"),
+    # refused for its version before any fiber's rank is read
+    "v1 rank too large": (["validate", "--input", "{in}"],
+                          _v2_with(lambda d: _v1_layout(d)["fibers"][3]
+                                   .update(rank=2)),
+                          "version: unsupported value 1"),
     "n < 1": (["validate", "--input", "{in}"],
               _v2_with(lambda d: d.update(n=0)), "n: must be positive, got 0"),
     "label not a string": (["validate", "--input", "{in}"],
