@@ -298,7 +298,8 @@ class Bundle:
 class BundleReport:
     """Outcome of :func:`validate_bundle`, with per-point deviations.
 
-    ``tol`` and ``continuity_tol`` are the thresholds the checks applied.
+    ``tol`` and ``continuity_tol`` are the thresholds the checks applied;
+    the latter is always ``CONTINUITY_TOL``.
     ``continuity_edge`` is the grid edge (a, b) at which the largest jump
     ``continuity_max`` occurs, or None when no fiber moves along any edge.
     It is an argmax over distances that can tie up to rounding, so among
@@ -315,19 +316,19 @@ class BundleReport:
     messages: tuple = ()
 
 
-def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
-                    continuity_tol: float = CONTINUITY_TOL) -> BundleReport:
+def validate_bundle(bundle: Bundle, tol: float = ALG_TOL) -> BundleReport:
     """Check pseudo-symmetry, Fermi pairing, and continuity of a bundle.
 
-    The Fermi constraint is the spectral distance from the projector at -k
-    to B conj(1 - Pi_A) B, the projector of the Fermi annihilator of the
-    fiber A at k; it applies only to half-rank bundles and is skipped
-    (reported as ``None``) otherwise.  Continuity is the largest spectral
-    distance between the projectors at the ends of a grid edge; the same
-    ``Bundle._edge_pass`` caches link determinants when m <= 2 on a sphere.
+    ``tol`` bounds the pseudo-symmetry and Fermi deviations, and
+    ``CONTINUITY_TOL`` the edge distances.  The Fermi constraint is the
+    spectral distance from the projector at -k to B conj(1 - Pi_A) B, the
+    projector of the Fermi annihilator of the fiber A at k; it applies
+    only to half-rank bundles and is skipped (reported as ``None``)
+    otherwise.  Continuity is the largest spectral distance between the
+    projectors at the ends of a grid edge; the same ``Bundle._edge_pass``
+    caches link determinants when m <= 2 on a sphere.
     """
     _require_tolerance(tol, "tol")
-    _require_tolerance(continuity_tol, "continuity_tol")
     grid = bundle.grid
     frames = bundle.frames
     size, dim, m = frames.shape
@@ -361,11 +362,11 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL,
     if dist.size and dist.max() > 0.0:
         i = int(np.argmax(dist))
         cont, worst = float(dist[i]), tuple(int(v) for v in grid.edges[i])
-    if cont > continuity_tol:
+    if cont > CONTINUITY_TOL:
         messages.append(
             f"fibers jump across edge {worst} (distance {cont:.3f})")
     return BundleReport(not messages, pseudo, fermi, cont, worst, tol,
-                        continuity_tol, tuple(messages))
+                        CONTINUITY_TOL, tuple(messages))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .invariants import (chern_number, chiral_winding, class_d_z2,
 from .suspension import (SuspensionInput, example_dIII,
                          example_kitaev_chain, example_majorana, suspend)
 from .symmetry import class_info, true_symmetries
-from .tolerances import ALG_TOL
+from .tolerances import ALG_TOL, MAX_TOL
 
 
 def _read_json(path):
@@ -176,7 +176,7 @@ def _cmd_example(args):
 
 def _cmd_validate(args):
     bundle = _load_bundle(args.input)
-    if not 0.0 < args.tol <= 1e-3:
+    if not 0.0 < args.tol <= MAX_TOL:
         raise InputError(f"tolerance {args.tol} is outside (0, 1e-3]")
     report = validate_bundle(bundle, tol=args.tol)
     fermi = ("n/a" if report.fermi_max is None

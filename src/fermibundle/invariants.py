@@ -22,18 +22,17 @@ import numpy as np
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
-                    _generator_matrix, _monomial_form, _numbers,
-                    _require_tolerance, _unchecked, make_nambu)
+                    _generator_matrix, _monomial_form, _numbers, _unchecked,
+                    make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
-from .tolerances import ALG_TOL
+from .tolerances import ALG_TOL, DERIVED_TOL, DET_FLOOR, PIVOT_FLOOR
 
 _KINDS = ("parity_bit", "z2_bit", "winding_int", "chern_int",
           "component_index")
 
 # Margin keeping principal phase increments away from the branch cut.
 _PHASE_MARGIN_WINDING = 0.15
-_OVERLAP_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,24 +56,25 @@ class InvariantResult:
             raise InputError(f"{self.kind} value must be 0 or 1")
 
 
-def _pfaffians(X: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
+def _pfaffians(X: np.ndarray) -> np.ndarray:
     """Pfaffians of a (S, m, m) stack of skew-symmetric matrices.
 
     Parlett-Reid elimination with partial pivoting, run on the whole stack
-    at once.  Each matrix keeps its own skew check, its own zero-pivot
-    rule (a pivot column below 1e-13 max(1, scale) gives Pfaffian 0), and
-    its own sign, flipped by every symmetric row-and-column swap.  Odd m
-    gives zeros.
+    at once.  Each matrix keeps its own skew check, against ``ALG_TOL``
+    max(1, scale), its own zero-pivot rule (a pivot column below
+    ``PIVOT_FLOOR`` max(1, scale) gives Pfaffian 0), and its own sign,
+    flipped by every symmetric row-and-column swap.  Odd m gives zeros.
     """
     A = np.array(X, dtype=complex)
     S, m = A.shape[0], A.shape[2]
     scale = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    if (np.abs(A + np.swapaxes(A, 1, 2)).max(axis=(1, 2)) > tol * scale).any():
+    skew = np.abs(A + np.swapaxes(A, 1, 2)).max(axis=(1, 2))
+    if (skew > ALG_TOL * scale).any():
         raise ValidationError("matrix is not skew-symmetric")
     out = np.zeros(S, dtype=complex)
     if m % 2:
         return out
-    tiny = 1e-13 * scale
+    tiny = PIVOT_FLOOR * scale
     live = np.arange(S)             # matrices without a zero pivot so far
     pf = np.ones(S, dtype=complex)
     for k in range(0, m - 1, 2):
@@ -101,22 +101,23 @@ def _pfaffians(X: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
     return out
 
 
-def pfaffian(X, tol: float = ALG_TOL) -> complex:
+def pfaffian(X) -> complex:
     """Pfaffian of an even-dimensional skew-symmetric matrix.
 
     Uses Parlett-Reid elimination with partial pivoting; every symmetric
-    row-and-column swap flips the sign.  Satisfies Pf(X)^2 = det(X).
+    row-and-column swap flips the sign.  Satisfies Pf(X)^2 = det(X).  A
+    matrix that is not skew to within ``ALG_TOL`` max(1, |X|) raises
+    ValidationError.
 
     An odd-dimensional skew matrix has Pfaffian zero by convention; that
     case returns 0 with a warning since it usually signals a caller bug.
     """
-    _require_tolerance(tol, "tol")
     A = _numbers(X, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
     if A.shape[0] == 0:
         return complex(1.0)
-    pf = complex(_pfaffians(A[None], tol)[0])
+    pf = complex(_pfaffians(A[None])[0])
     if A.shape[0] % 2:
         warnings.warn("odd-dimensional skew matrix has Pfaffian 0",
                       RuntimeWarning, stacklevel=2)
@@ -137,7 +138,7 @@ def omega_form(space: NambuSpace, J1) -> np.ndarray:
         raise ValidationError(
             "bilinear form is not skew-symmetric; a real generator with "
             "square -1 is required")
-    if abs(np.linalg.det(W)) < 1e-8:
+    if abs(np.linalg.det(W)) < DET_FLOOR:
         raise ValidationError("bilinear form is degenerate")
     return _frozen(W)
 
@@ -160,11 +161,11 @@ def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
     Om = space.majorana_transform
     S = np.eye(space.dim) - 2.0 * A.projector
     X = -1j * (Om @ S @ Om.conj().T)
-    if np.abs(X.imag).max() > 1e-8:
+    if np.abs(X.imag).max() > DERIVED_TOL:
         raise NumericError("Majorana reflection is not real")
     Xr = X.real
-    if (np.abs(Xr + Xr.T).max() > 1e-8
-            or np.abs(Xr @ Xr.T - np.eye(space.dim)).max() > 1e-8):
+    if (np.abs(Xr + Xr.T).max() > DERIVED_TOL
+            or np.abs(Xr @ Xr.T - np.eye(space.dim)).max() > DERIVED_TOL):
         raise NumericError(
             "Majorana reflection is not antisymmetric orthogonal")
     return float(pfaffian(0.5 * (Xr - Xr.T)).real)
@@ -230,13 +231,13 @@ def _fluxes(bundle: Bundle, faces):
     sphere bundle: the phases of the products of their link variables in
     order; also the smallest |det O| of a link.  Side c of face q takes
     ``_edge_dets`` at ``grid.slots[q, c]``, conjugated against its edge and
-    exactly 1 when degenerate.  A link below ``_OVERLAP_FLOOR`` raises
+    exactly 1 when degenerate.  A link below ``DET_FLOOR`` raises
     NumericError naming its face."""
     o, slots = bundle._edge_dets, bundle.grid.slots[faces]
     L = np.concatenate([o, o.conj(), [1.0]]).take(slots)
     edge = slots < 2 * len(o)
     moduli = np.abs(L)
-    small = (moduli < _OVERLAP_FLOOR).any(axis=1)
+    small = (moduli < DET_FLOOR).any(axis=1)
     if small.any():
         q = np.arange(len(bundle.grid.plaquettes))[faces][np.argmax(small)]
         raise NumericError(
@@ -342,8 +343,8 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
     # the off-diagonal block of V^H Pi V, with Pi = F F^H
     G = _dagger(V) @ F
     blocks = 2.0 * (G[:, :n] @ _dagger(G[:, n:]))
-    bad = np.flatnonzero(
-        np.abs(_dagger(blocks) @ blocks - np.eye(n)).max(axis=(1, 2)) > 1e-8)
+    dev = np.abs(_dagger(blocks) @ blocks - np.eye(n)).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > DERIVED_TOL)
     if bad.size:
         raise NumericError(
             f"projector block at point {bad[0]} is not unitary")
@@ -410,7 +411,7 @@ def component_index_ai(A: Plane, Q) -> InvariantResult:
     creators = 0.5 * (np.eye(dim) + lam.real * Qm)
     trace = float(np.real(np.trace(creators @ Pi)))
     n_plus, off = _nearest(trace)
-    if off > 1e-8:
+    if off > DERIVED_TOL:
         raise NumericError(
             f"creation-mode occupation {trace:.6f} is not an integer")
     return InvariantResult("component_index", n_plus, {"trace": trace})

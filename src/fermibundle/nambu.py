@@ -142,7 +142,7 @@ def apply_gamma(space: NambuSpace, v) -> np.ndarray:
     return space.gamma_matrix @ np.conj(_numbers(v, "vector", (space.dim,)))
 
 
-def classify_generator(space: NambuSpace, U, tol: float = ALG_TOL) -> str:
+def classify_generator(space: NambuSpace, U) -> str:
     """Classify a matrix by its action on the anti-commutator bracket.
 
     Returns
@@ -152,17 +152,17 @@ def classify_generator(space: NambuSpace, U, tol: float = ALG_TOL) -> str:
         ``"neither"`` for a unitary satisfying neither relation, and
         ``"not_unitary"`` otherwise.  Only the bracket is tested here;
         the Clifford condition U^2 = -1 is enforced by :class:`CliffordSet`.
+        Each relation is tested to within ``ALG_TOL``.
     """
-    _require_tolerance(tol, "tol")
     d = space.dim
     U = _generator_matrix(U, d, "matrix")
-    if np.abs(U.conj().T @ U - np.eye(d)).max() > tol:
+    if np.abs(U.conj().T @ U - np.eye(d)).max() > ALG_TOL:
         return "not_unitary"
     B = space.bracket_matrix
     M = U.T @ B @ U
-    if np.abs(M - B).max() < tol:
+    if np.abs(M - B).max() < ALG_TOL:
         return "real"
-    if np.abs(M + B).max() < tol:
+    if np.abs(M + B).max() < ALG_TOL:
         return "imaginary"
     return "neither"
 
@@ -292,9 +292,9 @@ class CliffordReport:
         return not self.violations
 
 
-def check_clifford(cset: CliffordSet, tol: float = ALG_TOL) -> CliffordReport:
-    """Verify J_l J_m + J_m J_l = -2 delta_lm on all generator pairs."""
-    _require_tolerance(tol, "tol")
+def check_clifford(cset: CliffordSet) -> CliffordReport:
+    """Verify J_l J_m + J_m J_l = -2 delta_lm on all generator pairs; a
+    deviation above ``ALG_TOL`` is a violation."""
     gens = cset.generators
     eye = np.eye(cset.space.dim)
     worst = 0.0
@@ -306,6 +306,6 @@ def check_clifford(cset: CliffordSet, tol: float = ALG_TOL) -> CliffordReport:
             target = -2.0 * eye if l == m else 0.0
             dev = float(np.abs(acom - target).max())
             worst = max(worst, dev)
-            if dev > tol:
+            if dev > ALG_TOL:
                 bad.append((l, m, dev))
     return CliffordReport(max_deviation=worst, violations=tuple(bad))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InputError, ValidationError
 from .nambu import (NambuSpace, _frozen, _generator_matrix, _monomial_form,
-                    _numbers, _require_tolerance)
+                    _numbers)
 from .tolerances import ALG_TOL, ORTHO_TOL, RANK_TOL
 
 
@@ -63,22 +63,21 @@ def _check_frames(F: np.ndarray) -> None:
         raise ValidationError(f"frame columns are not orthonormal{at}")
 
 
-def plane_from_vectors(space: NambuSpace, vectors, rank_tol: float = RANK_TOL) -> Plane:
+def plane_from_vectors(space: NambuSpace, vectors) -> Plane:
     """Orthonormalize a list of spanning vectors into a :class:`Plane`.
 
     Raises
     ------
     InputError
         If the vectors are linearly dependent (smallest singular value
-        below ``rank_tol``).
+        below ``RANK_TOL``).
     """
-    _require_tolerance(rank_tol, "rank_tol")
     V = _numbers(vectors, "vectors")
     if V.ndim != 2 or not len(V) or V.shape[1] != space.dim:
         raise InputError(f"vectors have shape {V.shape}, expected "
                          f"(k, {space.dim}) with k >= 1")
     U, s, _ = np.linalg.svd(V.T, full_matrices=False)
-    if s.min() < rank_tol:
+    if s.min() < RANK_TOL:
         raise InputError(
             f"rank-deficient input: smallest singular value {s.min():.3e}")
     return Plane(space, U[:, : len(V)])
@@ -315,7 +314,7 @@ def vacuum_plane(space: NambuSpace) -> Plane:
     return Plane(space, F)
 
 
-def is_lagrangian(A: Plane, tol: float = ALG_TOL) -> bool:
-    """Whether the bracket vanishes identically on A."""
-    _require_tolerance(tol, "tol")
-    return A.rank == A.space.n and fermi_check(A, A) < tol
+def is_lagrangian(A: Plane) -> bool:
+    """Whether A has rank n and the bracket vanishes on it, to within
+    ``ALG_TOL``."""
+    return A.rank == A.space.n and fermi_check(A, A) < ALG_TOL

@@ -25,7 +25,7 @@ from .planes import (Plane, _apply, _require_pseudo, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
                        kitaev_generators)
-from .tolerances import ALG_TOL
+from .tolerances import ALG_TOL, DERIVED_TOL
 
 
 def rotor(K, A: Plane, t: float) -> np.ndarray:
@@ -66,7 +66,7 @@ def rotor(K, A: Plane, t: float) -> np.ndarray:
             f"(deviation {dev:.3e})")
     KJ = M @ j_of(A)
     dim = KJ.shape[0]
-    if np.abs(KJ @ KJ + np.eye(dim)).max() > 1e-8:
+    if np.abs(KJ @ KJ + np.eye(dim)).max() > DERIVED_TOL:
         raise ValidationError("K J(A) does not square to minus the identity")
     return math.cos(t / 2) * np.eye(dim) + math.sin(t / 2) * KJ
 
@@ -164,8 +164,9 @@ def suspend(inp: SuspensionInput, points: int = 64,
     label = _next_label(b.label)
     if b.grid.d == 0:
         grid = make_sphere_grid(1, points)  # refuses all but an even N >= 2
-        ks = grid.points[:, 0]
-        west = np.abs(ks) > math.pi / 2 + 1e-12
+        ks, N = grid.points[:, 0], grid.N
+        # |k_i| > pi/2 for k_i = -pi + 2 pi i / N, in integers
+        west = np.abs(4 * np.arange(N) - 2 * N) > N
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
         poles = np.empty((0, *b.frames.shape[1:]))

@@ -1,4 +1,4 @@
-"""Default numeric tolerances.
+"""Numeric tolerances: every threshold of the package is set here, once.
 
 All dense double precision on matrices of dimension at most 64, so a single
 set of thresholds works across the package.
@@ -15,3 +15,18 @@ RANK_TOL = 1e-10
 
 # spectral distance between adjacent fibers above which a bundle is flagged
 CONTINUITY_TOL = 0.5
+
+# residual of an identity derived from inputs checked against ALG_TOL: a
+# unitary projector block, K J(A) squaring to -1, a real antisymmetric
+# orthogonal Majorana reflection, an integer trace, a plane in the image
+# of the doubling lift
+DERIVED_TOL = 1e-8
+
+# |det| below which a bilinear form or a frame overlap counts as singular
+DET_FLOOR = 1e-8
+
+# pivot column, relative to max(1, |X|), below which a Pfaffian is zero
+PIVOT_FLOOR = 1e-13
+
+# largest pseudo/Fermi tolerance that `fermibundle validate --tol` accepts
+MAX_TOL = 1e-3

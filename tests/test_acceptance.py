@@ -175,7 +175,7 @@ def test_criterion_5_generator_table():
                 continue
             cset = kitaev_generators(make_nambu(n), label)
             assert len(cset) == s
-            report = check_clifford(cset, tol=1e-12)
+            report = check_clifford(cset)
             assert report.ok, (label, n, report.violations)
             assert report.max_deviation < 1e-12
         info = class_info(label)

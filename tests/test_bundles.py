@@ -31,7 +31,7 @@ from fermibundle.suspension import (example_dIII, example_kitaev_chain,
                                     example_majorana, suspend)
 from fermibundle.symmetry import (copy_indices, imaginary_realization,
                                   lift_plane)
-from fermibundle.tolerances import CONTINUITY_TOL
+from fermibundle.tolerances import ALG_TOL, CONTINUITY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +265,13 @@ def test_fermi_check_obeys_tol():
     assert abs(report.continuity_max - plane_distance(fibers[a], fibers[c])
                ) < 1e-14
     assert abs(report.continuity_max - max(jumps)) < 1e-14
-    strict = validate_bundle(nudged, tol=1e-8, continuity_tol=0.0)
-    assert (strict.tol, strict.continuity_tol) == (1e-8, 0.0)
-    assert strict.continuity_edge == (a, c)
-    assert strict.messages == (f"fibers jump across edge {(a, c)} "
-                               f"(distance {report.continuity_max:.3f})",)
     assert validate_bundle(nudged, tol=1e-8).ok
+    # a real jump: the four-point circle of the two-band chain
+    coarse = validate_bundle(example_kitaev_chain(2, 2, N=4))
+    assert (coarse.tol, coarse.continuity_tol) == (ALG_TOL, CONTINUITY_TOL)
+    assert coarse.continuity_edge == (0, 1)
+    assert coarse.messages == (
+        "fibers jump across edge (0, 1) (distance 0.707)",)
 
 
 def test_bundle_structural_errors():

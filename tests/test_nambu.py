@@ -1,6 +1,11 @@
+import ast
+import inspect
+import pathlib
+
 import numpy as np
 import pytest
 
+import fermibundle
 from fermibundle.bundles import Bundle, make_sphere_grid, validate_bundle
 from fermibundle.errors import InputError, ValidationError
 from fermibundle.invariants import (chiral_winding, component_index_ai,
@@ -16,7 +21,7 @@ from fermibundle.nambu import (
     classify_generator,
     make_nambu,
 )
-from fermibundle.planes import (Plane, is_lagrangian, plane_from_vectors,
+from fermibundle.planes import (Plane, plane_from_vectors,
                                 pseudo_check, vacuum_plane)
 from fermibundle.suspension import (example_dIII, example_kitaev_chain,
                                     example_majorana, rotor)
@@ -346,27 +351,38 @@ def test_plane_from_no_vectors_is_refused():
         plane_from_vectors(make_nambu(1), [])
 
 
-def _duplicated_generator_set():
-    J = Generator(np.array([[0.0, 1.0], [-1.0, 0.0]]), "imaginary")
-    return CliffordSet(make_nambu(1), (J, J))
-
-
-# Each entry passes its argument as one tolerance of a public function.
+# Each entry passes its argument as one tolerance of a public function:
+# validate_bundle's tol, which `fermibundle validate --tol` sets, is the
+# only one; every other threshold is a constant of fermibundle.tolerances.
 _TOLERANCE_CALLS = {
     "validate_bundle.tol": lambda t: validate_bundle(
         example_majorana(N=8), tol=t),
-    "validate_bundle.continuity_tol": lambda t: validate_bundle(
-        example_majorana(N=8), continuity_tol=t),
-    "check_clifford": lambda t: check_clifford(
-        _duplicated_generator_set(), tol=t),
-    "pfaffian": lambda t: pfaffian([[0, 1], [2, 0]], tol=t),
-    "classify_generator": lambda t: classify_generator(
-        make_nambu(1), 3 * np.eye(2), tol=t),
-    "plane_from_vectors": lambda t: plane_from_vectors(
-        make_nambu(2), [[1, 0, 0, 0], [2, 0, 0, 0]], rank_tol=t),
-    "is_lagrangian": lambda t: is_lagrangian(
-        vacuum_plane(make_nambu(1)), tol=t),
 }
+
+
+def test_no_other_public_function_takes_a_tolerance():
+    taken = {f"{name}.{p}" for name in fermibundle.__all__
+             if inspect.isfunction(f := getattr(fermibundle, name))
+             for p in inspect.signature(f).parameters if "tol" in p}
+    assert taken == set(_TOLERANCE_CALLS)
+
+
+def _compared_floats(path):
+    """(line, value) of every float constant but 0.0 inside a comparison
+    of the module at ``path``."""
+    return [(node.lineno, node.value)
+            for cmp in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cmp, ast.Compare) for node in ast.walk(cmp)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is float and node.value != 0.0]
+
+
+def test_every_threshold_is_set_in_the_tolerances_module():
+    package = pathlib.Path(fermibundle.__file__).parent
+    found = {path.name: _compared_floats(path)
+             for path in sorted(package.glob("*.py"))
+             if path.name != "tolerances.py"}
+    assert {name: got for name, got in found.items() if got} == {}
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12,
