@@ -22,8 +22,7 @@ import numpy as np
 from .bundles import Bundle
 from .errors import InputError, NumericError, ValidationError
 from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
-                    _generator_matrix, _monomial_form, _numbers, _unchecked,
-                    make_nambu)
+                    _generator_matrix, _numbers, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
 from .tolerances import ALG_TOL, DERIVED_TOL, DET_FLOOR, PIVOT_FLOOR
@@ -152,8 +151,7 @@ def pfaffian_field(bundle: Bundle, J1) -> np.ndarray:
         raise InputError("the Pfaffian field needs even-rank fibers")
     F = bundle.frames
     _require_pseudo([J1], F, "under J1")
-    return _pfaffians(_mm(np.swapaxes(F, 1, 2),
-                          _apply(W, F, _monomial_form(W))))
+    return _pfaffians(_mm(np.swapaxes(F, 1, 2), _apply(W, F)))
 
 
 def _majorana_pfaffian(space: NambuSpace, A: Plane) -> float:
@@ -300,7 +298,7 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     row = M // 2 * N + np.arange(N)
     F = bundle.frames[row]
     Fm = F[-np.arange(N) % N]
-    TF = _apply(T, F.conj(), _monomial_form(T))
+    TF = _apply(T, F.conj())
     dev = _spectral_norms(TF - _mm(Fm, _mm(_dagger(Fm), TF)))
     theta_max = float(dev.max())
     if not theta_max <= ALG_TOL:

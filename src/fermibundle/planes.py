@@ -167,10 +167,13 @@ def _cmul(a, b) -> np.ndarray:
 def _apply(M: np.ndarray, F: np.ndarray, form=None) -> np.ndarray:
     """M F for a matrix M and every F of a (P, d, m) stack.
 
-    Given M's monomial ``form`` (perm, sign), row i of M F is sign[i]
+    For a monomial M, of form (perm, sign), row i of M F is sign[i]
     F[perm[i]], a gather and an exact product equal to the dense one.
     Otherwise M F is one GEMM over the stack reshaped to (P m, d) rows.
+    A caller that applies M block by block passes M's ``form`` once found.
     """
+    if form is None:
+        form = _monomial_form(M)
     if form is not None:
         perm, sign = form
         MF = F[:, perm]

@@ -19,8 +19,7 @@ import numpy as np
 from .bundles import Bundle, make_sphere_grid
 from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, _eigensplit, _frozen,
-                    _generator_matrix, _is_int, _monomial_form, _unchecked,
-                    make_nambu)
+                    _generator_matrix, _is_int, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _require_pseudo, j_of, pseudo_check,
                      vacuum_plane)
 from .symmetry import (CLASS_TABLE, class_info, imaginary_realization,
@@ -188,7 +187,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
     half = (ts / 2)[:, None, None]
     frames = np.empty((len(ts) + len(poles), *poles.shape[1:]), complex)
     rot = b.frames.take(seeds, 0, out=frames[:len(ts)])
-    KF = _apply(K.matrix, b.frames, _monomial_form(K.matrix)).take(seeds, 0)
+    KF = _apply(K.matrix, b.frames).take(seeds, 0)
     np.multiply(np.cos(half), rot, out=rot)
     rot += np.multiply(1j * np.sin(half), KF, out=KF)
     rot[ts == 0] = b.frames[seeds[ts == 0]]
