@@ -13,14 +13,14 @@ import binascii
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _is_int,
-                    _monomial_form, _numbers, _require_tolerance, _unchecked,
-                    make_nambu)
+                    _monomial_form, _numbers, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _blocks, _check_frames, _cmul, _dagger,
                      _mm, _pseudo_deviations, _spectral_norms)
 from .symmetry import CLASS_TABLE, double_one_one, lift_frames
@@ -298,8 +298,7 @@ class Bundle:
 class BundleReport:
     """Outcome of :func:`validate_bundle`, with per-point deviations.
 
-    ``tol`` and ``continuity_tol`` are the thresholds the checks applied;
-    the latter is always ``CONTINUITY_TOL``.
+    ``tol`` and ``continuity_tol`` are the thresholds the checks applied.
     ``continuity_edge`` is the grid edge (a, b) at which the largest jump
     ``continuity_max`` occurs, or None when no fiber moves along any edge.
     It is an argmax over distances that can tie up to rounding, so among
@@ -328,7 +327,10 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL) -> BundleReport:
     projectors at the ends of a grid edge; the same ``Bundle._edge_pass``
     caches link determinants when m <= 2 on a sphere.
     """
-    _require_tolerance(tol, "tol")
+    # a NaN threshold compares False, so every guard against it passes
+    if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
+            or not 0.0 <= tol < np.inf):
+        raise InputError(f"tol must lie in [0, inf), got {tol!r}")
     grid = bundle.grid
     frames = bundle.frames
     size, dim, m = frames.shape

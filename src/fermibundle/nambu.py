@@ -9,7 +9,6 @@ followed by the same swap matrix.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -55,13 +54,6 @@ def _numbers(a, what: str, shape: tuple | None = None,
     if not np.isfinite(A).all():
         raise InputError(f"{what} has non-finite entries")
     return A
-
-
-def _require_tolerance(tol: float, what: str) -> None:
-    # a NaN threshold compares False, so every guard against it passes
-    if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
-            or not 0.0 <= tol < np.inf):
-        raise InputError(f"{what} must lie in [0, inf), got {tol!r}")
 
 
 def _is_int(v) -> bool:
@@ -293,8 +285,7 @@ class CliffordReport:
 
 
 def check_clifford(cset: CliffordSet) -> CliffordReport:
-    """Verify J_l J_m + J_m J_l = -2 delta_lm on all generator pairs; a
-    deviation above ``ALG_TOL`` is a violation."""
+    """Verify J_l J_m + J_m J_l = -2 delta_lm on all pairs, to ``ALG_TOL``."""
     gens = cset.generators
     eye = np.eye(cset.space.dim)
     worst = 0.0

@@ -172,8 +172,7 @@ def _apply(M: np.ndarray, F: np.ndarray, form=None) -> np.ndarray:
     Otherwise M F is one GEMM over the stack reshaped to (P m, d) rows.
     A caller that applies M block by block passes M's ``form`` once found.
     """
-    if form is None:
-        form = _monomial_form(M)
+    form = _monomial_form(M) if form is None else form
     if form is not None:
         perm, sign = form
         MF = F[:, perm]
@@ -318,6 +317,5 @@ def vacuum_plane(space: NambuSpace) -> Plane:
 
 
 def is_lagrangian(A: Plane) -> bool:
-    """Whether A has rank n and the bracket vanishes on it, to within
-    ``ALG_TOL``."""
+    """Whether A has rank n and the bracket vanishes on it to ``ALG_TOL``."""
     return A.rank == A.space.n and fermi_check(A, A) < ALG_TOL

@@ -164,8 +164,7 @@ def suspend(inp: SuspensionInput, points: int = 64,
     if b.grid.d == 0:
         grid = make_sphere_grid(1, points)  # refuses all but an even N >= 2
         ks, N = grid.points[:, 0], grid.N
-        # |k_i| > pi/2 for k_i = -pi + 2 pi i / N, in integers
-        west = np.abs(4 * np.arange(N) - 2 * N) > N
+        west = np.abs(4 * np.arange(N) - 2 * N) > N     # |k| > pi/2, exactly
         seeds = west.astype(int)
         ts = np.where(west, np.copysign(math.pi - np.abs(ks), ks), ks)
         poles = np.empty((0, *b.frames.shape[1:]))
