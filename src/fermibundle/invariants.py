@@ -6,8 +6,8 @@ over the sphere, and phase-accumulation formulas for winding and Chern
 numbers and for the Kane-Mele index, which sums plaquette fluxes over the
 northern half-sphere against the link phases of its t = 0 boundary row in
 a time-reversal gauge.  Phase bookkeeping uses principal branches; the
-winding keeps its steps an explicit margin from the branch cut, and a
-singular frame overlap raises :class:`NumericError` instead of silently
+winding refuses a step that the continuity check of validation flags, and
+a singular frame overlap raises :class:`NumericError` instead of silently
 returning a wrong integer.
 """
 
@@ -25,13 +25,11 @@ from .nambu import (Generator, NambuSpace, _eigensplit, _frozen,
                     _generator_matrix, _numbers, _unchecked, make_nambu)
 from .planes import (Plane, _apply, _cmul, _dagger, _mm, _require_pseudo,
                      _spectral_norms, fermi_check, vacuum_plane)
-from .tolerances import ALG_TOL, DERIVED_TOL, DET_FLOOR, PIVOT_FLOOR
+from .tolerances import (ALG_TOL, CONTINUITY_TOL, DERIVED_TOL, DET_FLOOR,
+                         PIVOT_FLOOR)
 
 _KINDS = ("parity_bit", "z2_bit", "winding_int", "chern_int",
           "component_index")
-
-# Margin keeping principal phase increments away from the branch cut.
-_PHASE_MARGIN_WINDING = 0.15
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +103,7 @@ def pfaffian(X) -> complex:
 
     Uses Parlett-Reid elimination with partial pivoting; every symmetric
     row-and-column swap flips the sign.  Satisfies Pf(X)^2 = det(X).  A
-    matrix that is not skew to within ``ALG_TOL`` max(1, |X|) raises
-    ValidationError.
+    matrix not skew to within ``ALG_TOL`` max(1, |X|) is a ValidationError.
 
     An odd-dimensional skew matrix has Pfaffian zero by convention; that
     case returns 0 with a warning since it usually signals a caller bug.
@@ -322,8 +319,10 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
 
     In an eigenbasis of K1 with the +i eigenspace first, each fiber
     projector takes the form [[1, U]/2, [U^dag, 1]/2] with U(k) unitary.
-    The returned integer is the accumulation of the principal phase of
-    det U around the circle, which is independent of the eigenbasis.
+    The integer is the sum over 2 pi of the eigenphases phi of the steps
+    U(k') U(k)^dag between neighbors, which a change of eigenbasis does not
+    move.  A step's projector distance is max sin(|phi| / 2); one above
+    ``CONTINUITY_TOL`` raises NumericError.  ``max_step`` is max |phi|.
     """
     grid = bundle.grid
     if grid.d != 1:
@@ -346,18 +345,18 @@ def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
     if bad.size:
         raise NumericError(
             f"projector block at point {bad[0]} is not unitary")
-    dets = np.linalg.det(blocks)
-
-    steps = np.angle(np.roll(dets, -1) * np.conj(dets))
-    big = np.flatnonzero(np.abs(steps) >= np.pi - _PHASE_MARGIN_WINDING)
+    phases = np.angle(np.linalg.eigvals(
+        _mm(np.roll(blocks, -1, axis=0), _dagger(blocks))))
+    steps = np.abs(phases).max(axis=1)
+    big = np.flatnonzero(np.sin(steps / 2) > CONTINUITY_TOL)
     if big.size:
         i = big[0]
         raise NumericError(
-            f"phase step {steps[i]:+.3f} between points {i} and "
+            f"eigenphase step {steps[i]:.3f} between points {i} and "
             f"{(i + 1) % grid.N} is too large; refine the grid")
-    w, residual = _nearest(float(np.sum(steps)) / (2.0 * np.pi))
+    w, residual = _nearest(float(np.sum(phases)) / (2.0 * np.pi))
     return InvariantResult("winding_int", w, {
-        "max_step": float(np.abs(steps).max()), "residual": residual})
+        "max_step": float(steps.max()), "residual": residual})
 
 
 def chern_number(bundle: Bundle) -> InvariantResult:
@@ -369,7 +368,7 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     sum is 2 pi times an integer up to rounding, ``residual``.  A coarse
     grid can wrap a face past +-pi, and at rank m > 1 no diagnostic detects
     that, ``max_abs_flux`` included: a determinant phase sums m eigenphases
-    (ROADMAP item 13).  A singular overlap raises NumericError.
+    (ROADMAP item 17).  A singular overlap raises NumericError.
     """
     grid = bundle.grid
     if grid.d != 2:

@@ -1,8 +1,6 @@
-"""Numeric tolerances: every threshold of the package is set here, once.
-
-All dense double precision on matrices of dimension at most 64, so a single
-set of thresholds works across the package.
-"""
+"""Every numeric threshold of the package, set once.  All the arithmetic is
+dense double precision on matrices of dimension at most 64, so one set serves
+the whole package."""
 
 # algebraic identity checks (brackets, Clifford relations, pseudo-symmetry)
 ALG_TOL = 1e-10
@@ -13,19 +11,15 @@ ORTHO_TOL = 1e-12
 # singular value below which input vectors count as rank deficient
 RANK_TOL = 1e-10
 
-# spectral distance between adjacent fibers above which a bundle is flagged
+# adjacent-fiber spectral distance that validation flags, and winding refuses
 CONTINUITY_TOL = 0.5
 
-# residual of an identity derived from inputs checked against ALG_TOL: a
-# unitary projector block, K J(A) squaring to -1, a real antisymmetric
-# orthogonal Majorana reflection, an integer trace, a plane in the image
-# of the doubling lift
+# residual of an identity derived from inputs checked against ALG_TOL
 DERIVED_TOL = 1e-8
 
-# |det| below which a bilinear form or a frame overlap counts as singular
+# |det| below which a bilinear form or a frame overlap counts as singular,
+# and pivot column, relative to max(1, |X|), below which a Pfaffian is zero
 DET_FLOOR = 1e-8
-
-# pivot column, relative to max(1, |X|), below which a Pfaffian is zero
 PIVOT_FLOOR = 1e-13
 
 # largest pseudo/Fermi tolerance that `fermibundle validate --tol` accepts

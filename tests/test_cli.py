@@ -404,6 +404,20 @@ def test_exit_code_for_numeric_errors(tmp_path):
                "chiral_winding") == 3
 
 
+def test_winding_of_a_coarse_eight_band_chain(tmp_path, capsys):
+    # on four of its eight steps all eight eigenphases turn by -pi/4, a
+    # det phase step of -2 pi that its principal argument reads as 0
+    out = tmp_path / "chain.json"
+    run("example", "--name", "kitaev_chain", "--n", 8, "--n-plus", 3,
+        "--N", 8, "--output", out)
+    assert run("validate", "--input", out) == 0
+    capsys.readouterr()
+    assert run("invariant", "--input", out, "--kind", "chiral_winding") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["value"] == -3
+    assert payload["diagnostics"]["max_step"] == pytest.approx(np.pi / 4)
+
+
 def test_numpy_linalg_failures_exit_3(tmp_path, capsys, monkeypatch):
     # the link table of a rank-4 bundle (the doubled sphere) calls
     # np.linalg.det; ranks 1 and 2 use a closed form

@@ -24,6 +24,7 @@ from fermibundle.suspension import (SuspensionInput, _diii_equator_frame,
                                     example_majorana, suspend)
 from fermibundle.symmetry import (imaginary_realization, kitaev_generators,
                                   true_symmetries)
+from fermibundle.tolerances import CONTINUITY_TOL
 
 
 def _random_skew(rng, m, cplx=True):
@@ -751,8 +752,50 @@ def test_winding_rejects_real_generators():
 
 def test_winding_coarse_grid_errors():
     b = example_kitaev_chain(2, 2, N=4)
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match=(
+            r"eigenphase step 1\.571 between points 0 and 1 is too large; "
+            r"refine the grid")):
         chiral_winding(b, b.cset.generators[0])
+
+
+# Chains on which the winding summed det-phase steps and so wrapped past
+# +-pi (0, -1, 1, 2, 3 or 4 in place of -n_plus) or refused; every one
+# but (2, 2, 4) passes validate_bundle.
+_WRAPPED_CHAINS = [(8, 8, 8), (16, 16, 8), (16, 16, 16), (8, 5, 8),
+                   (8, 3, 8), (6, 6, 8), (5, 5, 8), (12, 12, 16), (4, 4, 8),
+                   (12, 12, 8), (16, 16, 32), (2, 2, 4), (8, 3, 16),
+                   (8, 5, 16), (8, 8, 16)]
+
+
+@pytest.mark.parametrize("n,n_plus,N", _WRAPPED_CHAINS)
+def test_winding_of_a_chain_is_minus_its_occupied_bands(n, n_plus, N):
+    b = example_kitaev_chain(n, n_plus, N)
+    K1 = b.cset.generators[0]
+    if (n, n_plus, N) == (2, 2, 4):
+        with pytest.raises(NumericError, match="refine the grid"):
+            chiral_winding(b, K1)
+    else:
+        result = chiral_winding(b, K1)
+        assert result.value == -n_plus
+        assert result.diagnostics["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("N", [4, 6, 8, 16])
+def test_winding_refuses_the_circles_that_validation_flags(N):
+    # the projector distance of a step is max sin(|phi| / 2) over its
+    # eigenphases, so the refusal is the circle's own continuity check
+    for n in (1, 2, 3):
+        for n_plus in range(n + 1):
+            b = example_kitaev_chain(n, n_plus, N)
+            report = validate_bundle(b)
+            if report.ok:
+                step = chiral_winding(b, b.cset.generators[0]
+                                      ).diagnostics["max_step"]
+                assert abs(np.sin(step / 2) - report.continuity_max) < 1e-15
+            else:
+                assert report.continuity_max > CONTINUITY_TOL
+                with pytest.raises(NumericError, match="refine the grid"):
+                    chiral_winding(b, b.cset.generators[0])
 
 
 # ---------------------------------------------------------- Chern number
