@@ -294,28 +294,31 @@ def test_exit_code_for_input_errors(tmp_path):
     assert run("validate", "--input", tmp_path / "missing.json") == 2
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-@pytest.mark.parametrize("where", ["fiber", "generator"])
-def test_non_finite_entries_are_malformed_input(tmp_path, where, bad):
+# a non-finite frame entry is test_malformed_v2_frames_exit_2[nan], [inf]
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                         ids=["generator-nan", "generator-inf"])
+def test_non_finite_entries_are_malformed_input(tmp_path, capsys, bad):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
-    if where == "fiber":
-        data = _with_fiber(out, 3, [[bad], [0.0]])
-    else:
-        data = _load(out)
-        data["class"]["generators"][0]["matrix"][0][1] = [0.0, bad]
+    data = _load(out)
+    data["class"]["generators"][0]["matrix"][0][1] = [0.0, bad]
     out.write_text(json.dumps(data))
+    capsys.readouterr()
     assert run("validate", "--input", out) == 2
+    assert capsys.readouterr().err == (
+        "input error: class.generators[0].matrix has non-finite entries\n")
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda d: d.update(version=True),
-    lambda d: d.update(n=True),
-    lambda d: d["grid"].update(N=True),
-    lambda d: d["frames"]["shape"].__setitem__(2, True),
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d.update(version=True), "version: wrong type bool"),
+    (lambda d: d.update(n=True), "n: wrong type bool"),
+    (lambda d: d["grid"].update(N=True),
+     "grid.N: must be an integer, got True"),
+    (lambda d: d["frames"]["shape"].__setitem__(2, True),
+     "frames.shape: expected [2, 2, m] with 1 <= m < 2, got [2, 2, True]"),
 ], ids=["version", "n", "grid.N", "frame entry"])
-def test_booleans_are_not_integers(tmp_path, mangle):
+def test_booleans_are_not_integers(tmp_path, capsys, mangle, message):
     # on the point pair grid.N is unused, and true equals the frames' rank 1,
     # so only their types can reject them
     sp = make_nambu(1)
@@ -327,7 +330,9 @@ def test_booleans_are_not_integers(tmp_path, mangle):
     assert run("validate", "--input", out) == 0
     mangle(data)
     out.write_text(json.dumps(data))
+    capsys.readouterr()
     assert run("validate", "--input", out) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_invariant_parity_of_the_majorana_zero_fiber(tmp_path, capsys):
@@ -396,12 +401,16 @@ def test_invariant_component_index_at_self_antipodal_points(tmp_path,
     assert values == [0, 1]
 
 
-def test_exit_code_for_numeric_errors(tmp_path):
+def test_exit_code_for_numeric_errors(tmp_path, capsys):
     out = tmp_path / "coarse.json"
     run("example", "--name", "kitaev_chain", "--n", 2, "--n-plus", 2,
         "--N", 4, "--output", out)
+    capsys.readouterr()
     assert run("invariant", "--input", out, "--kind",
                "chiral_winding") == 3
+    assert capsys.readouterr().err == (
+        "numeric error: eigenphase step 1.571 between points 0 and 1 is "
+        "too large; refine the grid\n")
 
 
 def test_winding_of_a_coarse_eight_band_chain(tmp_path, capsys):
@@ -436,14 +445,12 @@ def test_numpy_linalg_failures_exit_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numeric error: Singular matrix\n"
 
 
+# a NaN frame entry is test_malformed_v2_frames_exit_2[nan], and a skew
+# frame test_skew_v2_frame_is_a_validation_error
 @pytest.mark.parametrize("document, code, fragment", [
-    (lambda path: _with_fiber(path, 5, [[float("nan")], [0.0]]), 2,
-     "non-finite"),
-    (lambda path: _with_fiber(path, 5, [[0.7], [0.0]]), 1,
-     "not orthonormal at point 5"),
     (lambda path: with_frames(_read_bundle(path), np.zeros((8, 3, 1))), 2,
      "frames.shape: expected [8, 2, m] with 1 <= m < 2, got [8, 3, 1]"),
-], ids=["nan", "skew", "shape"])
+], ids=["shape"])
 def test_bad_frames_exit_codes(tmp_path, capsys, document, code, fragment):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
@@ -474,10 +481,24 @@ def test_config_file_merging(tmp_path):
     assert _load(out2)["grid"]["N"] == 8
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))
     assert run("example", "--config", cfg) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown config keys: frobnicate\n")
+
+
+@pytest.mark.parametrize("tol", ["1.0", "0", "0.0011"])
+def test_validate_refuses_a_tolerance_outside_its_range(tmp_path, capsys,
+                                                        tol):
+    out = tmp_path / "maj.json"
+    run("example", "--name", "majorana", "--N", 8, "--output", out)
+    capsys.readouterr()
+    assert run("validate", "--input", out, "--tol", tol) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: tolerance {float(tol)} is outside (0, 1e-3]\n")
+    assert run("validate", "--input", out, "--tol", "1e-3") == 0
 
 
 @pytest.mark.parametrize("value", ["5.0", "abc"])

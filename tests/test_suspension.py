@@ -166,7 +166,8 @@ def test_rotor_rejects_non_pseudo_plane():
     sp = make_nambu(1)
     K = imaginary_realization(sp, "BDI").generators[0]
     majorana_line = Plane(sp, np.array([[1.0], [1.0]]) / math.sqrt(2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="not a pseudo-symmetry of the plane"):
         rotor(K, majorana_line, 0.3)
 
 
