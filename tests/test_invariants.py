@@ -662,10 +662,20 @@ def _orthogonal(n, rng):
 
 def _ladder_z(rng, N):
     """An AI point pair's index, then the winding and Chern number one and
-    two suspensions up.  The pair's fibers are coordinate planes of random
-    occupations turned by one real band rotation diag(O, O), which keeps
-    them charge conserving and pseudo-symmetric."""
-    n = int(rng.integers(1, 4))
+    two suspensions up."""
+    index, ring = _ladder_z_ring(rng, N)
+    sphere = _gauged(suspend(SuspensionInput(ring, k_index=0)), rng)
+    return (index, -chiral_winding(ring, ring.cset.generators[0]).value,
+            -chern_number(sphere).value)
+
+
+def _ladder_z_ring(rng, N, n=None):
+    """The index of :func:`_ladder_z`'s AI point pair on n bands, by default
+    1 to 3 drawn from ``rng``, and its suspended ring.  The pair's fibers
+    are coordinate planes of random occupations turned by one real band
+    rotation diag(O, O), which keeps them charge conserving and
+    pseudo-symmetric."""
+    n = int(rng.integers(1, 4)) if n is None else n
     sp = make_nambu(n)
     R = np.kron(np.eye(2), _orthogonal(n, rng))
     frames = [R @ np.eye(2 * n)[:, [n + i if o else i for i, o in
@@ -677,9 +687,7 @@ def _ladder_z(rng, N):
     n0, n_pi = (component_index_ai(Plane(sp, pair.frames[p]), Q).value
                 for p in pair.grid.trims)
     ring = _gauged(suspend(SuspensionInput(pair, k_index=1), points=N), rng)
-    sphere = _gauged(suspend(SuspensionInput(ring, k_index=0)), rng)
-    return (n0 - n_pi, -chiral_winding(ring, ring.cset.generators[0]).value,
-            -chern_number(sphere).value)
+    return n0 - n_pi, ring
 
 
 def _ladder_z2(rng, N, n=None):
@@ -719,6 +727,17 @@ def test_the_diagonal_map_ladder_keeps_each_invariant(leg, seed):
     for N in (8, 16):
         values = leg(np.random.default_rng([seed, N]), N)
         assert len(set(values)) == 1, values
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_the_z_ladder_keeps_its_winding_at_larger_rank(n, seed):
+    # up to n eigenphases turn on each step of the ring, so at N = 8 the
+    # det phase of a step can wrap past pi; the Chern leg waits for the
+    # Wilson-loop faces
+    for N in (8, 16):
+        index, ring = _ladder_z_ring(np.random.default_rng([seed, N, n]), N, n)
+        assert -chiral_winding(ring, ring.cset.generators[0]).value == index
 
 
 @pytest.mark.parametrize("seed", range(6))
