@@ -777,26 +777,19 @@ def test_winding_coarse_grid_errors():
         chiral_winding(b, b.cset.generators[0])
 
 
-# Chains on which the winding summed det-phase steps and so wrapped past
-# +-pi (0, -1, 1, 2, 3 or 4 in place of -n_plus) or refused; every one
-# but (2, 2, 4) passes validate_bundle.
-_WRAPPED_CHAINS = [(8, 8, 8), (16, 16, 8), (16, 16, 16), (8, 5, 8),
-                   (8, 3, 8), (6, 6, 8), (5, 5, 8), (12, 12, 16), (4, 4, 8),
-                   (12, 12, 8), (16, 16, 32), (2, 2, 4), (8, 3, 16),
-                   (8, 5, 16), (8, 8, 16)]
-
-
-@pytest.mark.parametrize("n,n_plus,N", _WRAPPED_CHAINS)
+# Valid chains on which the winding summed det-phase steps and so wrapped
+# past +-pi (0, -1, 1, 2, 3 or 4 in place of -n_plus) or refused; the
+# coarse (2, 2, 4) of that list is test_winding_coarse_grid_errors.
+@pytest.mark.parametrize("n,n_plus,N", [
+    (8, 8, 8), (16, 16, 8), (16, 16, 16), (8, 5, 8), (8, 3, 8), (6, 6, 8),
+    (5, 5, 8), (12, 12, 16), (4, 4, 8), (12, 12, 8), (16, 16, 32),
+    (8, 3, 16), (8, 5, 16), (8, 8, 16)])
 def test_winding_of_a_chain_is_minus_its_occupied_bands(n, n_plus, N):
     b = example_kitaev_chain(n, n_plus, N)
-    K1 = b.cset.generators[0]
-    if (n, n_plus, N) == (2, 2, 4):
-        with pytest.raises(NumericError, match="refine the grid"):
-            chiral_winding(b, K1)
-    else:
-        result = chiral_winding(b, K1)
-        assert result.value == -n_plus
-        assert result.diagnostics["residual"] < 1e-12
+    assert validate_bundle(b).ok
+    result = chiral_winding(b, b.cset.generators[0])
+    assert result.value == -n_plus
+    assert result.diagnostics["residual"] < 1e-12
 
 
 @pytest.mark.parametrize("N", [4, 6, 8, 16])

@@ -21,8 +21,8 @@ from fermibundle.nambu import (
     classify_generator,
     make_nambu,
 )
-from fermibundle.planes import (Plane, plane_from_vectors,
-                                pseudo_check, vacuum_plane)
+from fermibundle.planes import (Plane, plane_from_vectors, pseudo_check,
+                                vacuum_plane)
 from fermibundle.suspension import (example_dIII, example_kitaev_chain,
                                     example_majorana, rotor)
 from fermibundle.symmetry import AntiUnitary, spin_embed
