@@ -261,37 +261,26 @@ class Bundle:
     def rank(self) -> int:
         return self.frames.shape[2]
 
-    def _edge_pass(self, distances: bool = False):
-        """The one blocked pass over ``grid.edges`` that forms O = F_a^H F_b
-        of each edge (a, b): the distances ||F_b - F_a O|| if ``distances``,
-        and, unless cached, det O (m = 1 and 2 in closed form with ``_cmul``)
-        into ``_edge_dets`` without distances or on a sphere with m <= 2."""
+    @functools.cached_property
+    def _edges(self):
+        """(distances, dets) of ``grid.edges``, read-only, from one blocked
+        pass over O = F_a^H F_b of each edge (a, b): the projector distances
+        ||F_b - F_a O||, and on a sphere (else None) the Fukui-Hatsugai-Suzuki
+        link variables det O, m = 1 and 2 in closed form with ``_cmul``.
+        Cached, as the frames are read-only: validation, Chern and
+        Kane-Mele share the one pass."""
         edges, F, m = self.grid.edges, self.frames, self.rank
-        dets = "_edge_dets" not in self.__dict__ and (
-            not distances or self.grid.d == 2 and m <= 2)
-        dist = np.empty(len(edges)) if distances else None
-        o = np.empty(len(edges), dtype=complex) if dets else None
+        dist = np.empty(len(edges))
+        o = np.empty(len(edges), dtype=complex) if self.grid.d == 2 else None
         for blk in _blocks(len(edges), 16 * F[0].size):
             Fa, Fb = F.take(edges[blk].T, axis=0)
             O = _mm(_dagger(Fa), Fb)
-            if distances:
-                dist[blk] = _spectral_norms(Fb - _mm(Fa, O))
-            if dets:
+            dist[blk] = _spectral_norms(Fb - _mm(Fa, O))
+            if o is not None:
                 o[blk] = (np.linalg.det(O) if m > 2 else O[:, 0, 0] if m == 1
                           else _cmul(O[:, 0, 0], O[:, 1, 1])
                           - _cmul(O[:, 0, 1], O[:, 1, 0]))
-        if dets:
-            self.__dict__["_edge_dets"] = _frozen(o)
-        return dist
-
-    @functools.cached_property
-    def _edge_dets(self):
-        """det(F_a^H F_b) of every grid edge (a, b), read-only: the
-        Fukui-Hatsugai-Suzuki link variables, which faces gather through
-        ``grid.slots``.  Kept with the bundle, whose frames are read-only,
-        so its Chern and Kane-Mele invariants share them."""
-        self._edge_pass()
-        return self.__dict__["_edge_dets"]
+        return _frozen(dist), o if o is None else _frozen(o)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +313,8 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL) -> BundleReport:
     projector of the Fermi annihilator of the fiber A at k; it applies
     only to half-rank bundles and is skipped (reported as ``None``)
     otherwise.  Continuity is the largest spectral distance between the
-    projectors at the ends of a grid edge; the same ``Bundle._edge_pass``
-    caches link determinants when m <= 2 on a sphere.
+    projectors at the ends of a grid edge, read from ``Bundle._edges``,
+    whose link determinants the faces then reuse.
     """
     # a NaN threshold compares False, so every guard against it passes
     if (not isinstance(tol, numbers.Real) or isinstance(tol, bool)
@@ -359,7 +348,7 @@ def validate_bundle(bundle: Bundle, tol: float = ALG_TOL) -> BundleReport:
             messages.append(
                 f"Fermi pairing violated at point {p} (deviation {fermi[p]:.3e})")
     # for planes of equal rank, |Pi_a - Pi_b| = |(1 - Pi_a) F_b|
-    dist = bundle._edge_pass(distances=True)
+    dist = bundle._edges[0]
     cont, worst = 0.0, None
     if dist.size and dist.max() > 0.0:
         i = int(np.argmax(dist))

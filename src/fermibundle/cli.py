@@ -27,6 +27,8 @@ from .errors import InputError, NumericError, ValidationError
 from .invariants import (chern_number, chiral_winding, class_d_z2,
                          component_index_ai, fermion_parity, kane_mele_z2,
                          pfaffian_field)
+from .nambu import _unchecked
+from .planes import Plane
 from .suspension import (SuspensionInput, example_dIII,
                          example_kitaev_chain, example_majorana, suspend)
 from .symmetry import class_info, true_symmetries
@@ -228,7 +230,8 @@ def _cmd_invariant(args):
     if kind in _APPLIES["--generator-index"]:
         gen = _pick(bundle.cset.generators, args.generator_index, "generator")
     if kind in _APPLIES["--point-index"]:
-        A = _pick(bundle.fibers, args.point_index, "point")
+        A = _unchecked(Plane, bundle.space,
+                       _pick(bundle.frames, args.point_index, "point"))
     if kind == "parity":
         result = fermion_parity(bundle.space, A)
     elif kind == "class_d_z2":

@@ -6,9 +6,9 @@ over the sphere, and phase-accumulation formulas for winding and Chern
 numbers and for the Kane-Mele index, which sums plaquette fluxes over the
 northern half-sphere against the link phases of its t = 0 boundary row in
 a time-reversal gauge.  Phase bookkeeping uses principal branches; the
-winding refuses a step that the continuity check of validation flags, and
-a singular frame overlap raises :class:`NumericError` instead of silently
-returning a wrong integer.
+winding and the plaquette sums refuse, with :class:`NumericError`, a step
+or a face side that the continuity check of validation flags instead of
+silently returning a wrong integer.
 """
 
 from __future__ import annotations
@@ -224,23 +224,23 @@ def _nearest(x):
 def _fluxes(bundle: Bundle, faces):
     """Principal fluxes of the faces ``faces`` (indices, or a slice) of a
     sphere bundle: the phases of the products of their link variables in
-    order; also the smallest |det O| of a link.  Side c of face q takes
-    ``_edge_dets`` at ``grid.slots[q, c]``, conjugated against its edge and
-    exactly 1 when degenerate.  A link below ``DET_FLOOR`` raises
-    NumericError naming its face."""
-    o, slots = bundle._edge_dets, bundle.grid.slots[faces]
+    order, and the largest projector distance of a side.  Side c of face q
+    reads ``Bundle._edges`` at ``grid.slots[q, c]``, its det conjugated
+    against its edge and exactly 1 when degenerate.  A side farther than
+    ``CONTINUITY_TOL`` raises NumericError naming its face."""
+    (dist, o), slots = bundle._edges, bundle.grid.slots[faces]
+    far = np.concatenate([dist, dist, [0.0]]).take(slots).max(axis=1)
+    if (far > CONTINUITY_TOL).any():
+        i = np.argmax(far > CONTINUITY_TOL)
+        q = np.arange(len(bundle.grid.plaquettes))[faces][i]
+        raise NumericError(f"fibers jump by {far[i]:.3f} along a side of "
+                           f"plaquette {q}; refine the grid")
     L = np.concatenate([o, o.conj(), [1.0]]).take(slots)
     edge = slots < 2 * len(o)
-    moduli = np.abs(L)
-    small = (moduli < DET_FLOOR).any(axis=1)
-    if small.any():
-        q = np.arange(len(bundle.grid.plaquettes))[faces][np.argmax(small)]
-        raise NumericError(
-            f"singular frame overlap on plaquette {q}; refine the grid")
     prod = np.ones(len(L), dtype=complex)
     for i in range(L.shape[1]):
         prod = np.where(edge[:, i], _cmul(prod, L[:, i]), prod)
-    return np.angle(prod), float(moduli.min(where=edge, initial=np.inf))
+    return np.angle(prod), float(far.max())
 
 
 def _kramers_frame(T, F):
@@ -273,12 +273,12 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
 
     The diagnostics are ``n``, the integer (S - Φ)/2π; ``residual``, the
     distance of (S - Φ)/2π from n; ``theta_max``, the largest
-    ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row; and ``max_abs_flux``, the
-    largest |flux| in Φ (see :func:`chern_number`).  The grid must be a sphere
-    with an odd row count, so that it has a t = 0 row, and the fibers
-    must have rank n with n even (InputError); a ``theta_max`` above
-    ``ALG_TOL`` raises ValidationError, and a singular overlap on a
-    northern plaquette NumericError.
+    ||(1 - Π_{-k}) Θ F_k|| on the t = 0 row; and ``max_abs_flux`` and
+    ``max_distance`` over Φ's faces (see :func:`chern_number`).  The grid
+    must be a sphere with an odd row count, so that it has a t = 0 row,
+    and the fibers must have rank n with n even (InputError); a
+    ``theta_max`` above ``ALG_TOL`` raises ValidationError, and a face
+    side above ``CONTINUITY_TOL`` NumericError.
     """
     grid = bundle.grid
     if grid.d != 2:
@@ -307,11 +307,11 @@ def kane_mele_z2(bundle: Bundle, J1) -> InvariantResult:
     G[0], G[-1] = _kramers_frame(T, G[0]), _kramers_frame(T, G[-1])
     S = 2.0 * np.angle(np.linalg.det(_mm(_dagger(G[:-1]), G[1:]))).sum()
     north = np.flatnonzero(np.arange(N * (M + 1)) % (M + 1) > M // 2)
-    fluxes, _ = _fluxes(bundle, north)
+    fluxes, dist = _fluxes(bundle, north)
     k, residual = _nearest((S - fluxes.sum()) / (2.0 * np.pi))
     return InvariantResult("z2_bit", k % 2, {
         "n": k, "residual": residual, "theta_max": theta_max,
-        "max_abs_flux": float(np.abs(fluxes).max())})
+        "max_abs_flux": float(np.abs(fluxes).max()), "max_distance": dist})
 
 
 def chiral_winding(bundle: Bundle, K1) -> InvariantResult:
@@ -365,20 +365,20 @@ def chern_number(bundle: Bundle) -> InvariantResult:
     Each oriented plaquette contributes the principal argument of the
     product of frame overlap determinants around its boundary.  Each link
     enters two faces with opposite phase, so on every closed grid the flux
-    sum is 2 pi times an integer up to rounding, ``residual``.  A coarse
-    grid can wrap a face past +-pi, and at rank m > 1 no diagnostic detects
-    that, ``max_abs_flux`` included: a determinant phase sums m eigenphases
-    (ROADMAP item 17).  A singular overlap raises NumericError.
+    sum is 2 pi times an integer up to rounding, ``residual``.  A side of
+    projector distance above ``CONTINUITY_TOL`` raises NumericError, and
+    ``max_distance`` is the largest; at rank 1 this keeps every face below
+    pi.  A determinant phase sums m eigenphases, so at m > 1 a face can
+    still wrap, unseen by ``max_abs_flux`` (ROADMAP item 17).
     """
     grid = bundle.grid
     if grid.d != 2:
         raise InputError("the Chern number lives on S^2")
-    fluxes, min_overlap = _fluxes(bundle, slice(None))
+    fluxes, dist = _fluxes(bundle, slice(None))
     c, residual = _nearest(float(np.sum(fluxes)) / (2.0 * np.pi))
     return InvariantResult("chern_int", c, {
         "fluxes": fluxes, "residual": residual,
-        "max_abs_flux": float(np.abs(fluxes).max()),
-        "min_overlap": min_overlap})
+        "max_abs_flux": float(np.abs(fluxes).max()), "max_distance": dist})
 
 
 def component_index_ai(A: Plane, Q) -> InvariantResult:

@@ -20,7 +20,7 @@ from .errors import InputError, ValidationError
 from .nambu import (CliffordSet, Generator, NambuSpace, _frozen, _numbers,
                     _unchecked, make_nambu)
 from .planes import Plane, _complements, plane_distance
-from .tolerances import ALG_TOL, DERIVED_TOL, RANK_TOL
+from .tolerances import ALG_TOL, DERIVED_TOL
 
 _SIGMA = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -322,10 +322,8 @@ def unlift_plane(At: Plane) -> Plane:
             f"unlift needs a rank-{2 * nb} plane, got rank {At.rank}")
     idx1, idx2 = copy_indices(At.space)
     sym = At.frame[idx1, :] + At.frame[idx2, :]
-    U, s, _ = np.linalg.svd(sym, full_matrices=False)
-    if s[nb - 1] < RANK_TOL or (len(s) > nb and s[nb] > DERIVED_TOL):
-        raise InputError("plane is not in the image of the doubling lift")
-    base = Plane(make_nambu(nb), U[:, :nb])
+    base = Plane(make_nambu(nb),
+                 np.linalg.svd(sym, full_matrices=False)[0][:, :nb])
     if plane_distance(lift_plane(base), At) > DERIVED_TOL:
         raise InputError("plane is not in the image of the doubling lift")
     return base

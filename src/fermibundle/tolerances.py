@@ -11,14 +11,14 @@ ORTHO_TOL = 1e-12
 # singular value below which input vectors count as rank deficient
 RANK_TOL = 1e-10
 
-# adjacent-fiber spectral distance that validation flags, and winding refuses
+# edge spectral distance that validation flags, and winding and faces refuse
 CONTINUITY_TOL = 0.5
 
 # residual of an identity derived from inputs checked against ALG_TOL
 DERIVED_TOL = 1e-8
 
-# |det| below which a bilinear form or a frame overlap counts as singular,
-# and pivot column, relative to max(1, |X|), below which a Pfaffian is zero
+# |det| below which a bilinear form counts as degenerate, and pivot column,
+# relative to max(1, |X|), below which a Pfaffian is zero
 DET_FLOOR = 1e-8
 PIVOT_FLOOR = 1e-13
 

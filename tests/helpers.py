@@ -121,6 +121,27 @@ def random_suspension_inputs(rng, copies=20):
     return inputs
 
 
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _sphere_point(k, t):
+    return np.stack([np.cos(t) * np.cos(k), np.cos(t) * np.sin(k),
+                     np.sin(t)], axis=-1)
+
+
+def pointed_sphere(N, M, a, rng):
+    """A rank-1 sphere bundle of Chern number -1 whose curvature gathers
+    near one point as ``a`` nears 1: at (k, t) the lower eigenvector of
+    n.sigma, n = r(k, t) - a r(0.3, 0.2) with r(k, t) the unit vector
+    (cos t cos k, cos t sin k, sin t), in a random phase gauge; an empty
+    Clifford set, so it fails Fermi pairing."""
+    sp, grid = make_nambu(1), make_sphere_grid(2, N, M)
+    n = _sphere_point(*grid.points.T) - a * _sphere_point(0.3, 0.2)
+    F = np.linalg.eigh(np.einsum("pi,ijk->pjk", n, _PAULI))[1][:, :, :1]
+    phases = np.exp(2j * np.pi * rng.random((grid.size, 1, 1)))
+    return Bundle(sp, CliffordSet(sp, ()), grid, F * phases)
+
+
 def with_frames(bundle, frames):
     """``serialize_bundle(bundle)`` with its payload re-encoded from the
     (P, 2n, m) array ``frames``, and ``frames.shape`` set to its shape, so

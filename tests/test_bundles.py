@@ -470,7 +470,7 @@ def _pass_outputs(make):
     out = [report.pseudo_max, report.fermi_max, report.continuity_max,
            report.continuity_edge]
     if b.grid.d == 2:
-        out += [b._edge_dets, chern_number(b).diagnostics["fluxes"]]
+        out += [*b._edges, chern_number(b).diagnostics["fluxes"]]
     real = [g for g in b.cset.generators if g.parity == "real"]
     out.append(pfaffian_field(b, real[0]))
     return [np.asarray(x).tobytes() for x in out]
@@ -549,6 +549,11 @@ def test_serialize_layout():
     (lambda d: d["grid"].update(d=0, N=2), "grid.N: S^0 grids take no N"),
     (lambda d: d["class"].update(signature=[False, True]), "class.signature"),
     (lambda d: d["class"].update(signature=[0.0, 1.0]), "class.signature"),
+    (lambda d: d["class"]["generators"][0].update(parity="Imaginary"),
+     "class.generators[0].parity: unknown tag 'Imaginary'"),
+    (lambda d: d["class"]["generators"][0]["matrix"].pop(),
+     "class.generators[0].matrix: shape (1, 2) does not match expected "
+     "(2, 2)"),
 ])
 def test_deserialize_reports_offending_path(mangle, fragment):
     data = serialize_bundle(_constant_creator_bundle(N=4))
@@ -727,6 +732,18 @@ _REFUSALS = {
         lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
                        make_sphere_grid(0),
                        (vacuum_plane(make_nambu(1)), np.eye(2)[:, :1]))),
+    "a fiber of another space": (
+        "fiber 1 lives on the wrong space",
+        lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),
+                       make_sphere_grid(0),
+                       (vacuum_plane(make_nambu(1)),
+                        vacuum_plane(make_nambu(2))))),
+    "fibers of mixed ranks": (
+        r"fibers have mixed ranks \[1, 2\]",
+        lambda: Bundle(make_nambu(2), CliffordSet(make_nambu(2), ()),
+                       make_sphere_grid(0),
+                       (Plane(make_nambu(2), np.eye(4)[:, :1]),
+                        vacuum_plane(make_nambu(2))))),
     "a grid that is not a MomentumGrid": (
         "grid: not the make_sphere_grid grid of its sizes",
         lambda: Bundle(make_nambu(1), CliffordSet(make_nambu(1), ()),

@@ -26,7 +26,8 @@ from fermibundle.suspension import (SuspensionInput, example_dIII,
 from fermibundle.symmetry import (class_info, imaginary_realization,
                                   kitaev_generators, true_symmetries)
 from fermibundle.tolerances import CONTINUITY_TOL
-from helpers import nudge, random_suspension_inputs, regauge, with_frames
+from helpers import (nudge, pointed_sphere, random_suspension_inputs,
+                     regauge, with_frames)
 
 
 def run(*argv):
@@ -286,12 +287,18 @@ def test_suspend_doubled_bundle_to_sphere(tmp_path):
     assert data["class"]["label"] == "DIII"
 
 
-def test_exit_code_for_input_errors(tmp_path):
+def test_exit_code_for_input_errors(tmp_path, capsys):
     out = tmp_path / "chain.json"
     run("example", "--name", "kitaev_chain", "--n", 1, "--n-plus", 1,
         "--N", 8, "--output", out)
+    capsys.readouterr()
     assert run("invariant", "--input", out, "--kind", "chern_number") == 2
-    assert run("validate", "--input", tmp_path / "missing.json") == 2
+    assert capsys.readouterr().err == (
+        "input error: the Chern number lives on S^2\n")
+    missing = tmp_path / "missing.json"
+    assert run("validate", "--input", missing) == 2
+    assert capsys.readouterr().err.startswith(
+        f"input error: cannot read {missing}: ")
 
 
 # a non-finite frame entry is test_malformed_v2_frames_exit_2[nan], [inf]
@@ -411,6 +418,20 @@ def test_exit_code_for_numeric_errors(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric error: eigenphase step 1.571 between points 0 and 1 is "
         "too large; refine the grid\n")
+
+
+def test_chern_of_a_coarse_pointed_sphere_exits_3(tmp_path, capsys):
+    # a side of plaquette 21 is longer than CONTINUITY_TOL: its flux
+    # could wrap past pi, so the sum refuses rather than guess
+    path = tmp_path / "pointed.json"
+    path.write_text(json.dumps(serialize_bundle(
+        pointed_sphere(8, 5, 0.97, np.random.default_rng(0)))))
+    assert run("invariant", "--input", path, "--kind", "chern_number") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numeric error: fibers jump by 0.668 along a side of plaquette 21; "
+        "refine the grid\n")
 
 
 def test_winding_of_a_coarse_eight_band_chain(tmp_path, capsys):

@@ -1,11 +1,12 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import (nudge, reference_sphere_tables, regauge,
-                     union_find_components)
+from helpers import (nudge, pointed_sphere, reference_sphere_tables,
+                     regauge, union_find_components)
 
 from fermibundle import bundles
 from fermibundle.bundles import (Bundle, double_bundle, make_sphere_grid,
@@ -415,9 +416,9 @@ def _alpha_bundle(sp, alpha, N, M):
 
 def _link_table(bundle):
     """(L, edge): the link variable on each side of each face, gathered
-    from ``_edge_dets`` through ``grid.slots`` (conjugated against its edge,
+    from ``Bundle._edges`` through ``grid.slots`` (conjugated against its edge,
     1 on a degenerate side), and whether that side is an edge."""
-    o, slots = bundle._edge_dets, bundle.grid.slots
+    o, slots = bundle._edges[1], bundle.grid.slots
     return (np.concatenate([o, o.conj(), [1.0]])[slots],
             slots < 2 * len(o))
 
@@ -834,11 +835,12 @@ def test_chern_of_suspended_chain():
 
 
 def test_chern_flux_sum_is_an_integer_on_random_discontinuous_bundles():
+    # a face side farther than CONTINUITY_TOL is refused; on the rest
     # every link enters two faces with opposite phase, so the flux sum of
     # a closed grid is 2 pi times an integer up to rounding, whatever the
-    # fibers; no continuity is needed, and no face wraps the sum off it
+    # fibers, and no face wraps the sum off it
     rng = np.random.default_rng(2024)
-    count = 0
+    refused = summed = 0
     for _ in range(250):
         N, M = 2 * int(rng.integers(1, 17)), int(rng.integers(1, 12))
         n = int(rng.choice([1, 2, 4]))
@@ -846,22 +848,31 @@ def test_chern_flux_sum_is_an_integer_on_random_discontinuous_bundles():
         for m in {n, n // 2} - {0}:
             Z = (rng.standard_normal((grid.size, 2 * n, m))
                  + 1j * rng.standard_normal((grid.size, 2 * n, m)))
+            # one random frame plus noise of a random size
+            Z = Z[:1] + rng.uniform(0.0, 0.5) * Z
             b = Bundle(sp, CliffordSet(sp, ()), grid, np.linalg.qr(Z)[0])
-            assert chern_number(b).diagnostics["residual"] < 1e-12
-            count += 1
-    assert count > 400
+            if validate_bundle(b).continuity_max > CONTINUITY_TOL:
+                with pytest.raises(NumericError, match="refine the grid"):
+                    chern_number(b)
+                refused += 1
+            else:
+                assert chern_number(b).diagnostics["residual"] < 1e-12
+                summed += 1
+    assert refused > 200 and summed > 100
 
 
 def _count_edge_passes(monkeypatch):
-    """The ``distances`` flag of every ``Bundle._edge_pass`` call, the one
-    place that forms edge overlaps."""
-    edge_pass, calls = Bundle._edge_pass, []
+    """The bundle of every ``Bundle._edges`` pass, the one place that
+    forms edge overlaps, in order."""
+    edges, calls = Bundle.__dict__["_edges"].func, []
 
-    def counted(self, distances=False):
-        calls.append(distances)
-        return edge_pass(self, distances)
+    def counted(self):
+        calls.append(self)
+        return edges(self)
 
-    monkeypatch.setattr(Bundle, "_edge_pass", counted)
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Bundle, "_edges")
+    monkeypatch.setattr(Bundle, "_edges", prop)
     return calls
 
 
@@ -872,27 +883,22 @@ def test_kane_mele_and_chern_share_one_link_table(monkeypatch):
     calls = _count_edge_passes(monkeypatch)
     assert kane_mele_z2(s, s.cset.generators[0]).value == 1
     fluxes = chern_number(s).diagnostics["fluxes"]
-    assert calls == [False]
+    assert calls == [s]
     assert fluxes.tobytes() == chern_number(fresh).diagnostics["fluxes"].tobytes()
-    assert calls == [False, False]
+    assert calls == [s, fresh]
 
 
 def test_validation_leaves_the_link_determinants(monkeypatch):
+    # at every rank, m = 4 included, validating a sphere forms its link
+    # determinants with its distances, and both face sums reuse them
     s = example_dIII(N=64)
+    d = double_bundle(s)
     calls = _count_edge_passes(monkeypatch)
-    assert validate_bundle(s).ok
-    assert calls == [True]
-    # after validation neither invariant forms an edge overlap
-    mm, products = bundles._mm, []
-
-    def counted(a, b):
-        products.append(len(a))
-        return mm(a, b)
-
-    monkeypatch.setattr(bundles, "_mm", counted)
-    assert kane_mele_z2(s, s.cset.generators[0]).value == 1
-    assert chern_number(s).value == 0
-    assert calls == [True] and products == []
+    for b in (s, d):
+        assert validate_bundle(b).ok
+        kane_mele_z2(b, b.cset.generators[0])
+        assert chern_number(b).value == 0
+    assert d.rank == 4 and calls == [s, d]
 
 
 @pytest.mark.parametrize("rank", [1, 2])
@@ -902,17 +908,15 @@ def test_validated_link_determinants_equal_a_fresh_build(rank):
     fresh = Bundle(b.space, b.cset, b.grid, b.frames, b.label)
     assert b.rank == rank and len(b.grid.edges) > 1024
     validate_bundle(b)
-    assert "_edge_dets" in b.__dict__ and "_edge_dets" not in fresh.__dict__
-    assert b._edge_dets.tobytes() == fresh._edge_dets.tobytes()
+    assert "_edges" in b.__dict__ and "_edges" not in fresh.__dict__
+    assert ([x.tobytes() for x in b._edges]
+            == [x.tobytes() for x in fresh._edges])
 
 
-def test_link_determinants_stay_lazy_above_rank_two(monkeypatch):
-    d = double_bundle(example_dIII(N=64))
-    calls = _count_edge_passes(monkeypatch)
-    validate_bundle(d)
-    assert d.rank == 4 and "_edge_dets" not in d.__dict__
-    assert chern_number(d).value == 0
-    assert calls == [True, False]
+def test_circles_carry_no_link_determinants():
+    dist, dets = example_kitaev_chain(2, 1, N=8)._edges
+    assert dets is None and len(dist) == 8
+    assert not dist.flags.writeable
 
 
 def _abs_fluxes(bundle):
@@ -952,7 +956,7 @@ def test_link_determinants_match_linalg_det(rank):
     o = np.linalg.det(
         np.conj(np.swapaxes(F[edges[:, 0]], 1, 2)) @ F[edges[:, 1]])
     assert b.rank == rank and len(edges) >= 128
-    assert (np.abs(b._edge_dets - o) <= 1e-15).all()
+    assert (np.abs(b._edges[1] - o) <= 1e-15).all()
 
 
 def test_chern_is_gauge_invariant():
@@ -982,7 +986,8 @@ def test_chern_singular_overlap_errors():
     fibers = [creator] * grid.size
     fibers[0] = _basis_plane(sp, (0,))
     b = Bundle(sp, CliffordSet(sp, ()), grid, fibers, "D")
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError, match="fibers jump by 1.000 along a "
+                                           "side of plaquette 0;"):
         chern_number(b)
 
 
@@ -997,6 +1002,44 @@ def test_singular_overlap_names_the_first_plaquette():
     assert first > 0
     with pytest.raises(NumericError, match=f"plaquette {first};"):
         chern_number(b)
+
+
+# (N, M, a) of the rank-1 sphere whose Chern number -1 the coarse grids
+# read as 0 or -1 by chance: a side of some face is longer than the limit
+_COARSE_POINTED = [(8, 5, 0.97), (8, 5, 0.99), (16, 9, 0.99), (32, 17, 0.99),
+                   (64, 33, 0.99), (128, 65, 0.99), (8, 5, 0.9)]
+
+
+@pytest.mark.parametrize("N, M, a", _COARSE_POINTED)
+def test_chern_refuses_a_grid_too_coarse_for_its_faces(N, M, a):
+    b = pointed_sphere(N, M, a, np.random.default_rng([N, M]))
+    assert validate_bundle(b).continuity_max > 0.8
+    with pytest.raises(NumericError,
+                       match=r"along a side of plaquette \d+; refine the grid"):
+        chern_number(b)
+
+
+def test_chern_reads_the_pointed_sphere_on_a_fine_grid():
+    b = pointed_sphere(64, 33, 0.9, np.random.default_rng(64))
+    result = chern_number(b)
+    assert result.value == -1
+    assert result.diagnostics["max_distance"] == pytest.approx(0.399,
+                                                               abs=5e-4)
+    # every edge is a side of a face, so the margin is validation's
+    assert (result.diagnostics["max_distance"]
+            == validate_bundle(b).continuity_max)
+
+
+def test_faces_admit_a_side_at_the_continuity_limit():
+    # example_dIII(6)'s rings step by exactly CONTINUITY_TOL, which
+    # validation passes, so the faces hold it to the same `>`
+    s = example_dIII(6)
+    assert validate_bundle(s).continuity_max == CONTINUITY_TOL
+    c = chern_number(s)
+    km = kane_mele_z2(s, s.cset.generators[0])
+    assert (c.value, km.value) == (0, 1)
+    assert (c.diagnostics["max_distance"] == km.diagnostics["max_distance"]
+            == CONTINUITY_TOL)
 
 
 # ------------------------------------------------------- component index

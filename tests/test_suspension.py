@@ -191,12 +191,14 @@ def test_suspension_input_parity_requirements():
     grid0 = make_sphere_grid(0)
     vac = vacuum_plane(sp)
     b = Bundle(sp, cset, grid0, (vac, vac), "AI")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="the retained generator must be real"):
         SuspensionInput(b, 0, 1)  # designated I generator is imaginary
     sp1 = make_nambu(2)
     real_gen = Generator(np.diag([1j, -1j, -1j, 1j]), "real")
     b2 = Bundle(sp1, CliffordSet(sp1, (real_gen,)), grid0, (vac, vac))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="the consumed generator must be imaginary"):
         SuspensionInput(b2, 0)  # consumed generator is real
 
 

@@ -325,9 +325,11 @@ def test_lift_needs_half_rank():
 
 def test_unlift_rejects_planes_outside_the_image():
     doubled = make_nambu(2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="not in the image of the doubling lift"):
         unlift_plane(vacuum_plane(doubled))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError,
+                       match="unlift needs a rank-2 plane, got rank 1"):
         unlift_plane(plane_from_vectors(doubled, [np.eye(4)[:, 0]]))
 
 
